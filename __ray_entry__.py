@@ -2540,10 +2540,8 @@ def _q_kg_synth_nodes(sf_dir: str):
     """Gazetteer KG pipeline over the deterministic synthetic pages corpus
     (the sandbox stand-in for Common-Crawl shards); sf_dir is unused.
     Rows-only check — the corpus is not a driver view."""
-    import pyarrow.compute as pc
     from kgx.sources.pages import read_table
     from kgx.pipelines.kg import make_chunk_batch_fn, extract_text_batch
-    from kgx.stages.canonicalize import canonicalize
     from kgx.stages.extract import GazetteerExtractor
     from kgx.synth import write_pages
     pages_dir = write_pages("/tmp/kgx_entry_synth", 300, seed=11)
@@ -2552,13 +2550,8 @@ def _q_kg_synth_nodes(sf_dir: str):
     ds = ds.map_batches(make_chunk_batch_fn(200, 50), batch_format="pyarrow")
     ds = ds.map_batches(GazetteerExtractor, batch_format="pyarrow",
                         concurrency=(1, 4))
-    mentions = ds.map_batches(
-        lambda t: t.filter(pc.equal(t["kind"], "mention")).select(
-            ["url", "chunk_id", "mention", "norm_mention", "type",
-             "description"]),
-        batch_format="pyarrow")
-    nodes = canonicalize(mentions)
-    return nodes.select_columns(["entity_id", "name", "type", "n_instances"])
+    return _nodes_from_extracted(
+        ds, ["entity_id", "name", "type", "n_instances"])
 
 
 def _docs_graph(sf_dir: str) -> dict:
@@ -3157,10 +3150,11 @@ def _q_kg_update_supersede(sf_dir: str):
         shutil.rmtree(root, ignore_errors=True)
 
 
-def _nodes_from_extracted(extracted):
-    """kg_nodes tail shared by every LLM-path nodes query: per-key
-    combine -> materialize -> repartition (the blocks-already-shuffled
-    idiom) -> salted canonicalization -> oracle projection."""
+def _nodes_from_extracted(extracted, columns=("name", "type", "n_instances")):
+    """kg_nodes tail shared by every nodes query over an extraction
+    Dataset: per-key combine -> materialize -> repartition (the
+    blocks-already-shuffled idiom) -> salted canonicalization -> oracle
+    projection."""
     import ray
 
     from kgx.stages.states import (make_combine_extracted_fn,
@@ -3172,8 +3166,7 @@ def _nodes_from_extracted(extracted):
         batch_format="pyarrow", batch_size=None)
     states = states.materialize() \
         .repartition(max(8, ncpu // 2)).materialize()
-    return nodes_from_states(states, cap=200) \
-        .select_columns(["name", "type", "n_instances"])
+    return nodes_from_states(states, cap=200).select_columns(list(columns))
 
 
 def _q_kg_nodes_llm(sf_dir: str):

@@ -717,7 +717,7 @@ def main() -> None:
     p.add_argument("--corpus", choices=("default", "hard"),
                    default="default",
                    help="headline corpus variant: 'hard' = adversarial "
-                        "(every page long, 2x fact density, 60% head-"
+                        "(every page long, 2x fact density, 60%% head-"
                         "entity skew; kgx/synth.py)")
     args = p.parse_args()
 

@@ -1,15 +1,16 @@
 """In-memory (checkpoint-free) KG composition over a generic text corpus.
 
-Same stages as :mod:`kgx.pipelines.kg` (chunk -> extract -> canonicalize ->
-resolve/dedup edges) but composed as one lazy Dataset expression with no
+Same stages as :mod:`kgx.pipelines.kg` (chunk -> extract -> states -> nodes
+-> edges) but composed as one lazy Dataset expression with no
 Parquet checkpoints between stages — the shape used by the driver's
 correctness queries and by tests, where the input is the testdata
 ``documents`` table adapted to the pages shape.  ``run_pipeline`` remains
 the production path (checkpoints + lineage + resume).
 
-The alias map for edge resolution is built by executing the (small,
-post-canonicalization) nodes dataset and ``ray.put``-ing the dict once —
-the same broadcast-join pattern as the checkpointed pipeline.
+The KG tail is :func:`kgx.pipelines.kg.kg_from_extracted`, the one
+``stream_kg`` runs: nodes from the fused per-key states, then the
+broadcast alias map (``ray.put`` once) resolves the triple states into
+edges.  ``claims_table`` resolves claims through the same alias map.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-import ray.data as rd
 from kgx.sources.pages import read_table
 
-from kgx.pipelines.kg import make_chunk_batch_fn
-from kgx.stages.canonicalize import canonicalize
-from kgx.stages.edges import build_alias_map
+from kgx.functions.collect import collect_arrow
+from kgx.pipelines.kg import (KGConfig, combine_states, kg_from_extracted,
+                              make_chunk_batch_fn)
+from kgx.stages.edges import build_alias_map, resolve_and_dedup_claims
 from kgx.stages.extract import TermExtractor, make_task_extractor
+from kgx.stages.states import nodes_from_states
 
 
 def read_documents(sf_dir: str):
@@ -92,10 +94,6 @@ def kg_tables(sf_dir: str, *, chunk_size: int = 200, chunk_overlap: int = 50,
     materialized — never the tagged per-occurrence table.  Memoized per
     (Ray session, inputs): repeated calls reuse the materialized tables.
     """
-    from kgx.stages.states import (edges_from_states,
-                                   make_combine_extracted_fn,
-                                   nodes_from_states)
-
     job = (ray.get_runtime_context().get_job_id()
            if ray.is_initialized() else None)
     key = (job, sf_dir, chunk_size, chunk_overlap, min_strength, n_salts,
@@ -104,29 +102,12 @@ def kg_tables(sf_dir: str, *, chunk_size: int = 200, chunk_overlap: int = 50,
     if hit is not None:
         return hit
 
-    ncpu = int(ray.cluster_resources().get("CPU", 4))
-    states = extract_documents(
-        sf_dir, chunk_size=chunk_size, chunk_overlap=chunk_overlap
-    ).map_batches(
-        make_combine_extracted_fn(n_salts=n_salts, cap=cap,
-                                  min_strength=min_strength),
-        batch_format="pyarrow", batch_size=None)
-    # materialize BEFORE repartition: fusing the extract chain into the
-    # repartition AllToAll re-executes its UDFs (kgx/pipelines/kg.py
-    # stream_kg has the measurement)
-    states = states.materialize() \
-        .repartition(max(8, ncpu // 2)).materialize()
-
-    nodes = nodes_from_states(states, cap=cap).materialize()
-
-    # nodes is small post-canonicalization; pull the three alias-map columns
-    # to the driver once and broadcast the dict via ray.put (J1 pattern).
-    from kgx.functions.collect import collect_arrow
-    nodes_tbl = collect_arrow(
-        nodes.select_columns(["entity_id", "name", "aliases"]))
-    alias_ref = ray.put(build_alias_map(nodes_tbl))
-    edges = edges_from_states(states, alias_ref, cap=cap).materialize()
-    out = {"nodes": nodes, "edges": edges}
+    kg = kg_from_extracted(
+        extract_documents(sf_dir, chunk_size=chunk_size,
+                          chunk_overlap=chunk_overlap),
+        KGConfig(min_strength=min_strength, n_salts=n_salts,
+                 instance_cap=cap))
+    out = {"nodes": kg["nodes"], "edges": kg["edges"].materialize()}
     _KG_TABLES_CACHE[key] = out
     return out
 
@@ -157,18 +138,13 @@ def claims_table(sf_dir: str, *, chunk_size: int = 200,
         concurrency=concurrency)
     extracted = extracted.materialize()
 
-    mentions = extracted.map_batches(
-        lambda t: t.filter(pc.equal(t["kind"], "mention")).select(
-            ["url", "chunk_id", "mention", "norm_mention", "type",
-             "description"]),
-        batch_format="pyarrow")
-    nodes = canonicalize(mentions, n_salts=n_salts, cap=cap)
-    from kgx.functions.collect import collect_arrow
+    states = combine_states(extracted,
+                            KGConfig(n_salts=n_salts, instance_cap=cap))
+    nodes = nodes_from_states(states, cap=cap)
     nodes_tbl = collect_arrow(
         nodes.select_columns(["entity_id", "name", "aliases"]))
     alias_ref = ray.put(build_alias_map(nodes_tbl))
 
-    from kgx.stages.edges import resolve_and_dedup_claims
     claims_raw = extracted.map_batches(
         lambda t: t.filter(pc.equal(t["kind"], "claim")).select(
             ["url", "chunk_id", "content", "entities"]),
@@ -180,6 +156,5 @@ def kg_arrow_tables(sf_dir: str, **kwargs) -> dict:
     """:func:`kg_tables` executed to driver-side Arrow tables (both are
     small post-canonicalization) — the input shape for the driver-side
     downstream stages (community detection / summarization / query)."""
-    from kgx.functions.collect import collect_arrow
     t = kg_tables(sf_dir, **kwargs)
     return {name: collect_arrow(ds) for name, ds in t.items()}

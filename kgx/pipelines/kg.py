@@ -1,9 +1,14 @@
 """The KG-construction pipeline (SURVEY.md §3.4 lifecycle).
 
-pages --map_batches--> texts --map_batches--> chunks --actor pool-->
-extracted(tagged) --groupby×2--> nodes --broadcast join + groupby--> edges,
-claims --> sorted canonical Parquet tables, with per-stage checkpoint
-manifests (skip-on-match resume) and per-partition lineage.
+pages --map_batches--> texts --map_batches--> chunks --map_batches-->
+extracted(tagged) --combine--> states (kgx.stages.states) --groupby×2-->
+nodes; states --broadcast resolve + groupby--> edges; extracted
+--broadcast resolve + groupby--> claims --> sorted canonical Parquet
+tables, with per-stage checkpoint manifests (skip-on-match resume) and
+per-partition lineage.  ``stream_kg`` composes the same stages with no
+checkpoints; it and ``kgx.pipelines.docs_kg`` share
+:func:`kg_from_extracted`, and every composition finalizes nodes and
+edges from the same fused states.
 
 Stage boundaries are Parquet checkpoints by design: (a) the north_rule
 requires killed-run resume from the last completed block, and (b) the
@@ -16,6 +21,7 @@ the whole dataset in memory.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import glob
 import os
 import time
@@ -25,14 +31,15 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 import ray.data as rd
+from ray.data.context import ShuffleStrategy
 
+from kgx.functions.collect import collect_arrow
 from kgx.functions.html_text import EXTRACTOR_VERSION, extract_text
-from kgx.stages.canonicalize import canonicalize
-from kgx.stages.edges import (build_alias_map, resolve_and_dedup_claims,
-                              resolve_and_dedup_edges,
-                              resolve_and_dedup_edges_coshuffle)
+from kgx.stages.edges import build_alias_map, resolve_and_dedup_claims
 from kgx.stages.extract import (GazetteerExtractor, LLMExtractor,
                                 TermExtractor, make_task_extractor)
+from kgx.stages.states import (edges_from_states, make_combine_extracted_fn,
+                               nodes_from_states)
 from kgx.state import manifest as mf
 
 EXTRACTORS = {
@@ -100,16 +107,8 @@ class KGConfig:
     # equal to the CPU count deadlocks the fused read stage on small hosts.
     extract_concurrency: int | tuple | None = None
     extract_batch_size: int = 1024
-    resolve_concurrency: int | tuple | None = None
-    resolve_batch_size: int = 32768
-    # "broadcast" ships the alias map via ray.put (small canonical table);
-    # "coshuffle" joins both sides on the normalized name with no broadcast
-    # (the 10^8+-entity path).  Results are identical (property-tested).
-    resolve_strategy: str = "broadcast"
 
-    _PERF_KNOBS = ("extract_concurrency", "extract_batch_size",
-                   "resolve_concurrency", "resolve_batch_size", "n_salts",
-                   "resolve_strategy")
+    _PERF_KNOBS = ("extract_concurrency", "extract_batch_size", "n_salts")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -194,8 +193,6 @@ def dedup_pages_by_text(texts_ds):
     they are failed extractions, not duplicates of each other; whether to
     drop them is a separate filtering decision.
     """
-    from kgx.functions.collect import collect_arrow
-
     tagged = texts_ds.map_batches(_page_fp_batch,
                                   batch_format="pyarrow").materialize()
     loser_tbl = collect_arrow(_page_dup_losers(tagged))
@@ -257,6 +254,76 @@ def _run_stage(out_dir, stage, input_fp, cfg_hash, build_and_write, resume):
     return True
 
 
+def _prepare_data_context() -> int:
+    """Prepare this process's Ray Data context for a KG run; returns the
+    cluster CPU count.
+
+    Scales the minimum read split count with the cluster instead of Ray's
+    fixed default (200): on a small cluster 200 read tasks over a small
+    stage checkpoint is pure per-task scheduling overhead, while on a
+    large cluster real inputs produce far more blocks from size alone.
+    Refuses ``ShuffleStrategy.HASH_SHUFFLE`` before anything executes:
+    on this Ray version a groupby over a 6k-row table did not finish
+    within 10 min at one CPU under it."""
+    ctx = rd.DataContext.get_current()
+    if ctx.shuffle_strategy == ShuffleStrategy.HASH_SHUFFLE:
+        raise ValueError(
+            "kgx groupbys need a sort-based shuffle: DataContext."
+            "shuffle_strategy=HASH_SHUFFLE hangs at low CPU counts")
+    ncpu = int(ray.cluster_resources().get("CPU", 4))
+    ctx.read_op_min_num_blocks = min(200, max(2 * ncpu, 16))
+    return ncpu
+
+
+def combine_states(extracted, cfg: KGConfig, *, batch_size=None):
+    """Tagged extraction Dataset -> materialized fused state rows
+    (kgx.stages.states): one row per key per combine batch."""
+    return extracted.map_batches(
+        make_combine_extracted_fn(n_salts=cfg.n_salts, cap=cfg.instance_cap,
+                                  min_strength=cfg.min_strength),
+        batch_format="pyarrow", batch_size=batch_size).materialize()
+
+
+def finalize_nodes(states, cfg: KGConfig):
+    """State rows -> canonical nodes, then the optional near-duplicate
+    (MinHash) and cosine entity merges."""
+    nodes = nodes_from_states(states, cap=cfg.instance_cap)
+    if cfg.neardup_threshold is not None:
+        from kgx.stages.neardup import neardup_merge_nodes
+        nodes = neardup_merge_nodes(nodes, threshold=cfg.neardup_threshold,
+                                    cap=cfg.instance_cap)
+    if cfg.cosine_merge_threshold is not None:
+        from kgx.stages.neardup import cosine_merge_nodes
+        nodes = cosine_merge_nodes(nodes,
+                                   threshold=cfg.cosine_merge_threshold,
+                                   cap=cfg.instance_cap)
+    return nodes
+
+
+def kg_from_extracted(extracted, cfg: KGConfig) -> dict:
+    """Tagged extraction Dataset -> ``{"nodes": Dataset, "edges":
+    Dataset}``: the checkpoint-free KG tail of ``stream_kg`` and
+    ``docs_kg.kg_tables``.  Nodes come back materialized (the alias map
+    is built from them); edges stay lazy."""
+    ncpu = int(ray.cluster_resources().get("CPU", 4))
+    # One state block per CPU: the downstream resolve/finalize stages can
+    # then use every core (at ncpu//2 blocks the edge path topped out at
+    # half-width), while the groupby barriers still see only O(ncpu)
+    # kilobyte-scale blocks.  MATERIALIZE BEFORE repartitioning
+    # (combine_states does): fusing the map chain into the repartition's
+    # AllToAll re-executes the chain's UDFs inside the split tasks on this
+    # Ray version (measured 16.4 s vs 8.4 s at 4 CPUs / 30k pages,
+    # neutral at 32 CPUs).
+    states = combine_states(extracted, cfg).repartition(
+        max(8, ncpu)).materialize()
+    nodes = finalize_nodes(states, cfg).materialize()
+    nodes_tbl = collect_arrow(
+        nodes.select_columns(["entity_id", "name", "aliases"]))
+    alias_ref = ray.put(build_alias_map(nodes_tbl))
+    edges = edges_from_states(states, alias_ref, cap=cfg.instance_cap)
+    return {"nodes": nodes, "edges": edges}
+
+
 def stream_kg(pages_path: str, cfg: KGConfig | None = None) -> dict:
     """Checkpoint-free streaming composition of the same stages: one lazy
     Dataset expression per output, intermediates live in the object store
@@ -272,14 +339,7 @@ def stream_kg(pages_path: str, cfg: KGConfig | None = None) -> dict:
     Returns ``{"nodes": Dataset, "edges": Dataset}``.
     """
     cfg = cfg or KGConfig()
-    ncpu = int(ray.cluster_resources().get("CPU", 4))
-    ctx = rd.DataContext.get_current()
-    ctx.read_op_min_num_blocks = min(200, max(2 * ncpu, 16))
-
-    from kgx.stages.states import (edges_from_states,
-                                   make_combine_extracted_fn,
-                                   nodes_from_states)
-
+    ncpu = _prepare_data_context()
     # Block count tracks the cluster: ~4 waves of fused
     # read->text->chunk->extract tasks.  The wave knee moved as the
     # kernels got faster: the original sweep (round 2, ~1.2 ms/page
@@ -300,64 +360,12 @@ def stream_kg(pages_path: str, cfg: KGConfig | None = None) -> dict:
         ds = dedup_pages_by_text(ds)
     ds = ds.map_batches(make_chunk_batch_fn(cfg.chunk_size, cfg.chunk_overlap),
                         batch_format="pyarrow")
+    # The per-block combine (combine_states, batch_size=None) fuses into
+    # this map chain: one state row per key per block leaves it.
     extracted = ds.map_batches(make_task_extractor(EXTRACTORS[cfg.extractor]),
                                batch_format="pyarrow",
                                batch_size=cfg.extract_batch_size)
-    # Fused combine: one state row per key per block leaves the map chain;
-    # coalesce the tiny state blocks so the groupby/sort barriers schedule
-    # a handful of tasks instead of one per extract block.
-    states = extracted.map_batches(
-        make_combine_extracted_fn(n_salts=cfg.n_salts, cap=cfg.instance_cap,
-                                  min_strength=cfg.min_strength),
-        batch_format="pyarrow", batch_size=None)
-    # One state block per CPU: the downstream resolve/finalize stages can
-    # then use every core (at ncpu//2 blocks the edge path topped out at
-    # half-width), while the groupby barriers still see only O(ncpu)
-    # kilobyte-scale blocks.  MATERIALIZE BEFORE repartitioning: fusing
-    # the map chain into the repartition's AllToAll re-executes the
-    # chain's UDFs inside the split tasks on this Ray version (measured
-    # 16.4 s vs 8.4 s at 4 CPUs / 30k pages, neutral at 32 CPUs — the
-    # r4 judge's "4-CPU leg loses ~50% to non-kernel time", item 5).
-    states = states.materialize().repartition(max(8, ncpu)).materialize()
-
-    nodes = nodes_from_states(states, cap=cfg.instance_cap)
-    if cfg.neardup_threshold is not None:
-        from kgx.stages.neardup import neardup_merge_nodes
-        nodes = neardup_merge_nodes(nodes, threshold=cfg.neardup_threshold,
-                                    cap=cfg.instance_cap)
-    if cfg.cosine_merge_threshold is not None:
-        from kgx.stages.neardup import cosine_merge_nodes
-        nodes = cosine_merge_nodes(nodes,
-                                   threshold=cfg.cosine_merge_threshold,
-                                   cap=cfg.instance_cap)
-    nodes = nodes.materialize()
-
-    if cfg.resolve_strategy == "coshuffle":
-        from kgx.stages.edges import (
-            _COSHUFFLE_SCHEMA, resolve_and_dedup_edges_coshuffle_from_states)
-
-        def to_coshuffle_rows(t: pa.Table) -> pa.Table:
-            ts = t.filter(pc.equal(t["kind"], "t"))
-            n = ts.num_rows
-            return pa.Table.from_arrays([
-                ts["key"].combine_chunks(),
-                pa.array(["t"] * n, pa.string()),
-                pa.array([None] * n, pa.string()),
-                pa.array([None] * n, pa.string()),
-                ts["state"].combine_chunks(),
-            ], schema=_COSHUFFLE_SCHEMA)
-
-        t_states = states.map_batches(to_coshuffle_rows,
-                                      batch_format="pyarrow")
-        edges = resolve_and_dedup_edges_coshuffle_from_states(
-            t_states, nodes, cap=cfg.instance_cap)
-    else:
-        from kgx.functions.collect import collect_arrow
-        nodes_tbl = collect_arrow(
-            nodes.select_columns(["entity_id", "name", "aliases"]))
-        alias_ref = ray.put(build_alias_map(nodes_tbl))
-        edges = edges_from_states(states, alias_ref, cap=cfg.instance_cap)
-    return {"nodes": nodes, "edges": edges}
+    return kg_from_extracted(extracted, cfg)
 
 
 def _build_extraction(pages_path: str, dest_dir: str, cfg: "KGConfig",
@@ -561,18 +569,17 @@ def _supersede_losers(extracted_paths: list) -> list:
 def _finalize_graph(out_dir: str, extracted_paths: list, cfg: "KGConfig",
                     base_cfg: dict, *, resume: bool = True) -> dict:
     """Stages 4-6 (nodes -> edges -> claims) over the UNION of extracted
-    tables (the base corpus plus every ingested shard).  The
-    canonicalization and resolution shuffles are order-independent over
-    the extracted rows, so the result is byte-identical to a
-    from-scratch run over the union corpus (parity-tested)."""
-    resolve_conc = cfg.resolve_concurrency
+    tables (the base corpus plus every ingested shard).  Nodes and edges
+    come from one fused-state pass over the mention and triple rows
+    (kgx.stages.states, the same finalize as ``stream_kg``); every merge
+    is associative, so the result is byte-identical to a from-scratch run
+    over the union corpus (parity-tested)."""
     paths = {s: mf.stage_dir(out_dir, s)
              for s in ("nodes", "edges", "claims")}
 
     def chash(stage: str) -> str:
         return mf.config_hash({**base_cfg, "stage": stage})
 
-    # 4. nodes: salted two-phase canonicalization shuffle + global sort
     fp_ext = "".join(mf.fingerprint_input(p) for p in extracted_paths)
     # a list mixing directories is not a valid pyarrow dataset source;
     # expand each extracted checkpoint into its parquet files
@@ -586,20 +593,20 @@ def _finalize_graph(out_dir: str, extracted_paths: list, cfg: "KGConfig",
                                               "crawlmeta"))
             for p in extracted_paths)
 
-    def read_extracted(columns: list, kind: str):
-        """Union of the extracted checkpoints filtered to one kind; under
+    def read_extracted(columns: list, kinds: list):
+        """Union of the extracted checkpoints filtered to ``kinds``; under
         supersede_recrawls each source additionally drops rows of urls a
         newer source re-crawled (broadcast loser set, map-side filter)."""
+        kind_filter = pc.field("kind").isin(kinds)
         if not losers:
             return rd.read_parquet(ext_files, columns=columns,
-                                   filter=pc.field("kind") == kind)
+                                   filter=kind_filter)
         parts = []
         for i, p in enumerate(extracted_paths):
             files = mf._parquet_files(p)
             if not files:
                 continue
-            d = rd.read_parquet(files, columns=columns,
-                                filter=pc.field("kind") == kind)
+            d = rd.read_parquet(files, columns=columns, filter=kind_filter)
             if losers[i]:
                 ref = ray.put(pa.array(sorted(losers[i]), pa.string()))
                 d = d.map_batches(
@@ -613,22 +620,22 @@ def _finalize_graph(out_dir: str, extracted_paths: list, cfg: "KGConfig",
             out = out.union(d)
         return out
 
+    @functools.cache
+    def fused_states():
+        """Read once, combined once, shared by the nodes and edges stages
+        (and never run when both are resumed).  65536-row combine batches:
+        each batch emits one state row per key, so per-block batches left
+        more states to shuffle and measured slower on the checkpointed
+        benchmark workload."""
+        tagged = read_extracted(
+            ["kind", "url", "chunk_id", "mention", "norm_mention", "type",
+             "description", "subj", "pred", "obj", "strength"],
+            ["mention", "triple"])
+        return combine_states(tagged, cfg, batch_size=65536)
+
+    # 4. nodes: salted two-phase merge of the mention states
     def build_nodes(sdir):
-        mentions = read_extracted(
-            ["kind", "url", "chunk_id", "mention", "norm_mention",
-             "type", "description"], "mention")
-        nodes = canonicalize(mentions, n_salts=cfg.n_salts,
-                             cap=cfg.instance_cap)
-        if cfg.neardup_threshold is not None:
-            from kgx.stages.neardup import neardup_merge_nodes
-            nodes = neardup_merge_nodes(nodes,
-                                        threshold=cfg.neardup_threshold,
-                                        cap=cfg.instance_cap)
-        if cfg.cosine_merge_threshold is not None:
-            from kgx.stages.neardup import cosine_merge_nodes
-            nodes = cosine_merge_nodes(
-                nodes, threshold=cfg.cosine_merge_threshold,
-                cap=cfg.instance_cap)
+        nodes = finalize_nodes(fused_states(), cfg)
         nodes.write_parquet(sdir)
         return nodes
     _run_stage(out_dir, "nodes", fp_ext, chash("nodes"), build_nodes, resume)
@@ -640,20 +647,8 @@ def _finalize_graph(out_dir: str, extracted_paths: list, cfg: "KGConfig",
     fp_nodes = mf.fingerprint_input(paths["nodes"])
 
     def build_edges(sdir):
-        triples = read_extracted(
-            ["kind", "url", "chunk_id", "subj", "pred", "obj",
-             "strength"], "triple")
-        if cfg.resolve_strategy == "coshuffle":
-            nodes_ds = rd.read_parquet(
-                paths["nodes"], columns=["entity_id", "name", "aliases"])
-            edges = resolve_and_dedup_edges_coshuffle(
-                triples, nodes_ds, min_strength=cfg.min_strength,
-                cap=cfg.instance_cap, batch_size=cfg.resolve_batch_size)
-        else:
-            edges = resolve_and_dedup_edges(
-                triples, alias_ref, min_strength=cfg.min_strength,
-                cap=cfg.instance_cap, concurrency=resolve_conc,
-                batch_size=cfg.resolve_batch_size)
+        edges = edges_from_states(fused_states(), alias_ref,
+                                  cap=cfg.instance_cap)
         edges.write_parquet(sdir)
         return edges
     _run_stage(out_dir, "edges", fp_ext + fp_nodes, chash("edges"),
@@ -661,11 +656,9 @@ def _finalize_graph(out_dir: str, extracted_paths: list, cfg: "KGConfig",
 
     def build_claims(sdir):
         claims = read_extracted(
-            ["kind", "url", "chunk_id", "content", "entities"], "claim")
-        claims = resolve_and_dedup_claims(
-            claims, alias_ref, cap=cfg.instance_cap,
-            concurrency=resolve_conc,
-            batch_size=cfg.resolve_batch_size)
+            ["kind", "url", "chunk_id", "content", "entities"], ["claim"])
+        claims = resolve_and_dedup_claims(claims, alias_ref,
+                                          cap=cfg.instance_cap)
         claims.write_parquet(sdir)
         return claims
     _run_stage(out_dir, "claims", fp_ext + fp_nodes, chash("claims"),
@@ -756,13 +749,7 @@ def run_pipeline(pages_path: str, out_dir: str,
     cfg = cfg or KGConfig()
     base_cfg = cfg.semantic_dict()
     base_cfg["extractor_version"] = EXTRACTOR_VERSION
-    ncpu = int(ray.cluster_resources().get("CPU", 4))
-    # Scale the minimum read split count with the cluster instead of Ray's
-    # fixed default (200): on a small cluster 200 read tasks over a small
-    # stage checkpoint is pure per-task scheduling overhead, while on a
-    # large cluster real inputs produce far more blocks from size alone.
-    ctx = rd.DataContext.get_current()
-    ctx.read_op_min_num_blocks = min(200, max(2 * ncpu, 16))
+    _prepare_data_context()
     paths = _build_extraction(pages_path, out_dir, cfg, base_cfg,
                               resume=resume,
                               pages_ds_factory=pages_ds_factory)
@@ -798,9 +785,7 @@ def update_pipeline(new_pages_path: str, out_dir: str,
     cfg = cfg or KGConfig()
     base_cfg = cfg.semantic_dict()
     base_cfg["extractor_version"] = EXTRACTOR_VERSION
-    ncpu = int(ray.cluster_resources().get("CPU", 4))
-    ctx = rd.DataContext.get_current()
-    ctx.read_op_min_num_blocks = min(200, max(2 * ncpu, 16))
+    ncpu = _prepare_data_context()
     base_ext = mf.stage_dir(out_dir, "extracted")
     if not os.path.isdir(base_ext):
         raise FileNotFoundError(

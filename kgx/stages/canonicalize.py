@@ -5,16 +5,20 @@ Replaces the reference's order-dependent O(n²) greedy resolver
 /root/reference/extraction/entity_resolver.py:25-56) and the global mutable
 dedup store (``KnowledgeGraph.add_entity``,
 /root/reference/models/knowledge_graph.py:25-45) with an order-independent,
-associative merge over the normalized-mention shuffle key:
+associative merge over the normalized-mention shuffle key.  This module
+holds the merge state and its reducers; the Dataset composition is
+``kgx.stages.states.nodes_from_states``:
 
-1. **in-batch combine** (``map_batches``): partial-aggregate each Arrow batch
-   of mentions to one state row per (norm_mention) with a deterministic salt,
-   so the shuffle moves one row per key per batch instead of every mention;
-2. **phase 1** ``groupby([norm_mention, salt]).map_groups``: partial merge —
-   a head-skew key ("United States" in ~20% of pages) is split across
-   ``n_salts`` reducers instead of landing on one;
-3. **phase 2** ``groupby(norm_mention).map_groups``: final merge + finalize
-   into the nodes schema.
+1. **in-batch combine** (:func:`combine_mentions_batch`, run inside the
+   fused extraction chain): partial-aggregate each Arrow batch of mentions
+   to one state row per (norm_mention) with a deterministic salt, so the
+   shuffle moves one row per key per batch instead of every mention;
+2. **phase 1** ``groupby([norm_mention, salt])`` with
+   :func:`reduce_partial_group`: partial merge — a head-skew key ("United
+   States" in ~20% of pages) is split across ``n_salts`` reducers instead
+   of landing on one;
+3. **phase 2** ``groupby(entity_id)`` with :func:`finalize_group`: final
+   merge + finalize into the nodes schema.
 
 Merge semantics preserve the reference's ``Entity.merge``
 (/root/reference/models/entity.py:40-64) made order-independent:
@@ -226,27 +230,3 @@ def finalize_group(group: pa.Table, *,
     }
     return pa.table({f.name: pa.array(row[f.name], f.type) for f in NODES_SCHEMA})
 
-
-def canonicalize(mentions_ds, *, n_salts: int = DEFAULT_N_SALTS,
-                 cap: int = DEFAULT_INSTANCE_CAP,
-                 combine_batch_size: int = 65536):
-    """mentions Dataset -> canonical nodes Dataset, sorted by entity_id.
-
-    ``mentions_ds`` needs columns (url, chunk_id, mention, norm_mention,
-    type, description).  The two groupbys are the only shuffles; both run
-    over pre-combined state rows (<= one row per key per combine batch,
-    then <= n_salts rows per key).  The combine batch is large on purpose:
-    each shuffled block carries one state row per key per batch, so bigger
-    batches mean a smaller all-to-all.
-    """
-    combined = mentions_ds.map_batches(
-        lambda b: combine_mentions_batch(b, n_salts=n_salts, cap=cap),
-        batch_format="pyarrow", batch_size=combine_batch_size)
-    partial = combined.groupby(["norm_mention", "salt"]).map_groups(
-        lambda g: reduce_partial_group(g, cap=cap), batch_format="pyarrow")
-    # Phase 2 groups by the 1:1 entity_id hash the phase-1 reducer emits:
-    # the sort-based groupby shuffle leaves the output globally sorted by
-    # entity_id, so the former trailing ``.sort("entity_id")`` was a
-    # redundant all-to-all (see kgx/stages/states.py:nodes_from_states).
-    return partial.groupby("entity_id").map_groups(
-        lambda g: finalize_group(g, cap=cap), batch_format="pyarrow")

@@ -3,7 +3,7 @@
 Endpoint resolution is a **broadcast hash join** (SURVEY.md §2.4 J1/J2): the
 canonical alias map ``norm_name -> (entity_id, canonical_name)`` built from
 the (small, post-canonicalization) nodes table is ``ray.put`` once and read
-by every resolver actor in ``__init__`` — never re-shipped per batch, never
+by one cached resolver per worker — never re-shipped per batch, never
 an all-to-all shuffle.  The reference builds the same name->id dict in
 driver memory (/root/reference/indexing/simple_graph_builder.py:74-78) and
 drops relationships with an unresolvable endpoint (:88-97) and claims with
@@ -20,8 +20,11 @@ is order-dependent.  Claim dedup follows ``add_claim``
 (/root/reference/models/knowledge_graph.py:70-101): key ``lower(content)``,
 union entity_ids and instances.
 
-All groupbys run over per-batch pre-combined state rows, as in
-``kgx.stages.canonicalize``.
+All groupbys run over per-batch pre-combined state rows.  Triples are
+pre-combined UNRESOLVED (:func:`_combine_triples_unresolved`, the
+triple half of the fused state rows in ``kgx.stages.states``) and
+resolved per state by ``kgx.stages.states.edges_from_states``; claims are
+resolved and combined per batch by :class:`ResolveClaims`.
 """
 
 from __future__ import annotations
@@ -65,9 +68,10 @@ def build_alias_map(nodes_table: pa.Table) -> dict[str, tuple[str, str]]:
 
     The canonicalization key IS the normalized name, so ``entity_id =
     sha1(norm)`` and every raw mention resolves through ``normalize``.
-    Small by construction (one row per canonical entity); at extreme scale
-    the design switch-over is a two-sided co-shuffle on norm_name keyed by
-    a threshold on ``nodes.count()`` (SURVEY.md §7 hard parts).
+    Small by construction (one row per canonical entity): at 10^6
+    entities the map took 11.3 s and 264 MB of heap in the calling
+    process to build and pickles to 83 MB on a shared 4-vCPU VM
+    (SURVEY.md §7 hard parts).
     """
     alias: dict[str, tuple[str, str]] = {}
     names = nodes_table["name"].to_pylist()
@@ -78,59 +82,10 @@ def build_alias_map(nodes_table: pa.Table) -> dict[str, tuple[str, str]]:
             key = normalize(surface)
             cur = alias.get(key)
             # On the pathological chance two canonical entities share an
-            # alias norm, keep the smallest entity_id — the same tie-break
-            # as the co-shuffle path's _pick_alias, so the two strategies
-            # stay result-identical even on collisions.
+            # alias norm, keep the smallest entity_id (order-independent).
             if cur is None or eid < cur[0]:
                 alias[key] = (eid, name)
     return alias
-
-
-class ResolveTriples:
-    """Actor-pool stage: raw (subj, pred, obj, strength) triples ->
-    pre-combined edge state rows keyed by (subj_id, pred, obj_id).
-
-    Resolution + strength filter + in-batch combine in a single pass so the
-    downstream groupby only moves one state row per key per batch.
-    """
-
-    def __init__(self, alias_ref, *, min_strength: float = DEFAULT_MIN_STRENGTH,
-                 cap: int = DEFAULT_INSTANCE_CAP):
-        self.alias = ray.get(alias_ref) if isinstance(
-            alias_ref, ray.ObjectRef) else alias_ref
-        self.min_strength = min_strength
-        self.cap = cap
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        states: dict[tuple[str, str, str], dict] = {}
-        for url, chunk_id, subj, pred, obj, strength in zip(
-                batch["url"].to_pylist(), batch["chunk_id"].to_pylist(),
-                batch["subj"].to_pylist(), batch["pred"].to_pylist(),
-                batch["obj"].to_pylist(), batch["strength"].to_pylist()):
-            if strength is None or strength < self.min_strength:
-                continue
-            s = self.alias.get(normalize(subj))
-            o = self.alias.get(normalize(obj))
-            if s is None or o is None:
-                continue  # drop unresolvable endpoints (J1 semantics)
-            key = (s[0], pred, o[0])
-            st = states.get(key)
-            if st is None:
-                st = states[key] = {"sn": s[1], "on": o[1], "sum": 0.0,
-                                    "n": 0, "inst": []}
-            st["sum"] += float(strength)
-            st["n"] += 1
-            st["inst"].append((url, chunk_id))
-        keys = sorted(states)
-        for k in keys:
-            states[k]["inst"] = _cap_instances(states[k]["inst"], self.cap)
-        return pa.table({
-            "subj_id": pa.array([k[0] for k in keys], pa.string()),
-            "pred": pa.array([k[1] for k in keys], pa.string()),
-            "obj_id": pa.array([k[2] for k in keys], pa.string()),
-            "state": pa.array([json.dumps(states[k], sort_keys=True)
-                               for k in keys], pa.string()),
-        })
 
 
 # Per-worker resolver cache for task-based execution: the broadcast alias
@@ -159,15 +114,12 @@ def _finalize_edge_group(group: pa.Table, cap: int) -> pa.Table:
     # the vectorized resolver carries the canonical names as COLUMNS
     # (constant within a group — the group key fixes both entity ids)
     # and leaves the pre-combined state json untouched
-    has_name_cols = "sn" in group.column_names
-    sn = group["sn"][0].as_py() if has_name_cols else None
-    on = group["on"][0].as_py() if has_name_cols else None
+    sn = group["sn"][0].as_py()
+    on = group["on"][0].as_py()
     total, n = 0.0, 0
     seen: set = set()
     for s in group["state"].to_pylist():
         st = json.loads(s)
-        if not has_name_cols:
-            sn, on = st["sn"], st["on"]
         total += st["sum"]
         n += st["n"]
         # capped min-K is associative under union, so ONE set union per
@@ -187,87 +139,13 @@ def _finalize_edge_group(group: pa.Table, cap: int) -> pa.Table:
     return pa.table({f.name: pa.array(row[f.name], f.type) for f in EDGES_SCHEMA})
 
 
-def resolve_and_dedup_edges(triples_ds, alias_ref, *,
-                            min_strength: float = DEFAULT_MIN_STRENGTH,
-                            cap: int = DEFAULT_INSTANCE_CAP,
-                            concurrency=None, batch_size: int = 32768):
-    """triples_raw Dataset -> canonical edges Dataset with global dedup-sort.
-
-    Task-based by default (per-worker cached broadcast alias map); pass
-    ``concurrency`` to host the resolver on an actor pool instead.
-    """
-    if concurrency is None:
-        combined = triples_ds.map_batches(
-            make_task_resolver(ResolveTriples, alias_ref,
-                               min_strength=min_strength, cap=cap),
-            batch_format="pyarrow", batch_size=batch_size)
-    else:
-        combined = triples_ds.map_batches(
-            ResolveTriples, batch_format="pyarrow", batch_size=batch_size,
-            concurrency=concurrency,
-            fn_constructor_kwargs={"alias_ref": alias_ref,
-                                   "min_strength": min_strength, "cap": cap})
-    # groupby.map_groups shuffles via a global sort on the group key, so
-    # the output is already ordered by (subj_id, pred, obj_id); a trailing
-    # ds.sort on the same key was a redundant all-to-all (invariant pinned
-    # by tests/test_states.py::test_map_groups_output_key_sorted).
-    return combined.groupby(["subj_id", "pred", "obj_id"]).map_groups(
-        lambda g: _finalize_edge_group(g, cap), batch_format="pyarrow")
-
-
-# ---------------------------------------------------------------------------
-# Co-shuffle endpoint resolution — the 10^12-document path (SURVEY.md §7
-# "hard parts"): when the canonical entity table is too large to broadcast
-# (10^8+ entities on a fixed-size cluster), the name->id join becomes a
-# two-sided shuffle on the normalized name.  Three all-to-alls total:
-#   A. groupby(norm(subj)) over [alias rows ∪ pre-combined triple states]
-#      rewrites the subject side;
-#   B. groupby(norm(obj)) over [alias rows ∪ phase-A output] rewrites the
-#      object side;
-#   C. the usual groupby(subj_id, pred, obj_id) merge + global sort.
-# Unresolvable endpoints drop in their phase (J1 semantics).  Results are
-# identical to the broadcast path (property-tested); strategy selection is
-# a pure performance decision keyed on the node count.
-# ---------------------------------------------------------------------------
-
-_COSHUFFLE_SCHEMA = pa.schema([
-    ("norm", pa.string()),
-    ("kind", pa.string()),        # "a" alias | "t" unresolved-state row
-    ("entity_id", pa.string()),
-    ("name", pa.string()),
-    ("state", pa.string()),
-])
-
-
-def alias_rows(nodes_ds):
-    """nodes Dataset -> (norm, kind="a", entity_id, name) rows, one per
-    alias surface form — the join side that would otherwise be broadcast."""
-    def explode(batch: pa.Table) -> pa.Table:
-        norm_col, eid_col, name_col = [], [], []
-        for eid, name, aliases in zip(batch["entity_id"].to_pylist(),
-                                      batch["name"].to_pylist(),
-                                      batch["aliases"].to_pylist()):
-            for surface in [name] + (aliases or []):
-                norm_col.append(normalize(surface))
-                eid_col.append(eid)
-                name_col.append(name)
-        n = len(norm_col)
-        return pa.table({
-            "norm": pa.array(norm_col, pa.string()),
-            "kind": pa.array(["a"] * n, pa.string()),
-            "entity_id": pa.array(eid_col, pa.string()),
-            "name": pa.array(name_col, pa.string()),
-            "state": pa.array([None] * n, pa.string()),
-        })
-    return nodes_ds.map_batches(explode, batch_format="pyarrow")
-
-
 def _combine_triples_unresolved(batch: pa.Table, *, min_strength: float,
                                 cap: int) -> pa.Table:
     """Pre-combine raw triples per batch on the RAW (subj, pred, obj) key
-    so the co-shuffle moves one state row per key per batch; the state
-    carries the multiplicity (sum, n, instances), so no per-row uid is
-    needed to preserve duplicate triples across the two join shuffles.
+    so the shuffle moves one state row per key per batch; the state
+    carries the multiplicity (sum, n, instances), so duplicate triples
+    survive until the resolved-key merge.  Emits (norm = normalize(subj),
+    state, no = normalize(obj), p = pred).
 
     Vectorized: one STABLE Arrow sort on the key columns co-locates each
     key's rows in original order and segment boundaries come from
@@ -329,16 +207,11 @@ def _combine_triples_unresolved(batch: pa.Table, *, min_strength: float,
                     list(zip(urls[s0:s0 + cnt], chunks[s0:s0 + cnt])),
                     cap),
             }
-    n = len(keys)
     # "no"/"p" ride along as COLUMNS (duplicating two json fields) so the
     # broadcast resolver can rewrite keys fully vectorized (index_in)
-    # without parsing the state json per row; the co-shuffle path drops
-    # them when it unions with alias rows.
+    # without parsing the state json per row.
     return pa.table({
         "norm": pa.array([normalize(k[0]) for k in keys], pa.string()),
-        "kind": pa.array(["t"] * n, pa.string()),
-        "entity_id": pa.array([None] * n, pa.string()),
-        "name": pa.array([None] * n, pa.string()),
         "state": pa.array([json.dumps(states[k], sort_keys=True)
                            for k in keys], pa.string()),
         "no": pa.array([states[k]["no"] for k in keys], pa.string()),
@@ -346,124 +219,9 @@ def _combine_triples_unresolved(batch: pa.Table, *, min_strength: float,
     })
 
 
-def _pick_alias(group: pa.Table) -> tuple[str, str] | None:
-    """The alias row of this norm group (smallest entity_id on the
-    pathological chance two canonical entities share an alias norm)."""
-    best = None
-    for kind, eid, name in zip(group["kind"].to_pylist(),
-                               group["entity_id"].to_pylist(),
-                               group["name"].to_pylist()):
-        if kind == "a" and (best is None or eid < best[0]):
-            best = (eid, name)
-    return best
-
-
-def _resolve_side_group(group: pa.Table, side: str) -> pa.Table:
-    alias = _pick_alias(group)
-    out_norm, out_state = [], []
-    if alias is not None:
-        eid, name = alias
-        for kind, s in zip(group["kind"].to_pylist(),
-                           group["state"].to_pylist()):
-            if kind != "t":
-                continue
-            st = json.loads(s)
-            if side == "subj":
-                st["sid"], st["sn"] = eid, name
-                out_norm.append(st.pop("no"))
-            else:
-                st["oid"], st["on"] = eid, name
-                out_norm.append(st["sid"])  # next key unused; placeholder
-            out_state.append(json.dumps(st, sort_keys=True))
-    n = len(out_norm)
-    return pa.table({
-        "norm": pa.array(out_norm, pa.string()),
-        "kind": pa.array(["t"] * n, pa.string()),
-        "entity_id": pa.array([None] * n, pa.string()),
-        "name": pa.array([None] * n, pa.string()),
-        "state": pa.array(out_state, pa.string()),
-    })
-
-
-def _resolved_to_combined(batch: pa.Table) -> pa.Table:
-    """Phase-B output rows -> the (subj_id, pred, obj_id, state) shape the
-    shared merge/finalize groupby consumes."""
-    sid_col, pred_col, oid_col, st_col = [], [], [], []
-    for s in batch["state"].to_pylist():
-        st = json.loads(s)
-        sid_col.append(st["sid"])
-        pred_col.append(st["p"])
-        oid_col.append(st["oid"])
-        st_col.append(json.dumps(
-            {"sn": st["sn"], "on": st["on"], "sum": st["sum"],
-             "n": st["n"], "inst": st["inst"]}, sort_keys=True))
-    return pa.table({
-        "subj_id": pa.array(sid_col, pa.string()),
-        "pred": pa.array(pred_col, pa.string()),
-        "obj_id": pa.array(oid_col, pa.string()),
-        "state": pa.array(st_col, pa.string()),
-    })
-
-
-def resolve_and_dedup_edges_coshuffle(triples_ds, nodes_ds, *,
-                                      min_strength: float = DEFAULT_MIN_STRENGTH,
-                                      cap: int = DEFAULT_INSTANCE_CAP,
-                                      batch_size: int = 32768):
-    """Broadcast-free endpoint resolution: two co-shuffles on the
-    normalized name, then the shared dedup groupby + global sort."""
-    combined = triples_ds.map_batches(
-        lambda b: _combine_triples_unresolved(
-            b, min_strength=min_strength, cap=cap).drop_columns(
-                ["no", "p"]),
-        batch_format="pyarrow", batch_size=batch_size)
-    return resolve_and_dedup_edges_coshuffle_from_states(
-        combined, nodes_ds, cap=cap)
-
-
-def resolve_and_dedup_edges_coshuffle_from_states(combined_ds, nodes_ds, *,
-                                                  cap: int =
-                                                  DEFAULT_INSTANCE_CAP):
-    """Co-shuffle resolution over ALREADY-combined unresolved triple
-    states (the _COSHUFFLE_SCHEMA ``kind="t"`` rows) — the entry point
-    for the fused-combine streaming path (kgx.stages.states)."""
-    aliases = alias_rows(nodes_ds)
-    phase_a = aliases.union(combined_ds).groupby("norm").map_groups(
-        lambda g: _resolve_side_group(g, "subj"), batch_format="pyarrow")
-    phase_b = aliases.union(phase_a).groupby("norm").map_groups(
-        lambda g: _resolve_side_group(g, "obj"), batch_format="pyarrow")
-
-    resolved = phase_b.map_batches(_resolved_to_combined,
-                                   batch_format="pyarrow")
-    # Already (subj_id, pred, obj_id)-sorted by the groupby's sort-based
-    # shuffle — no trailing ds.sort (see resolve_and_dedup_edges).
-    return resolved.groupby(["subj_id", "pred", "obj_id"]).map_groups(
-        lambda g: _finalize_edge_group(g, cap), batch_format="pyarrow")
-
-
-DEFAULT_BROADCAST_MAX_NODES = 5_000_000
-
-
-def resolve_and_dedup_edges_auto(triples_ds, nodes_ds, alias_ref=None, *,
-                                 min_strength: float = DEFAULT_MIN_STRENGTH,
-                                 cap: int = DEFAULT_INSTANCE_CAP,
-                                 batch_size: int = 32768,
-                                 broadcast_max_nodes: int =
-                                 DEFAULT_BROADCAST_MAX_NODES):
-    """Strategy switch (SURVEY.md §7): broadcast join while the canonical
-    entity table fits comfortably in one worker's heap, two-sided
-    co-shuffle beyond.  Identical results either way."""
-    if nodes_ds.count() <= broadcast_max_nodes and alias_ref is not None:
-        return resolve_and_dedup_edges(
-            triples_ds, alias_ref, min_strength=min_strength, cap=cap,
-            batch_size=batch_size)
-    return resolve_and_dedup_edges_coshuffle(
-        triples_ds, nodes_ds, min_strength=min_strength, cap=cap,
-        batch_size=batch_size)
-
-
 class ResolveClaims:
-    """Actor-pool stage: raw claims -> pre-combined claim state rows keyed by
-    lower(content).  Claims with zero resolved entities are dropped
+    """Per-batch resolver: raw claims -> pre-combined claim state rows keyed
+    by lower(content).  Claims with zero resolved entities are dropped
     (/root/reference/indexing/simple_graph_builder.py:136-138)."""
 
     def __init__(self, alias_ref, *, cap: int = DEFAULT_INSTANCE_CAP):
@@ -527,21 +285,15 @@ def _finalize_claim_group(group: pa.Table, cap: int) -> pa.Table:
 
 
 def resolve_and_dedup_claims(claims_ds, alias_ref, *,
-                             cap: int = DEFAULT_INSTANCE_CAP,
-                             concurrency=None, batch_size: int = 32768):
+                             cap: int = DEFAULT_INSTANCE_CAP):
     """claims_raw Dataset -> canonical claims Dataset sorted by claim_id.
 
-    Task-based by default; see :func:`resolve_and_dedup_edges`.
+    Task-based with the per-worker cached broadcast alias map
+    (:func:`make_task_resolver`).
     """
-    if concurrency is None:
-        combined = claims_ds.map_batches(
-            make_task_resolver(ResolveClaims, alias_ref, cap=cap),
-            batch_format="pyarrow", batch_size=batch_size)
-    else:
-        combined = claims_ds.map_batches(
-            ResolveClaims, batch_format="pyarrow", batch_size=batch_size,
-            concurrency=concurrency,
-            fn_constructor_kwargs={"alias_ref": alias_ref, "cap": cap})
+    combined = claims_ds.map_batches(
+        make_task_resolver(ResolveClaims, alias_ref, cap=cap),
+        batch_format="pyarrow", batch_size=32768)
     # Grouping by claim_id (1:1 with content_key) makes the groupby's
     # sort-based shuffle deliver the output already in claim_id order —
     # the former trailing ds.sort was a redundant all-to-all.

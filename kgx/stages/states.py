@@ -1,31 +1,28 @@
-"""Fused in-task combining of the tagged extraction output.
+"""Fused per-key aggregation states: the one KG finalize.
 
-The streaming pipeline's original shape materialized the full tagged
-extraction table (one row per mention/triple/claim — the corpus-sized
-intermediate) and re-scanned it twice to feed the nodes and edges
-shuffles.  At N workers that materialize + double scan is a fixed,
-non-scaling cost that caps scaling efficiency.
+Every KG composition (``stream_kg``, ``docs_kg.kg_tables``, and the
+checkpointed ``run_pipeline`` / ``update_pipeline`` finalize in
+``kgx.pipelines.kg``) builds nodes and edges from these state rows, never
+from the corpus-sized tagged extraction table; ``docs_kg.claims_table``
+takes its nodes from them too:
 
-This module instead runs the per-batch combiners INSIDE the fused
-read->text->chunk->extract task chain, so what leaves the extraction
-tasks is one aggregation-state row per key per block — hundreds to
-thousands of times smaller than the tagged table.  Only those states are
-materialized and shuffled:
+    tagged extraction -> combine          (one state row per key per batch)
+      -> materialize                      (tiny)
+    nodes = states[kind=m] -> salted groupby x2          (two-phase merge)
+    edges = states[kind=t] -> broadcast resolve -> groupby
 
-    pages -> text -> chunk -> extract -> combine   (one fused task chain)
-      -> repartition(few blocks) -> materialize    (tiny)
-    nodes = states[kind=m] -> salted groupby x2 -> sort   (existing reducers)
-    edges = states[kind=t] -> broadcast resolve -> groupby -> sort
+On the streaming paths the combiner runs INSIDE the fused
+read->text->chunk->extract task chain, so only states leave the map phase;
+the checkpointed path runs it over the tagged ``extracted`` checkpoints,
+which it keeps for partition-level resume and for the claims consumer.
 
-Unified state row: (kind: "m"|"t", key, salt, state-json).  Mention
-states reuse :func:`kgx.stages.canonicalize.combine_mentions_batch`
-verbatim; triple states reuse
-:func:`kgx.stages.edges._combine_triples_unresolved` (key = normalized
-subject, state carries raw s/p/o + sum/n/instances), so merge semantics
-are bit-identical to the unfused path — asserted by the stream-vs-
-checkpointed parity test.  The checkpointed ``run_pipeline`` keeps the
-full tagged checkpoint on purpose (partition-level resume + the claims
-consumer need it); this fused shape is the throughput path.
+Unified state row: (kind: "m"|"t", key, salt, state-json, no, p).  Mention
+states are :func:`kgx.stages.canonicalize.combine_mentions_batch` output;
+triple states are :func:`kgx.stages.edges._combine_triples_unresolved`
+output (key = normalized subject, state carries raw s/p/o +
+sum/n/instances).  Every merge is associative, so the result does not
+depend on how rows were batched — asserted by the stream-vs-checkpointed
+parity tests.
 """
 
 from __future__ import annotations

@@ -338,8 +338,8 @@ class TestPageDedup:
 
     def test_stream_kg_honors_semantic_knobs(self, tmp_path_factory,
                                              ray_session):
-        """stream_kg must apply dedup_pages / resolve_strategy exactly like
-        run_pipeline with the identical config (ADVICE r01)."""
+        """stream_kg must apply dedup_pages exactly like run_pipeline with
+        the identical config (ADVICE r01)."""
         import pyarrow as pa
         import pyarrow.parquet as pq
         import os
@@ -361,7 +361,7 @@ class TestPageDedup:
         })
         pq.write_table(tbl, os.path.join(pdir, "part-0.parquet"))
 
-        cfg = KGConfig(dedup_pages=True, resolve_strategy="coshuffle")
+        cfg = KGConfig(dedup_pages=True)
         streamed = stream_kg(pdir, cfg)
         s_nodes = sorted(streamed["nodes"].to_pandas()
                          [["name", "n_instances"]].itertuples(index=False))

@@ -1,14 +1,16 @@
-"""Pins the groupby-ordering invariant the canonical tails rely on.
+"""Pins the contracts of the one fused-state KG finalize.
 
-kgx/stages/states.py, kgx/stages/canonicalize.py and kgx/stages/edges.py
-drop their former trailing ``ds.sort(<groupby key>)`` because on this Ray
-version ``groupby().map_groups()`` shuffles via a GLOBAL SORT on the group
-key, so the output already arrives globally key-sorted.  If a Ray upgrade
-ever switches groupby to a hash shuffle, these tests fail and the trailing
-sorts must come back.
+kgx/stages/states.py and kgx/stages/edges.py drop their former trailing
+``ds.sort(<groupby key>)`` because on this Ray version
+``groupby().map_groups()`` shuffles via a GLOBAL SORT on the group key, so
+the output already arrives globally key-sorted.  If a Ray upgrade ever
+switches groupby to a hash shuffle, these tests fail and the trailing
+sorts must come back.  The streaming and checkpointed compositions must
+emit equal tables, and every entry point refuses the hash shuffle.
 """
 
 import numpy as np
+import pytest
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
@@ -64,3 +66,51 @@ def test_stream_kg_tables_arrive_key_sorted(smoke_corpus, ray_session):
     spo = list(zip(edges["subj_id"].to_pylist(), edges["pred"].to_pylist(),
                    edges["obj_id"].to_pylist()))
     assert spo == sorted(spo) and len(spo) == len(set(spo))
+
+
+@pytest.mark.parametrize("extractor", ["gazetteer", "term"])
+def test_stream_kg_equals_run_pipeline(smoke_corpus, ray_session,
+                                       tmp_path_factory, extractor):
+    """Both compositions finalize nodes and edges from the same fused
+    states (kgx.pipelines.kg), so their tables are equal value for value,
+    not just in names and counts."""
+    import pyarrow.parquet as pq
+
+    from kgx.pipelines.kg import KGConfig, run_pipeline, stream_kg
+
+    cfg = KGConfig(extractor=extractor)
+    streamed = stream_kg(smoke_corpus["pages"], cfg)
+    paths = run_pipeline(smoke_corpus["pages"],
+                         str(tmp_path_factory.mktemp(f"parity_{extractor}")),
+                         cfg)
+    for name, key in (("nodes", ["entity_id"]),
+                      ("edges", ["subj_id", "pred", "obj_id"])):
+        order = [(k, "ascending") for k in key]
+        s = _concat(streamed[name]).sort_by(order)
+        c = pq.read_table(paths[name]).sort_by(order)
+        assert s.num_rows > 0
+        assert s.equals(c), name
+
+
+def test_hash_shuffle_refused_before_execution(ray_session, tmp_path):
+    """HASH_SHUFFLE groupbys hang at low CPU counts on this Ray version:
+    every KG entry point refuses it before any Dataset executes."""
+    from ray.data.context import ShuffleStrategy
+
+    from kgx.pipelines.kg import run_pipeline, stream_kg, update_pipeline
+
+    ctx = rd.DataContext.get_current()
+    saved = ctx.shuffle_strategy
+    missing = str(tmp_path / "no_such_pages")
+    ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
+    try:
+        # the input path does not exist, so reaching any read would raise
+        # something other than the ValueError
+        for run in (lambda: stream_kg(missing),
+                    lambda: run_pipeline(missing, str(tmp_path / "a")),
+                    lambda: update_pipeline(missing, str(tmp_path / "b"))):
+            with pytest.raises(ValueError, match="HASH_SHUFFLE"):
+                run()
+        assert not (tmp_path / "a").exists()
+    finally:
+        ctx.shuffle_strategy = saved
