@@ -40,7 +40,7 @@ _LANG_RES = {
 
 def entry() -> Any:
     """Flagship KG-construction pipeline over the sf0.001 documents table:
-    chunk -> term extraction (actor pool) -> salted canonicalization ->
+    chunk -> term extraction (actor pool) -> canonicalization fold ->
     broadcast edge resolution + dedup; returns the canonical edges."""
     from kgx.pipelines.docs_kg import kg_tables
     return kg_tables(SF0001)["edges"]
@@ -3153,7 +3153,7 @@ def _q_kg_update_supersede(sf_dir: str):
 def _nodes_from_extracted(extracted, columns=("name", "type", "n_instances")):
     """kg_nodes tail shared by every nodes query over an extraction
     Dataset: per-key combine -> materialize -> repartition (the
-    blocks-already-shuffled idiom) -> salted canonicalization -> oracle
+    blocks-already-shuffled idiom) -> one canonicalization fold -> oracle
     projection."""
     import ray
 
@@ -3162,7 +3162,7 @@ def _nodes_from_extracted(extracted, columns=("name", "type", "n_instances")):
 
     ncpu = int(ray.cluster_resources().get("CPU", 4))
     states = extracted.map_batches(
-        make_combine_extracted_fn(n_salts=16, cap=200, min_strength=0.5),
+        make_combine_extracted_fn(cap=200, min_strength=0.5),
         batch_format="pyarrow", batch_size=None)
     states = states.materialize() \
         .repartition(max(8, ncpu // 2)).materialize()

@@ -106,8 +106,7 @@ def _calibrate_single_core(pages_path: str, n_pages: int = 512) -> float:
     chunk = make_chunk_batch_fn(cfg.chunk_size, cfg.chunk_overlap)
     extract = make_task_extractor(EXTRACTORS[cfg.extractor])
     combine = make_combine_extracted_fn(
-        n_salts=cfg.n_salts, cap=cfg.instance_cap,
-        min_strength=cfg.min_strength)
+        cap=cfg.instance_cap, min_strength=cfg.min_strength)
     combine(extract(chunk(extract_text_batch(t.slice(0, 64)))))  # warm
     best = float("inf")
     for _ in range(2):
@@ -121,8 +120,8 @@ def run_headline(sf_dir: str, num_cpus: int, repeats: int = 2,
                  corpus: str = "default") -> dict:
     """KG construction over the synthetic pages corpus (the north-star job):
     read -> html->text -> chunk -> extraction (with fused per-key
-    combiners) -> salted canonicalization -> broadcast edge resolution +
-    dedup-sort, fully consumed.
+    combiners) -> one sort + fold for the nodes -> broadcast edge
+    resolution + one sort + fold for the edges, fully consumed.
 
     Times the STREAMING composition (object-store intermediates, no stage
     checkpoints): the checkpointed ``run_pipeline`` writes ~1.4 GB of
@@ -658,9 +657,10 @@ def run_llm_bench(sf_dir: str, num_cpus: int) -> dict:
 
         docs = read_table(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
-        # repartition to ~2 blocks per potential actor: the small-table
-        # read yields ~ncpu/2 blocks, which would starve the pool's
-        # fan-out (the pool, not the block count, should bound
+        # repartition to at least 64 blocks, or ~2 blocks per potential
+        # actor (ncpu - 2) where that is more, i.e. above 33 CPUs: the
+        # small-table read yields ~ncpu/2 blocks, which would starve the
+        # pool's fan-out (the pool, not the block count, should bound
         # concurrency here)
         chunks = docs.map_batches(
             lambda t: make_chunk_batch_fn(200, 50)(

@@ -1,0 +1,56 @@
+"""One sort, then one pass over each whole sorted block.
+
+``ds.sort(key)`` range-partitions on the key, so every row of a key lands
+in ONE block, in key order (``GroupedData.map_groups`` relies on the same
+guarantee).  That holds only if the sort key IS the group key, with no
+secondary columns, and the pass takes each block whole
+(``batch_size=None``); both rules live here and nowhere else.
+:func:`fold_sorted` calls ``reduce`` once per run of equal keys, with the
+run's rows in block order (the order ``map_groups`` gives a group), and
+builds one table per block: no per-group UDF call or Arrow table, and a
+Parquet write of the result gets one row group per block, not per key.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
+
+def key_runs(t: pa.Table, keys: list) -> np.ndarray:
+    """Start offsets of the runs of equal ``keys`` in a key-sorted table,
+    then ``t.num_rows``.  Nulls equal each other."""
+    n = t.num_rows
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    for k in keys:
+        a = t[k].combine_chunks()
+        cur, prev = a.slice(1), a.slice(0, max(n - 1, 0))
+        new[1:] |= pc.coalesce(
+            pc.not_equal(cur, prev),
+            pc.xor(pc.is_null(cur), pc.is_null(prev))).to_numpy(
+                zero_copy_only=False)
+    return np.r_[np.flatnonzero(new), n]
+
+
+def map_sorted_blocks(ds, key, fn, schema: pa.Schema):
+    """``fn`` over each whole non-empty block of ``ds.sort(key)``; empty
+    blocks emit ``schema``'s empty table."""
+    return ds.sort(key).map_batches(
+        lambda b: fn(b) if b.num_rows else schema.empty_table(),
+        batch_format="pyarrow", batch_size=None)
+
+
+def fold_sorted(ds, key, reduce, schema: pa.Schema):
+    """``reduce(rows of one key) -> one row dict`` per value of ``key`` (a
+    column or a list of columns); output sorted by ``key``."""
+    keys = [key] if isinstance(key, str) else list(key)
+
+    def fold(block: pa.Table) -> pa.Table:
+        b = key_runs(block, keys)
+        return pa.Table.from_pylist(
+            [reduce(block.slice(s, e - s)) for s, e in zip(b[:-1], b[1:])],
+            schema=schema)
+
+    return map_sorted_blocks(ds, key, fold, schema)

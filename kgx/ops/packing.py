@@ -62,7 +62,10 @@ def pack_offsets(docs_ds, *, seq_len: int = 2048,
         rng = pc.divide(batch["doc_id"], range_size).cast(pa.int64())
         return batch.append_column("rng", rng)
 
-    counts = counts.map_batches(with_range, batch_format="pyarrow")
+    # materialized once: the range partials and the range shuffle below
+    # both read it, and a lazy plan would tokenize the corpus twice
+    counts = counts.map_batches(with_range, batch_format="pyarrow") \
+        .materialize()
 
     # per-batch partial range sums -> tiny driver-side prefix scan
     def range_partials(batch: pa.Table) -> pa.Table:

@@ -5,8 +5,8 @@ Reference-faithful sequential implementation (the execution shape of
 driver memory, one pass) using the SAME pure functions and merge semantics
 as the Ray pipeline.  The e2e test asserts the distributed pipeline's
 nodes/edges/claims tables are exactly equal to this oracle's — i.e. the
-shuffles, salting, in-batch combining and broadcast join change nothing —
-and both score P/R >= 0.95 against the planted truth sidecar.
+shuffles, sorted-block folds, in-batch combining and broadcast join change
+nothing — and both score P/R >= 0.95 against the planted truth sidecar.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def run_oracle(pages: pa.Table, *, chunk_size=200, chunk_overlap=50,
     })
     ext = ex(chunk_tbl) if chunk_tbl.num_rows else None
 
-    # canonicalize mentions (single global merge — no salting, no batching)
+    # canonicalize mentions (single global merge — no shuffle, no batching)
     ent_states: dict[str, dict] = {}
     rows = ext.to_pylist() if ext is not None else []
     for r in rows:

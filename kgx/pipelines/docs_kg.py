@@ -84,8 +84,7 @@ _KG_TABLES_CACHE: dict[tuple, dict] = {}
 
 
 def kg_tables(sf_dir: str, *, chunk_size: int = 200, chunk_overlap: int = 50,
-              min_strength: float = 0.5, n_salts: int = 16,
-              cap: int = 200) -> dict:
+              min_strength: float = 0.5, cap: int = 200) -> dict:
     """Full in-memory KG build over the documents table.
 
     Returns ``{"nodes": Dataset, "edges": Dataset}``.  Same fused shape
@@ -96,8 +95,7 @@ def kg_tables(sf_dir: str, *, chunk_size: int = 200, chunk_overlap: int = 50,
     """
     job = (ray.get_runtime_context().get_job_id()
            if ray.is_initialized() else None)
-    key = (job, sf_dir, chunk_size, chunk_overlap, min_strength, n_salts,
-           cap)
+    key = (job, sf_dir, chunk_size, chunk_overlap, min_strength, cap)
     hit = _KG_TABLES_CACHE.get(key)
     if hit is not None:
         return hit
@@ -105,22 +103,21 @@ def kg_tables(sf_dir: str, *, chunk_size: int = 200, chunk_overlap: int = 50,
     kg = kg_from_extracted(
         extract_documents(sf_dir, chunk_size=chunk_size,
                           chunk_overlap=chunk_overlap),
-        KGConfig(min_strength=min_strength, n_salts=n_salts,
-                 instance_cap=cap))
+        KGConfig(min_strength=min_strength, instance_cap=cap))
     out = {"nodes": kg["nodes"], "edges": kg["edges"].materialize()}
     _KG_TABLES_CACHE[key] = out
     return out
 
 
 def claims_table(sf_dir: str, *, chunk_size: int = 200,
-                 chunk_overlap: int = 50, n_salts: int = 16, cap: int = 200,
+                 chunk_overlap: int = 50, cap: int = 200,
                  extractor=TermExtractor, extractor_kwargs: dict | None = None,
                  concurrency=None):
     """Canonical deduplicated claims over the documents table.
 
     Exercises the full claim path (O4/J2: resolve entity names through
     the broadcast alias map, drop claims with zero resolved entities,
-    groupby(lower(content)) union-merge — reference
+    one union-merge per lower(content) — reference
     knowledge_graph.py:70-101, simple_graph_builder.py:126-145) with the
     generic TermExtractor emitting one claim per chunk (content = chunk
     text, entities = its distinct terms) by default; pass ``extractor``/
@@ -138,8 +135,7 @@ def claims_table(sf_dir: str, *, chunk_size: int = 200,
         concurrency=concurrency)
     extracted = extracted.materialize()
 
-    states = combine_states(extracted,
-                            KGConfig(n_salts=n_salts, instance_cap=cap))
+    states = combine_states(extracted, KGConfig(instance_cap=cap))
     nodes = nodes_from_states(states, cap=cap)
     nodes_tbl = collect_arrow(
         nodes.select_columns(["entity_id", "name", "aliases"]))

@@ -1,10 +1,11 @@
 """The KG-construction pipeline (SURVEY.md §3.4 lifecycle).
 
 pages --map_batches--> texts --map_batches--> chunks --map_batches-->
-extracted(tagged) --combine--> states (kgx.stages.states) --groupby×2-->
-nodes; states --broadcast resolve + groupby--> edges; extracted
---broadcast resolve + groupby--> claims --> sorted canonical Parquet
-tables, with per-stage checkpoint manifests (skip-on-match resume) and
+extracted(tagged) --combine--> states (kgx.stages.states) --fold-->
+nodes; states --broadcast resolve + fold--> edges; extracted
+--broadcast resolve + fold--> claims --> sorted canonical Parquet
+tables (each fold is one sort on the output key plus one pass over every
+sorted block, kgx.functions.fold), with per-stage checkpoint manifests (skip-on-match resume) and
 per-partition lineage.  ``stream_kg`` composes the same stages with no
 checkpoints; it and ``kgx.pipelines.docs_kg`` share
 :func:`kg_from_extracted`, and every composition finalizes nodes and
@@ -34,6 +35,7 @@ import ray.data as rd
 from ray.data.context import ShuffleStrategy
 
 from kgx.functions.collect import collect_arrow
+from kgx.functions.fold import map_sorted_blocks
 from kgx.functions.html_text import EXTRACTOR_VERSION, extract_text
 from kgx.stages.edges import build_alias_map, resolve_and_dedup_claims
 from kgx.stages.extract import (GazetteerExtractor, LLMExtractor,
@@ -58,6 +60,10 @@ class KGConfig:
     min_strength: float = 0.5          # /root/reference/config.py:37
     extractor: str = "gazetteer"
     lang_filter: str | None = None     # e.g. "en" to keep only that lang
+    # Accepted and ignored: mention states are no longer salted (the
+    # in-chain combiner already leaves one state row per key per batch).
+    # Kept because callers still pass cfg.n_salts; a perf knob, so it is
+    # outside the config hash.
     n_salts: int = 32
     instance_cap: int = 200
     # Drop exact-duplicate pages (same extracted text) before chunking,
@@ -143,17 +149,22 @@ def _page_fp_batch(batch: pa.Table) -> pa.Table:
 
 
 def _page_dup_losers(tagged_ds):
-    """The urls to DROP: for each fingerprint group all but the smallest
-    url.  The input is projected to (fp, url) BEFORE the groupby, so the
+    """The urls to DROP: for each fingerprint all but the smallest url.
+    The input is projected to (fp, url) BEFORE the sort, so the
     all-to-all moves two narrow string columns — never the page text."""
-    def losers(group: pa.Table) -> pa.Table:
-        urls = sorted(group["url"].to_pylist())
-        return pa.table({"url": pa.array(urls[1:], pa.string())})
+    def losers(block: pa.Table) -> pa.Table:
+        # every row of an fp is in this block: order by (fp, url) and
+        # drop each fp's first row
+        t = block.sort_by([("fp", "ascending"), ("url", "ascending")])
+        fp = t["fp"].combine_chunks()
+        dup = pc.equal(fp.slice(1), fp.slice(0, len(fp) - 1))
+        return pa.table({"url": t["url"].slice(1).filter(dup)})
 
     narrow = tagged_ds.map_batches(
         lambda t: t.filter(pc.is_valid(t["fp"])).select(["fp", "url"]),
         batch_format="pyarrow")
-    return narrow.groupby("fp").map_groups(losers, batch_format="pyarrow")
+    return map_sorted_blocks(narrow, "fp", losers,
+                             pa.schema([("url", pa.string())]))
 
 
 # Per-worker cache of broadcast loser-url value sets, keyed by object ref —
@@ -279,7 +290,7 @@ def combine_states(extracted, cfg: KGConfig, *, batch_size=None):
     """Tagged extraction Dataset -> materialized fused state rows
     (kgx.stages.states): one row per key per combine batch."""
     return extracted.map_batches(
-        make_combine_extracted_fn(n_salts=cfg.n_salts, cap=cfg.instance_cap,
+        make_combine_extracted_fn(cap=cfg.instance_cap,
                                   min_strength=cfg.min_strength),
         batch_format="pyarrow", batch_size=batch_size).materialize()
 
@@ -308,7 +319,7 @@ def kg_from_extracted(extracted, cfg: KGConfig) -> dict:
     ncpu = int(ray.cluster_resources().get("CPU", 4))
     # One state block per CPU: the downstream resolve/finalize stages can
     # then use every core (at ncpu//2 blocks the edge path topped out at
-    # half-width), while the groupby barriers still see only O(ncpu)
+    # half-width), while the sort barriers still see only O(ncpu)
     # kilobyte-scale blocks.  MATERIALIZE BEFORE repartitioning
     # (combine_states does): fusing the map chain into the repartition's
     # AllToAll re-executes the chain's UDFs inside the split tasks on this
@@ -482,18 +493,16 @@ def _supersede_losers(extracted_paths: list) -> list:
     source holding that url loses its rows.
 
     Scale shape: the argmax over the union of the (url, ts) crawlmeta
-    sidecars runs as a DISTRIBUTED bucketed groupby — map-side per-batch
-    (url, source) max folds shrink the shuffle to one row per (url,
-    source, block), then one narrow groupby(url-hash bucket) resolves
-    every url's winner in a vectorized per-bucket pass.  A url held by a
-    single source emits NOTHING, so the driver materializes only the
-    loser rows, bounded by the refresh OVERLAP — never an all-urls dict
-    (pinned by tests/test_pipeline_e2e.py's bounded-state assertion).
+    sidecars runs distributed — map-side per-batch (url, source) max
+    folds shrink the shuffle to one row per (url, source, block), then
+    one sort on url resolves every url's winner in a vectorized pass
+    over each whole sorted block.  A url held by a single source emits
+    NOTHING, so the driver materializes only the loser rows, bounded by
+    the refresh OVERLAP — never an all-urls dict (pinned by
+    tests/test_pipeline_e2e.py's bounded-state assertion).
     Order encoding: combo = ts * n_src + src reproduces the (ts, source
     position) lexicographic max exactly for the non-negative warc_ts the
     ingest writes."""
-    import hashlib
-
     import numpy as np
 
     meta_dirs = []
@@ -507,7 +516,6 @@ def _supersede_losers(extracted_paths: list) -> list:
     n_src = len(meta_dirs)
     if n_src == 1:
         return [set()]
-    n_buckets = 256
 
     def make_partial(src_idx: int):
         def partial(b: pa.Table) -> pa.Table:
@@ -517,23 +525,17 @@ def _supersede_losers(extracted_paths: list) -> list:
                 "combo": pc.add(pc.multiply(ts, n_src), src_idx),
             })
             g = t.group_by(["url"]).aggregate([("combo", "max")])
-            bs = [int.from_bytes(
-                hashlib.md5(u.encode("utf-8")).digest()[:8],
-                "big") % n_buckets for u in g["url"].to_pylist()]
-            return pa.table({"url": g["url"], "combo": g["combo_max"],
-                             "b": pa.array(bs, pa.int64())})
+            return pa.table({"url": g["url"], "combo": g["combo_max"]})
         return partial
 
     parts = [rd.read_parquet(mdir, columns=["url", "ts"])
              .map_batches(make_partial(i), batch_format="pyarrow")
              for i, mdir in enumerate(meta_dirs)]
-    union = parts[0]
-    for d in parts[1:]:
-        union = union.union(d)
+    union = parts[0].union(*parts[1:])
 
     def fold(group: pa.Table) -> pa.Table:
-        """All (url, source) pairs in this bucket whose source is NOT
-        the url's winner — vectorized over the whole bucket."""
+        """All (url, source) pairs in this block whose source is NOT
+        the url's winner — vectorized over the whole block."""
         denc = pc.dictionary_encode(group["url"].combine_chunks())
         codes = denc.indices.to_numpy(zero_copy_only=False) \
             .astype(np.int64)
@@ -555,14 +557,10 @@ def _supersede_losers(extracted_paths: list) -> list:
             "src": pa.array(u_src[lose], pa.int64()),
         })
 
-    losers_tbl = pa.Table.from_pylist(
-        union.groupby("b").map_groups(fold, batch_format="pyarrow")
-        .take_all(),
-        schema=pa.schema([("url", pa.string()), ("src", pa.int64())]))
     out = [set() for _ in range(n_src)]
-    for url, src in zip(losers_tbl["url"].to_pylist(),
-                        losers_tbl["src"].to_pylist()):
-        out[src].add(url)
+    for r in map_sorted_blocks(union, "url", fold, pa.schema(
+            [("url", pa.string()), ("src", pa.int64())])).take_all():
+        out[r["src"]].add(r["url"])
     return out
 
 
@@ -633,14 +631,14 @@ def _finalize_graph(out_dir: str, extracted_paths: list, cfg: "KGConfig",
             ["mention", "triple"])
         return combine_states(tagged, cfg, batch_size=65536)
 
-    # 4. nodes: salted two-phase merge of the mention states
+    # 4. nodes: one fold of the mention states per entity_id
     def build_nodes(sdir):
         nodes = finalize_nodes(fused_states(), cfg)
         nodes.write_parquet(sdir)
         return nodes
     _run_stage(out_dir, "nodes", fp_ext, chash("nodes"), build_nodes, resume)
 
-    # 5+6. edges & claims: broadcast alias map (ray.put once) + grouped dedup
+    # 5+6. edges & claims: broadcast alias map (ray.put once) + fold dedup
     nodes_tbl = pq.read_table(paths["nodes"],
                               columns=["entity_id", "name", "aliases"])
     alias_ref = ray.put(build_alias_map(nodes_tbl))

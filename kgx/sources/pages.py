@@ -211,9 +211,10 @@ def latest_crawl_per_url(pages_ds):
     fetched across crawls yields many (url, ts) rows; only the latest
     should feed extraction).
 
-    Narrow-shuffle shape, html bytes never move: one ``groupby(url)``
-    over projected (url, warc_ts) rows finds urls with more than one
-    snapshot and their winning timestamp; that RECRAWLED-URL map —
+    Narrow-shuffle shape, html bytes never move: one sort on url over
+    projected (url, warc_ts) rows, then one Arrow min/max aggregate per
+    whole sorted block, finds urls with more than one snapshot and their
+    winning timestamp; that RECRAWLED-URL map —
     bounded by the recrawl mass, not the corpus — broadcasts via
     ``ray.put``, and rows drop map-side unless they carry the winner
     timestamp.  Rows whose url was never recrawled stream through
@@ -223,6 +224,7 @@ def latest_crawl_per_url(pages_ds):
     import ray
 
     from kgx.functions.collect import collect_arrow
+    from kgx.functions.fold import map_sorted_blocks
 
     def narrow(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -230,18 +232,14 @@ def latest_crawl_per_url(pages_ds):
             "ts": pc.cast(batch["warc_ts"], pa.int64()),
         })
 
-    def winner(group: pa.Table) -> pa.Table:
-        ts = group["ts"].to_pylist()
-        hi = max(ts)
-        if all(t == hi for t in ts):           # never recrawled
-            return pa.table({"url": pa.array([], pa.string()),
-                             "ts": pa.array([], pa.int64())})
-        return pa.table({"url": group["url"].slice(0, 1),
-                         "ts": pa.array([hi], pa.int64())})
+    def winners(block: pa.Table) -> pa.Table:
+        g = block.group_by("url").aggregate([("ts", "min"), ("ts", "max")])
+        g = g.filter(pc.not_equal(g["ts_min"], g["ts_max"]))  # recrawled
+        return pa.table({"url": g["url"], "ts": g["ts_max"]})
 
-    recrawled = collect_arrow(
-        pages_ds.map_batches(narrow, batch_format="pyarrow")
-                .groupby("url").map_groups(winner, batch_format="pyarrow"))
+    recrawled = collect_arrow(map_sorted_blocks(
+        pages_ds.map_batches(narrow, batch_format="pyarrow"), "url",
+        winners, pa.schema([("url", pa.string()), ("ts", pa.int64())])))
     win_map = dict(zip(recrawled["url"].to_pylist(),
                        recrawled["ts"].to_pylist()))
     wref = ray.put(win_map)

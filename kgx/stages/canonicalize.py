@@ -1,24 +1,24 @@
-"""Entity canonicalization: salted two-phase groupby(norm_mention) merge.
+"""Entity canonicalization: one merge of mention states per normalized
+mention.
 
 Replaces the reference's order-dependent O(n²) greedy resolver
 (``EntityResolver.resolve_entities``,
 /root/reference/extraction/entity_resolver.py:25-56) and the global mutable
 dedup store (``KnowledgeGraph.add_entity``,
 /root/reference/models/knowledge_graph.py:25-45) with an order-independent,
-associative merge over the normalized-mention shuffle key.  This module
-holds the merge state and its reducers; the Dataset composition is
+associative merge over the normalized-mention key.  This module holds the
+merge state and its reducers; the Dataset composition is
 ``kgx.stages.states.nodes_from_states``:
 
 1. **in-batch combine** (:func:`combine_mentions_batch`, run inside the
    fused extraction chain): partial-aggregate each Arrow batch of mentions
-   to one state row per (norm_mention) with a deterministic salt, so the
-   shuffle moves one row per key per batch instead of every mention;
-2. **phase 1** ``groupby([norm_mention, salt])`` with
-   :func:`reduce_partial_group`: partial merge — a head-skew key ("United
-   States" in ~20% of pages) is split across ``n_salts`` reducers instead
-   of landing on one;
-3. **phase 2** ``groupby(entity_id)`` with :func:`finalize_group`: final
-   merge + finalize into the nodes schema.
+   to one state row per norm_mention, so the shuffle moves one row per key
+   per batch instead of every mention.  This is also what handles
+   head-entity skew: "United States" in ~20% of pages is still at most
+   one state row per combine batch;
+2. **one fold** sorted on ``entity_id`` (the 1:1 hash of norm_mention)
+   with :func:`finalize_group`: merge every state row of a key and emit
+   its nodes row.
 
 Merge semantics preserve the reference's ``Entity.merge``
 (/root/reference/models/entity.py:40-64) made order-independent:
@@ -26,18 +26,16 @@ longest description wins (tie -> lexicographically smallest); canonical
 name/type are the most frequent raw surface/type (tie -> smallest);
 instances are the distinct min-K ``(url, chunk_id)`` pairs (min-K of a union
 is associative) with the exact occurrence count kept separately in
-``n_instances``.  All of this is property-tested: single-phase == two-phase.
+``n_instances``.  All of this is property-tested: arbitrary batching then
+one fold == a single batch.
 """
 
 from __future__ import annotations
 
 import json
-import zlib
 
 import pyarrow as pa
 import pyarrow.compute as pc
-
-from kgx.functions.normalize import entity_id
 
 NODES_SCHEMA = pa.schema([
     ("entity_id", pa.string()),
@@ -50,7 +48,6 @@ NODES_SCHEMA = pa.schema([
                                       ("chunk_id", pa.string())]))),
 ])
 
-DEFAULT_N_SALTS = 32
 DEFAULT_INSTANCE_CAP = 200
 
 
@@ -91,30 +88,24 @@ def _argmax_count(counts: dict) -> str:
 
 
 def combine_mentions_batch(batch: pa.Table, *,
-                           n_salts: int = DEFAULT_N_SALTS,
                            cap: int = DEFAULT_INSTANCE_CAP) -> pa.Table:
-    """In-batch combiner: mentions batch -> one (norm, salt, state) row/key.
+    """In-batch combiner: mentions batch -> one (norm, state) row per key.
 
     Vectorized: the per-row work runs as Arrow ``group_by`` counts over
     (norm, mention) / (norm, type) / distinct (norm, desc) / distinct
-    (norm, url, chunk) — Python touches only DISTINCT combinations (and
-    one crc32 per key for the salt of the key's FIRST row, the single
-    order-dependent field).  Every fold is order-free — counts, the
-    longest-ties-lex-min description max, distinct-sorted-capped
-    instances — so the output is byte-identical to the old per-row loop
-    (pinned by the oracle/e2e parity tests).
+    (norm, url, chunk) — Python touches only DISTINCT combinations.
+    Every fold is order-free — counts, the longest-ties-lex-min
+    description max, distinct-sorted-capped instances — so the output is
+    byte-identical to the old per-row loop (pinned by the oracle/e2e
+    parity tests).
     """
-    import numpy as np
-
     norm_arr = batch["norm_mention"].combine_chunks()
     ok = pc.fill_null(
         pc.and_(pc.is_valid(norm_arr), pc.not_equal(norm_arr, "")), False)
     b = batch.filter(ok)
-    nrows = b.num_rows
-    if nrows == 0:
+    if b.num_rows == 0:
         return pa.table({
             "norm_mention": pa.array([], pa.string()),
-            "salt": pa.array([], pa.int32()),
             "state": pa.array([], pa.string()),
         })
     states: dict[str, dict] = {}
@@ -154,15 +145,6 @@ def combine_mentions_batch(batch: pa.Table, *,
     for k, u, c in zip(ii["k"].to_pylist(), ii["u"].to_pylist(),
                        ii["c"].to_pylist()):
         st_of(k)["inst"].append((u, c))
-    # salt: crc32 of the url on each norm's FIRST row in the batch
-    enc = pc.dictionary_encode(norm_col)
-    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    norms_first = enc.dictionary.to_pylist()
-    first = np.full(len(norms_first), nrows, dtype=np.int64)
-    np.minimum.at(first, codes, np.arange(nrows, dtype=np.int64))
-    url_col = b["url"].combine_chunks()
-    salts = {norm: zlib.crc32(url_col[int(i)].as_py().encode()) % n_salts
-             for norm, i in zip(norms_first, first)}
     keys = sorted(states)
     for k in keys:
         st = states[k]
@@ -170,7 +152,6 @@ def combine_mentions_batch(batch: pa.Table, *,
         st["al"] = sorted(st["nc"])
     return pa.table({
         "norm_mention": pa.array(keys, pa.string()),
-        "salt": pa.array([salts[k] for k in keys], pa.int32()),
         "state": pa.array([json.dumps(states[k], sort_keys=True) for k in keys],
                           pa.string()),
     })
@@ -197,36 +178,16 @@ def _fold_state_rows(jsons, cap: int) -> dict:
     return acc
 
 
-def reduce_partial_group(group: pa.Table, *,
-                         cap: int = DEFAULT_INSTANCE_CAP) -> pa.Table:
-    """Phase-1 reducer: merge all states of one (norm, salt) group.
-
-    Also emits ``entity_id`` (the deterministic 1:1 hash of the
-    normalized mention) so phase 2 can group directly by it — the
-    sort-based groupby shuffle then delivers the nodes already in
-    entity_id order, making a trailing global sort unnecessary."""
-    norm = group["norm_mention"][0].as_py()
-    acc = _fold_state_rows(group["state"].to_pylist(), cap)
-    return pa.table({
-        "norm_mention": pa.array([norm], pa.string()),
-        "entity_id": pa.array([entity_id(norm)], pa.string()),
-        "state": pa.array([json.dumps(acc, sort_keys=True)], pa.string()),
-    })
-
-
 def finalize_group(group: pa.Table, *,
-                   cap: int = DEFAULT_INSTANCE_CAP) -> pa.Table:
-    """Phase-2 reducer: merge remaining states and emit one nodes row."""
+                   cap: int = DEFAULT_INSTANCE_CAP) -> dict:
+    """Merge every state row of one entity_id into its nodes row."""
     acc = _fold_state_rows(group["state"].to_pylist(), cap)
-    norm = group["norm_mention"][0].as_py()
-    row = {
-        "entity_id": [entity_id(norm)],
-        "name": [_argmax_count(acc["nc"])],
-        "type": [_argmax_count(acc["tc"])],
-        "description": [acc["d"]],
-        "aliases": [acc["al"]],
-        "n_instances": [acc["n"]],
-        "instances": [[{"url": u, "chunk_id": c} for u, c in acc["inst"]]],
+    return {
+        "entity_id": group["entity_id"][0].as_py(),
+        "name": _argmax_count(acc["nc"]),
+        "type": _argmax_count(acc["tc"]),
+        "description": acc["d"],
+        "aliases": acc["al"],
+        "n_instances": acc["n"],
+        "instances": [{"url": u, "chunk_id": c} for u, c in acc["inst"]],
     }
-    return pa.table({f.name: pa.array(row[f.name], f.type) for f in NODES_SCHEMA})
-

@@ -20,7 +20,9 @@ is order-dependent.  Claim dedup follows ``add_claim``
 (/root/reference/models/knowledge_graph.py:70-101): key ``lower(content)``,
 union entity_ids and instances.
 
-All groupbys run over per-batch pre-combined state rows.  Triples are
+Every dedup is one sort on its key plus one whole-block fold
+(:func:`kgx.functions.fold.fold_sorted`) over per-batch pre-combined
+state rows; the reducers here return one row per key.  Triples are
 pre-combined UNRESOLVED (:func:`_combine_triples_unresolved`, the
 triple half of the fused state rows in ``kgx.stages.states``) and
 resolved per state by ``kgx.stages.states.edges_from_states``; claims are
@@ -35,6 +37,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
+from kgx.functions.fold import fold_sorted, key_runs
 from kgx.functions.normalize import claim_id, edge_id, normalize
 from kgx.stages.canonicalize import _cap_instances, DEFAULT_INSTANCE_CAP
 
@@ -107,7 +110,7 @@ def make_task_resolver(cls, alias_ref, **kwargs):
     return resolve_batch
 
 
-def _finalize_edge_group(group: pa.Table, cap: int) -> pa.Table:
+def _finalize_edge_group(group: pa.Table, cap: int) -> dict:
     subj_id = group["subj_id"][0].as_py()
     pred = group["pred"][0].as_py()
     obj_id = group["obj_id"][0].as_py()
@@ -128,15 +131,14 @@ def _finalize_edge_group(group: pa.Table, cap: int) -> pa.Table:
         # the dominant cost of the whole edges stage at 200k states)
         seen.update(map(tuple, st["inst"]))
     inst = sorted(seen)[:cap]
-    row = {
-        "edge_id": [edge_id(subj_id, pred, obj_id)],
-        "subj_id": [subj_id], "obj_id": [obj_id],
-        "subj_name": [sn], "obj_name": [on], "pred": [pred],
-        "strength": [total / n],
-        "n_instances": [n],
-        "instances": [[{"url": u, "chunk_id": c} for u, c in inst]],
+    return {
+        "edge_id": edge_id(subj_id, pred, obj_id),
+        "subj_id": subj_id, "obj_id": obj_id,
+        "subj_name": sn, "obj_name": on, "pred": pred,
+        "strength": total / n,
+        "n_instances": n,
+        "instances": [{"url": u, "chunk_id": c} for u, c in inst],
     }
-    return pa.table({f.name: pa.array(row[f.name], f.type) for f in EDGES_SCHEMA})
 
 
 def _combine_triples_unresolved(batch: pa.Table, *, min_strength: float,
@@ -149,7 +151,7 @@ def _combine_triples_unresolved(batch: pa.Table, *, min_strength: float,
 
     Vectorized: one STABLE Arrow sort on the key columns co-locates each
     key's rows in original order and segment boundaries come from
-    shifted vectorized string compares; strengths fold with a
+    :func:`kgx.functions.fold.key_runs`; strengths fold with a
     per-segment SEQUENTIAL left fold so the float sums are bit-identical
     to the old per-row ``+=`` loop (pairwise reducers are not).  Stable
     sort preserves within-key row order, and UTF-8 bytewise sort order
@@ -159,24 +161,17 @@ def _combine_triples_unresolved(batch: pa.Table, *, min_strength: float,
     mask = pc.fill_null(
         pc.greater_equal(batch["strength"], min_strength), False)
     b = batch.filter(mask)
-    nrows = b.num_rows
     states: dict[tuple, dict] = {}
     keys: list = []
-    if nrows:
+    if b.num_rows:
         b = pa.table({
             "subj": b["subj"], "pred": b["pred"], "obj": b["obj"],
             "url": b["url"], "chunk_id": b["chunk_id"],
             "strength": b["strength"],
         }).sort_by([("subj", "ascending"), ("pred", "ascending"),
                     ("obj", "ascending")])
-        new = np.zeros(nrows, dtype=bool)
-        new[0] = True
-        for col in ("subj", "pred", "obj"):
-            a = b[col].combine_chunks()
-            new[1:] |= pc.not_equal(a.slice(1), a.slice(0, nrows - 1)) \
-                .to_numpy(zero_copy_only=False)
-        starts = np.flatnonzero(new)
-        counts = np.diff(np.r_[starts, nrows])
+        runs = key_runs(b, ["subj", "pred", "obj"])
+        starts, counts = runs[:-1], np.diff(runs)
         # per-segment SEQUENTIAL float fold: np.add.reduceat sums
         # pairwise, which is not bit-identical to the old per-row +=
         # (measured: 4.140000000000001 vs 4.14) — a plain left fold is
@@ -253,8 +248,8 @@ class ResolveClaims:
             states[k]["ids"] = sorted(set(states[k]["ids"]))
             states[k]["inst"] = _cap_instances(states[k]["inst"], self.cap)
         # claim_id is the deterministic 1:1 hash of content_key: emitting
-        # it here lets the dedup groupby key on it directly, so the
-        # sort-based shuffle delivers claims already in claim_id order.
+        # it here lets the dedup fold sort on it directly, so claims
+        # arrive already in claim_id order.
         return pa.table({
             "content_key": pa.array(keys, pa.string()),
             "claim_id": pa.array([claim_id(k) for k in keys], pa.string()),
@@ -263,7 +258,7 @@ class ResolveClaims:
         })
 
 
-def _finalize_claim_group(group: pa.Table, cap: int) -> pa.Table:
+def _finalize_claim_group(group: pa.Table, cap: int) -> dict:
     key = group["content_key"][0].as_py()
     content, ids, n = None, set(), 0
     seen: set = set()
@@ -274,14 +269,13 @@ def _finalize_claim_group(group: pa.Table, cap: int) -> pa.Table:
         n += st["n"]
         seen.update(map(tuple, st["inst"]))   # cap once below (associative)
     inst = sorted(seen)[:cap]
-    row = {
-        "claim_id": [claim_id(key)],
-        "content": [content],
-        "entity_ids": [sorted(ids)],
-        "n_instances": [n],
-        "instances": [[{"url": u, "chunk_id": c} for u, c in inst]],
+    return {
+        "claim_id": claim_id(key),
+        "content": content,
+        "entity_ids": sorted(ids),
+        "n_instances": n,
+        "instances": [{"url": u, "chunk_id": c} for u, c in inst],
     }
-    return pa.table({f.name: pa.array(row[f.name], f.type) for f in CLAIMS_SCHEMA})
 
 
 def resolve_and_dedup_claims(claims_ds, alias_ref, *,
@@ -294,8 +288,7 @@ def resolve_and_dedup_claims(claims_ds, alias_ref, *,
     combined = claims_ds.map_batches(
         make_task_resolver(ResolveClaims, alias_ref, cap=cap),
         batch_format="pyarrow", batch_size=32768)
-    # Grouping by claim_id (1:1 with content_key) makes the groupby's
-    # sort-based shuffle deliver the output already in claim_id order —
-    # the former trailing ds.sort was a redundant all-to-all.
-    return combined.groupby("claim_id").map_groups(
-        lambda g: _finalize_claim_group(g, cap), batch_format="pyarrow")
+    # Folding on claim_id (1:1 with content_key) delivers the output
+    # already in claim_id order.
+    return fold_sorted(combined, "claim_id",
+                       lambda g: _finalize_claim_group(g, cap), CLAIMS_SCHEMA)

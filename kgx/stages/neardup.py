@@ -10,16 +10,17 @@ construction:
 
 1. character-shingle MinHash signatures of each canonical node's
    normalized name, banded LSH — ``map_batches`` over the nodes table;
-2. ``groupby(band, bucket)`` emits candidate pairs with
-   signature-estimated Jaccard >= threshold (only same-bucket names are
-   ever compared — no pairwise matrix);
+2. one sort on (band, bucket) emits candidate pairs with
+   signature-estimated Jaccard >= threshold per bucket (only same-bucket
+   names are ever compared — no pairwise matrix);
 3. candidate pairs are tiny (bounded by true near-duplicates); a
    driver-side union-find picks each component's canonical member — the
    highest-``n_instances`` node, ties to the smallest ``entity_id``
    (deterministic, unlike the reference's insertion-order winner);
-4. a broadcast remap dict rewrites ids in ``map_batches`` and a final
-   ``groupby(entity_id)`` merges member rows (longest description, alias
-   and instance union, summed counts) + global re-sort.
+4. a broadcast remap dict rewrites ids in ``map_batches`` and one sort
+   on entity_id plus a whole-block fold merges member rows (longest
+   description, alias and instance union, summed counts), leaving the
+   output sorted by entity_id.
 
 The merged node keeps the canonical member's ``entity_id`` (a content
 hash of its normalized name), so downstream alias maps resolve every
@@ -33,6 +34,7 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
+from kgx.functions.fold import fold_sorted, key_runs, map_sorted_blocks
 from kgx.functions.normalize import normalize
 from kgx.stages.canonicalize import (NODES_SCHEMA, _better_desc,
                                      _cap_instances, DEFAULT_INSTANCE_CAP)
@@ -96,14 +98,36 @@ def band_nodes(nodes_ds, *, num_perm: int = 32, bands: int = 8, k: int = 3,
     return nodes_ds.map_batches(to_bands, batch_format="pyarrow")
 
 
+def _bucket_pairs(banded_ds, pairs, score: str):
+    """One sort on (band, bucket), then ``pairs(rows of one bucket) ->
+    [(i, j, score)]`` per bucket over each whole sorted block; emits
+    (id_a < id_b, score, n_a, n_b) rows, one table per block."""
+    schema = pa.schema([("id_a", pa.string()), ("id_b", pa.string()),
+                        (score, pa.float64()), ("n_a", pa.int64()),
+                        ("n_b", pa.int64())])
+
+    def per_block(block: pa.Table) -> pa.Table:
+        rows = []
+        b = key_runs(block, ["band", "bucket"])
+        for s, e in zip(b[:-1], b[1:]):
+            g = block.slice(s, e - s)
+            ids = g["entity_id"].to_pylist()
+            ns = g["n_instances"].to_pylist()
+            rows += [{"id_a": ids[i], "id_b": ids[j], score: v,
+                      "n_a": ns[i], "n_b": ns[j]} for i, j, v in pairs(g)]
+        return pa.Table.from_pylist(rows, schema=schema)
+
+    return map_sorted_blocks(banded_ds, ["band", "bucket"], per_block,
+                             schema)
+
+
 def candidate_pairs(banded_ds, *, threshold: float):
-    """groupby(band, bucket) -> (id_a < id_b, est_jaccard, n_a, n_b)."""
-    def pairs(group: pa.Table) -> pa.Table:
+    """Per (band, bucket): (id_a < id_b, est_jaccard, n_a, n_b)."""
+    def pairs(group: pa.Table) -> list:
         ids = group["entity_id"].to_pylist()
-        ns = group["n_instances"].to_pylist()
         sigs = group["sig"].to_pylist()
         order = sorted(range(len(ids)), key=lambda i: ids[i])
-        a_c, b_c, j_c, na_c, nb_c = [], [], [], [], []
+        out = []
         for x in range(len(order)):
             for y in range(x + 1, len(order)):
                 i, j = order[x], order[y]
@@ -112,18 +136,10 @@ def candidate_pairs(banded_ds, *, threshold: float):
                 est = float((np.asarray(sigs[i]) ==
                              np.asarray(sigs[j])).mean())
                 if est >= threshold:
-                    a_c.append(ids[i]); b_c.append(ids[j])
-                    j_c.append(est); na_c.append(ns[i]); nb_c.append(ns[j])
-        return pa.table({
-            "id_a": pa.array(a_c, pa.string()),
-            "id_b": pa.array(b_c, pa.string()),
-            "est_jaccard": pa.array(j_c, pa.float64()),
-            "n_a": pa.array(na_c, pa.int64()),
-            "n_b": pa.array(nb_c, pa.int64()),
-        })
+                    out.append((i, j, est))
+        return out
 
-    return banded_ds.groupby(["band", "bucket"]).map_groups(
-        pairs, batch_format="pyarrow")
+    return _bucket_pairs(banded_ds, pairs, "est_jaccard")
 
 
 def build_remap(pairs_tbl: pa.Table) -> dict[str, str]:
@@ -165,10 +181,10 @@ def build_remap(pairs_tbl: pa.Table) -> dict[str, str]:
 
 
 def _merge_member_group(group: pa.Table,
-                        cap: int = DEFAULT_INSTANCE_CAP) -> pa.Table:
+                        cap: int = DEFAULT_INSTANCE_CAP) -> dict:
     rows = group.to_pylist()
     if len(rows) == 1:
-        return group.select([f.name for f in NODES_SCHEMA])
+        return rows[0]
     canon_id = rows[0]["entity_id"]  # all rows share the remapped id
     canon = next(r for r in rows if r["_orig_id"] == canon_id)
     desc = ""
@@ -182,17 +198,15 @@ def _merge_member_group(group: pa.Table,
         insts.extend((i["url"], i["chunk_id"]) for i in r["instances"])
         n += r["n_instances"]
     inst = _cap_instances(insts, cap)
-    row = {
-        "entity_id": [canon_id],
-        "name": [canon["name"]],
-        "type": [canon["type"]],
-        "description": [desc],
-        "aliases": [sorted(aliases)],
-        "n_instances": [n],
-        "instances": [[{"url": u, "chunk_id": c} for u, c in inst]],
+    return {
+        "entity_id": canon_id,
+        "name": canon["name"],
+        "type": canon["type"],
+        "description": desc,
+        "aliases": sorted(aliases),
+        "n_instances": n,
+        "instances": [{"url": u, "chunk_id": c} for u, c in inst],
     }
-    return pa.table({f.name: pa.array(row[f.name], f.type)
-                     for f in NODES_SCHEMA})
 
 
 def _name_embed(norm: str, dim: int) -> np.ndarray:
@@ -250,39 +264,24 @@ def band_nodes_cosine(nodes_ds, *, dim: int = 64, n_tables: int = 24,
 
 
 def candidate_pairs_cosine(banded_ds, *, threshold: float):
-    """groupby(band, bucket) -> exact-cosine-verified pairs >= threshold.
+    """Per (band, bucket): exact-cosine-verified pairs >= threshold.
     A pair colliding in several tables is emitted once per table; the
     downstream union-find is idempotent, so no ownership pass is
     needed on this small side."""
 
-    def pairs(group: pa.Table) -> pa.Table:
+    def pairs(group: pa.Table) -> list:
         ids = group["entity_id"].to_pylist()
-        order = sorted(range(len(ids)), key=lambda i: ids[i])
+        if len(ids) < 2:
+            return []
+        sel = np.asarray(sorted(range(len(ids)), key=lambda i: ids[i]))
         E = np.asarray(group["emb"].to_pylist(), dtype=np.float64)
-        ns = group["n_instances"].to_pylist()
-        a_c, b_c, c_c, na_c, nb_c = [], [], [], [], []
-        if len(order) > 1:
-            sel = np.asarray(order)
-            S = E[sel] @ E[sel].T
-            iu, ju = np.triu_indices(len(sel), k=1)
-            keep = np.flatnonzero(S[iu, ju] >= threshold)
-            for x in keep:
-                i, j = sel[iu[x]], sel[ju[x]]
-                if ids[i] == ids[j]:
-                    continue
-                a_c.append(ids[i]); b_c.append(ids[j])
-                c_c.append(float(np.round(S[iu[x], ju[x]], 6)))
-                na_c.append(ns[i]); nb_c.append(ns[j])
-        return pa.table({
-            "id_a": pa.array(a_c, pa.string()),
-            "id_b": pa.array(b_c, pa.string()),
-            "cosine": pa.array(c_c, pa.float64()),
-            "n_a": pa.array(na_c, pa.int64()),
-            "n_b": pa.array(nb_c, pa.int64()),
-        })
+        S = E[sel] @ E[sel].T
+        iu, ju = np.triu_indices(len(sel), k=1)
+        keep = np.flatnonzero(S[iu, ju] >= threshold)
+        return [(sel[iu[x]], sel[ju[x]], float(np.round(S[iu[x], ju[x]], 6)))
+                for x in keep if ids[sel[iu[x]]] != ids[sel[ju[x]]]]
 
-    return banded_ds.groupby(["band", "bucket"]).map_groups(
-        pairs, batch_format="pyarrow")
+    return _bucket_pairs(banded_ds, pairs, "cosine")
 
 
 def cosine_merge_nodes(nodes_ds, *, threshold: float = 0.6,
@@ -293,26 +292,26 @@ def cosine_merge_nodes(nodes_ds, *, threshold: float = 0.6,
     a real encoder) in an order-independent, bucketed construction:
     hyperplane-LSH candidates over name embeddings, exact cosine verify
     in-bucket, union-find canonical pick (max n_instances, tie smallest
-    id), broadcast remap + grouped merge — the same downstream flow as
+    id), broadcast remap + one merge fold — the same downstream flow as
     :func:`neardup_merge_nodes`.  The default threshold 0.6 fits the
     character-shingle stand-in embedding; with a real model plug the
     reference's 0.85 back in."""
-    from kgx.functions.collect import collect_arrow
     banded = band_nodes_cosine(nodes_ds, dim=dim, n_tables=n_tables,
                                n_bits=n_bits, seed=seed)
-    pairs = collect_arrow(candidate_pairs_cosine(banded,
-                                                 threshold=threshold))
-    remap = build_remap(pairs)
-    if not remap:
-        return nodes_ds
-    return _apply_remap(nodes_ds, remap, cap)
+    return _apply_remap(
+        nodes_ds, candidate_pairs_cosine(banded, threshold=threshold), cap)
 
 
-def _apply_remap(nodes_ds, remap: dict[str, str], cap: int):
-    """Broadcast remap rewrite + per-id member merge + global re-sort
-    (shared tail of the two near-dup merge passes)."""
+def _apply_remap(nodes_ds, pairs_ds, cap: int):
+    """Union-find remap of the candidate pairs, broadcast rewrite + one
+    fold per remapped id, sorted by entity_id (shared tail of the two
+    near-dup merge passes); no pairs leaves ``nodes_ds`` as it is."""
     import ray
 
+    from kgx.functions.collect import collect_arrow
+    remap = build_remap(collect_arrow(pairs_ds))
+    if not remap:
+        return nodes_ds
     remap_ref = ray.put(remap)
 
     def rewrite(batch: pa.Table) -> pa.Table:
@@ -323,10 +322,9 @@ def _apply_remap(nodes_ds, remap: dict[str, str], cap: int):
             batch.schema.get_field_index("entity_id"), "entity_id",
             pa.array([m.get(i, i) for i in ids], pa.string()))
 
-    merged = nodes_ds.map_batches(rewrite, batch_format="pyarrow") \
-        .groupby("entity_id").map_groups(
-            lambda g: _merge_member_group(g, cap), batch_format="pyarrow")
-    return merged.sort("entity_id")
+    return fold_sorted(nodes_ds.map_batches(rewrite, batch_format="pyarrow"),
+                       "entity_id", lambda g: _merge_member_group(g, cap),
+                       NODES_SCHEMA)
 
 
 def neardup_merge_nodes(nodes_ds, *, threshold: float = 0.7,
@@ -334,11 +332,7 @@ def neardup_merge_nodes(nodes_ds, *, threshold: float = 0.7,
                         seed: int = 17, cap: int = DEFAULT_INSTANCE_CAP):
     """Optional near-dup pass over canonical nodes; returns merged nodes
     sorted by entity_id.  With no near-duplicates this is a no-op."""
-    from kgx.functions.collect import collect_arrow
     banded = band_nodes(nodes_ds, num_perm=num_perm, bands=bands, k=k,
                         seed=seed)
-    pairs = collect_arrow(candidate_pairs(banded, threshold=threshold))
-    remap = build_remap(pairs)
-    if not remap:
-        return nodes_ds
-    return _apply_remap(nodes_ds, remap, cap)
+    return _apply_remap(
+        nodes_ds, candidate_pairs(banded, threshold=threshold), cap)

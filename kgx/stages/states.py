@@ -8,15 +8,20 @@ takes its nodes from them too:
 
     tagged extraction -> combine          (one state row per key per batch)
       -> materialize                      (tiny)
-    nodes = states[kind=m] -> salted groupby x2          (two-phase merge)
-    edges = states[kind=t] -> broadcast resolve -> groupby
+    nodes = states[kind=m] -> + entity_id -> fold_sorted(entity_id)
+    edges = states[kind=t] -> broadcast resolve
+                           -> fold_sorted(subj_id, pred, obj_id)
 
 On the streaming paths the combiner runs INSIDE the fused
 read->text->chunk->extract task chain, so only states leave the map phase;
 the checkpointed path runs it over the tagged ``extracted`` checkpoints,
 which it keeps for partition-level resume and for the claims consumer.
+Each output is one sort on its key plus one whole-block fold
+(:func:`kgx.functions.fold.fold_sorted`).  Head-entity skew needs no
+salting: the combiner leaves any key at most one state row per combine
+batch, so even a key in every page is a few KB of states in one block.
 
-Unified state row: (kind: "m"|"t", key, salt, state-json, no, p).  Mention
+Unified state row: (kind: "m"|"t", key, state-json, no, p).  Mention
 states are :func:`kgx.stages.canonicalize.combine_mentions_batch` output;
 triple states are :func:`kgx.stages.edges._combine_triples_unresolved`
 output (key = normalized subject, state carries raw s/p/o +
@@ -32,30 +37,34 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from kgx.functions.normalize import normalize
-from kgx.stages.canonicalize import (DEFAULT_INSTANCE_CAP, DEFAULT_N_SALTS,
-                                     combine_mentions_batch, finalize_group,
-                                     reduce_partial_group)
-from kgx.stages.edges import (DEFAULT_MIN_STRENGTH, _combine_triples_unresolved,
+from kgx.functions.fold import fold_sorted
+from kgx.functions.normalize import entity_id
+from kgx.stages.canonicalize import (DEFAULT_INSTANCE_CAP, NODES_SCHEMA,
+                                     combine_mentions_batch, finalize_group)
+from kgx.stages.edges import (DEFAULT_MIN_STRENGTH, EDGES_SCHEMA,
+                              _combine_triples_unresolved,
                               _finalize_edge_group)
 
 STATES_SCHEMA = pa.schema([
     ("kind", pa.string()),       # "m" mention-state | "t" triple-state
     ("key", pa.string()),        # m: norm_mention; t: normalize(subj)
-    ("salt", pa.int32()),        # m only (0 for t)
     ("state", pa.string()),      # json merge state
     ("no", pa.string()),         # t only: normalize(obj) — resolver key
     ("p", pa.string()),          # t only: predicate
 ])
 
 
-def make_combine_extracted_fn(*, n_salts: int = DEFAULT_N_SALTS,
+def make_combine_extracted_fn(*, n_salts: int | None = None,
                               cap: int = DEFAULT_INSTANCE_CAP,
                               min_strength: float = DEFAULT_MIN_STRENGTH):
-    """Tagged extraction batch -> unified per-key state rows."""
+    """Tagged extraction batch -> unified per-key state rows.
+
+    ``n_salts`` is accepted and ignored: the mention states are no longer
+    salted, and the keyword stays only for callers that still pass
+    ``KGConfig.n_salts``."""
     def combine(tagged: pa.Table) -> pa.Table:
         m_in = tagged.filter(pc.equal(tagged["kind"], "mention"))
-        m = combine_mentions_batch(m_in, n_salts=n_salts, cap=cap)
+        m = combine_mentions_batch(m_in, cap=cap)
         t_in = tagged.filter(pc.equal(tagged["kind"], "triple"))
         t = _combine_triples_unresolved(t_in, min_strength=min_strength,
                                         cap=cap)
@@ -64,8 +73,6 @@ def make_combine_extracted_fn(*, n_salts: int = DEFAULT_N_SALTS,
             pa.array(["m"] * nm + ["t"] * nt, pa.string()),
             pa.concat_arrays([m["norm_mention"].combine_chunks(),
                               t["norm"].combine_chunks()]),
-            pa.concat_arrays([m["salt"].combine_chunks(),
-                              pa.array([0] * nt, pa.int32())]),
             pa.concat_arrays([m["state"].combine_chunks(),
                               t["state"].combine_chunks()]),
             pa.concat_arrays([pa.nulls(nm, pa.string()),
@@ -77,32 +84,26 @@ def make_combine_extracted_fn(*, n_salts: int = DEFAULT_N_SALTS,
 
 
 def nodes_from_states(states_ds, *, cap: int = DEFAULT_INSTANCE_CAP):
-    """Mention states -> canonical nodes (same two-phase reducers)."""
-    m = states_ds.map_batches(
-        lambda t: pa.table({
-            "norm_mention": t.filter(pc.equal(t["kind"], "m"))["key"],
-            "salt": t.filter(pc.equal(t["kind"], "m"))["salt"],
-            "state": t.filter(pc.equal(t["kind"], "m"))["state"],
-        }),
-        batch_format="pyarrow")
-    partial = m.groupby(["norm_mention", "salt"]).map_groups(
-        lambda g: reduce_partial_group(g, cap=cap), batch_format="pyarrow")
-    # Phase 2 groups by entity_id (the 1:1 hash of norm_mention the
-    # phase-1 reducer now emits): groupby.map_groups on this Ray version
-    # shuffles via a GLOBAL SORT on the group key, so the output arrives
-    # already sorted by entity_id and the former trailing
-    # ``.sort("entity_id")`` was a redundant extra all-to-all — pure fixed
-    # per-run latency at every cluster size (~1 s here; the invariant is
-    # pinned by tests/test_states.py::test_map_groups_output_key_sorted).
-    return partial.groupby("entity_id").map_groups(
-        lambda g: finalize_group(g, cap=cap), batch_format="pyarrow")
+    """Mention states -> canonical nodes sorted by entity_id: entity_id is
+    added map-side, then one sort and one fold merge each key's states."""
+    def mention_states(t: pa.Table) -> pa.Table:
+        m = t.filter(pc.equal(t["kind"], "m"))
+        return pa.table({
+            "entity_id": pa.array([entity_id(k) for k in
+                                   m["key"].to_pylist()], pa.string()),
+            "state": m["state"],
+        })
+
+    return fold_sorted(
+        states_ds.map_batches(mention_states, batch_format="pyarrow"),
+        "entity_id", lambda g: finalize_group(g, cap=cap), NODES_SCHEMA)
 
 
 class _ResolveTripleStates:
     """Broadcast-resolve pre-combined triple states: rewrite each raw
     (s, p, o) state to its (subj_id, pred, obj_id) key, dropping states
     with an unresolvable endpoint (J1 semantics).  States whose raw keys
-    resolve to the same id-key are merged by the downstream groupby.
+    resolve to the same id-key are merged by the downstream fold.
 
     Fully vectorized: the subject/object norms are COLUMNS ("key"/"no"),
     so resolution is two ``pc.index_in`` passes against the broadcast
@@ -140,14 +141,11 @@ class _ResolveTripleStates:
 
 def edges_from_states(states_ds, alias_ref, *,
                       cap: int = DEFAULT_INSTANCE_CAP):
-    """Triple states -> canonical edges via the broadcast alias map and
-    the shared merge/finalize groupby + global dedup-sort."""
+    """Triple states -> canonical edges sorted by (subj_id, pred,
+    obj_id): broadcast alias resolve, then one sort and one fold."""
     from kgx.stages.edges import make_task_resolver
     resolved = states_ds.map_batches(
         make_task_resolver(_ResolveTripleStates, alias_ref),
         batch_format="pyarrow")
-    # The groupby's sort-based shuffle already leaves the output globally
-    # sorted by (subj_id, pred, obj_id) — no trailing ds.sort needed (see
-    # nodes_from_states; same invariant, same pinned test).
-    return resolved.groupby(["subj_id", "pred", "obj_id"]).map_groups(
-        lambda g: _finalize_edge_group(g, cap), batch_format="pyarrow")
+    return fold_sorted(resolved, ["subj_id", "pred", "obj_id"],
+                       lambda g: _finalize_edge_group(g, cap), EDGES_SCHEMA)

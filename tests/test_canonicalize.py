@@ -1,5 +1,6 @@
-"""Merge-aggregate semantics + salted two-phase associativity
-(FIXTURES.md §4 merge cases; SURVEY §7 hard part: two-phase == single-phase)."""
+"""Merge-aggregate semantics + batching associativity
+(FIXTURES.md §4 merge cases; SURVEY §7 hard part: batched combine then
+one fold == a single batch)."""
 
 import json
 
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgx.stages.canonicalize import (_argmax_count, _better_desc,
-                                     _cap_instances, _new_state,
-                                     combine_mentions_batch, merge_states)
+                                     _cap_instances, _fold_state_rows,
+                                     _new_state, combine_mentions_batch,
+                                     merge_states)
 
 
 def _mention_row(url, chunk_id, mention, norm, etype="T", desc=""):
@@ -70,39 +72,28 @@ def mention_rows(draw):
     return rows
 
 
-@given(mention_rows(), st.integers(1, 5), st.integers(1, 8))
+@given(mention_rows(), st.integers(1, 5))
 @settings(max_examples=40, deadline=None)
-def test_two_phase_equals_single_phase(rows, n_batches, n_salts):
-    """Splitting into arbitrary batches + salted partial merges must give the
-    same final state as one global merge (associativity of every merge rule)."""
-    # single-phase reference: one batch, one salt
-    single = combine_mentions_batch(_batch(rows), n_salts=1, cap=3)
+def test_two_phase_equals_single_phase(rows, n_batches):
+    """Splitting into arbitrary batches, combining each batch and folding
+    every key's states once must give the same final state as one batch
+    (associativity of every merge rule)."""
+    single = combine_mentions_batch(_batch(rows), cap=3)
     ref = {}
     for norm, s in zip(single["norm_mention"].to_pylist(),
                        single["state"].to_pylist()):
         ref[norm] = json.loads(s)
 
-    # multi-phase: batch split -> per-batch combine -> merge per (norm,salt)
-    # -> merge per norm
+    # batch split -> per-batch combine -> one fold per norm
     per = max(1, len(rows) // n_batches)
-    partial: dict[tuple, dict] = {}
+    states: dict[str, list] = {}
     for i in range(0, len(rows), per):
-        t = combine_mentions_batch(_batch(rows[i:i + per]),
-                                   n_salts=n_salts, cap=3)
-        for norm, salt, s in zip(t["norm_mention"].to_pylist(),
-                                 t["salt"].to_pylist(),
-                                 t["state"].to_pylist()):
-            key = (norm, salt)
-            if key in partial:
-                partial[key] = merge_states(partial[key], json.loads(s), cap=3)
-            else:
-                partial[key] = json.loads(s)
-    final: dict[str, dict] = {}
-    for (norm, _salt), stt in sorted(partial.items()):
-        if norm in final:
-            final[norm] = merge_states(final[norm], stt, cap=3)
-        else:
-            final[norm] = stt
+        t = combine_mentions_batch(_batch(rows[i:i + per]), cap=3)
+        for norm, s in zip(t["norm_mention"].to_pylist(),
+                           t["state"].to_pylist()):
+            states.setdefault(norm, []).append(s)
+    final = {norm: _fold_state_rows(jsons, cap=3)
+             for norm, jsons in states.items()}
 
     def canon(d):
         return {k: {"nc": v["nc"], "tc": v["tc"], "d": v["d"], "n": v["n"],

@@ -1,12 +1,13 @@
 """Pins the contracts of the one fused-state KG finalize.
 
-kgx/stages/states.py and kgx/stages/edges.py drop their former trailing
-``ds.sort(<groupby key>)`` because on this Ray version
-``groupby().map_groups()`` shuffles via a GLOBAL SORT on the group key, so
-the output already arrives globally key-sorted.  If a Ray upgrade ever
-switches groupby to a hash shuffle, these tests fail and the trailing
-sorts must come back.  The streaming and checkpointed compositions must
-emit equal tables, and every entry point refuses the hash shuffle.
+Every KG output is built by kgx.functions.fold.fold_sorted: one
+``ds.sort(key)`` plus one pass over each whole sorted block.  That relies
+on the sort's range partitioning putting every row of a key into ONE
+block, however skewed the key is; the fold tests below pin that with a
+hot key holding over half the rows.  If a Ray upgrade ever breaks it,
+these tests fail.  The streaming and checkpointed compositions must emit
+equal tables, the written tables carry one Parquet row group per block
+rather than per key, and every entry point refuses the hash shuffle.
 """
 
 import numpy as np
@@ -15,42 +16,72 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
+from kgx.functions.fold import fold_sorted
+
 
 def _concat(ds) -> pa.Table:
     return pa.concat_tables(
         list(ds.iter_batches(batch_size=None, batch_format="pyarrow")))
 
 
-def test_map_groups_output_key_sorted(ray_session):
+def _check_hot_key_fold(tbl: pa.Table, key: list, hot: tuple):
+    """Fold ``tbl`` (spread over 17 input blocks) on ``key``: the hot key
+    reaches exactly one reduce call with all its rows, no key shows up
+    in two output blocks, and the output is key-sorted."""
+    assert tbl.num_rows == 40000
+    ds = rd.from_arrow(tbl).repartition(17)
+    schema = pa.schema([tbl.schema.field(k) for k in key]
+                       + [("n", pa.int64()), ("s", pa.int64())])
+
+    def reduce(g: pa.Table) -> dict:
+        row = {k: g[k][0].as_py() for k in key}
+        row.update(n=g.num_rows, s=int(pc.sum(g["v"]).as_py()))
+        return row
+
+    blocks = list(fold_sorted(ds, key, reduce, schema).iter_batches(
+        batch_size=None, batch_format="pyarrow"))
+    seen: set = set()
+    for b in blocks:
+        ks = set(zip(*(b[k].to_pylist() for k in key)))
+        assert not ks & seen          # no key in two blocks
+        seen |= ks
+    out = pa.concat_tables(blocks)
+    got = list(zip(*(out[k].to_pylist() for k in key)))
+    assert got == sorted(got) and len(got) == len(set(got))
+    mask = np.ones(tbl.num_rows, dtype=bool)
+    for k, h in zip(key, hot):
+        mask &= np.asarray(tbl[k].to_pylist(), dtype=object) == h
+    n_hot = int(mask.sum())
+    assert n_hot >= tbl.num_rows // 2
+    hot_rows = [r for r in out.to_pylist()
+                if tuple(r[k] for k in key) == hot]
+    assert len(hot_rows) == 1           # one reduce call ...
+    assert hot_rows[0]["n"] == n_hot     # ... that saw every hot row
+    assert sum(out["n"].to_pylist()) == tbl.num_rows
+    assert sum(out["s"].to_pylist()) == int(pc.sum(tbl["v"]).as_py())
+
+
+def test_fold_sorted_hot_key_one_call(ray_session):
     rng = np.random.default_rng(11)
-    keys = [f"k{int(x):05d}" for x in rng.integers(0, 4000, 40000)]
-    vals = rng.integers(0, 100, 40000)
-    ds = rd.from_arrow(pa.table({"k": keys, "v": vals})).repartition(17)
-
-    def one(g: pa.Table) -> pa.Table:
-        return pa.table({"k": [g["k"][0].as_py()],
-                         "s": [int(pc.sum(g["v"]).as_py())]})
-
-    out = _concat(ds.groupby("k").map_groups(one, batch_format="pyarrow"))
-    got = out["k"].to_pylist()
-    assert len(got) == len(set(got)) == 4000
-    assert got == sorted(got)
+    ks = rng.integers(0, 4000, 40000)
+    ks[rng.random(40000) < 0.55] = 1234
+    keys = [f"k{int(x):05d}" for x in ks]
+    tbl = pa.table({"k": keys, "v": rng.integers(0, 100, 40000)})
+    _check_hot_key_fold(tbl, ["k"], ("k01234",))
 
 
-def test_map_groups_multikey_output_sorted(ray_session):
+def test_fold_sorted_multikey_hot_key_one_call(ray_session):
+    """Multi-column key: the hot (a, b) pair shares its ``a`` with many
+    other pairs, so only the full sort key keeps it together."""
     rng = np.random.default_rng(12)
-    a = [f"a{int(x):02d}" for x in rng.integers(0, 20, 20000)]
-    b = [f"b{int(x):03d}" for x in rng.integers(0, 200, 20000)]
-    ds = rd.from_arrow(pa.table({"a": a, "b": b})).repartition(13)
-
-    def one(g: pa.Table) -> pa.Table:
-        return pa.table({"a": [g["a"][0].as_py()], "b": [g["b"][0].as_py()]})
-
-    out = _concat(ds.groupby(["a", "b"]).map_groups(one,
-                                                    batch_format="pyarrow"))
-    pairs = list(zip(out["a"].to_pylist(), out["b"].to_pylist()))
-    assert len(pairs) == len(set(pairs))
-    assert pairs == sorted(pairs)
+    a = rng.integers(0, 20, 40000)
+    b = rng.integers(0, 200, 40000)
+    hot = rng.random(40000) < 0.55
+    a[hot], b[hot] = 3, 17
+    tbl = pa.table({"a": [f"a{int(x):02d}" for x in a],
+                    "b": [f"b{int(x):03d}" for x in b],
+                    "v": rng.integers(0, 100, 40000)})
+    _check_hot_key_fold(tbl, ["a", "b"], ("a03", "b017"))
 
 
 def test_stream_kg_tables_arrive_key_sorted(smoke_corpus, ray_session):
@@ -114,3 +145,25 @@ def test_hash_shuffle_refused_before_execution(ray_session, tmp_path):
         assert not (tmp_path / "a").exists()
     finally:
         ctx.shuffle_strategy = saved
+
+
+def test_stream_kg_parquet_one_row_group_per_file(smoke_corpus, ray_session,
+                                                  tmp_path):
+    """The folds build one table per block, so written nodes and edges
+    carry no more Parquet row groups than files (a per-key reducer wrote
+    one row group per key)."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    from kgx.pipelines.kg import KGConfig, stream_kg
+
+    tables = stream_kg(smoke_corpus["pages"], KGConfig())
+    for name in ("nodes", "edges"):
+        tables[name].write_parquet(str(tmp_path / name))
+        files = glob.glob(str(tmp_path / name / "*.parquet"))
+        n_groups = sum(pq.ParquetFile(f).metadata.num_row_groups
+                       for f in files)
+        assert files and sum(pq.ParquetFile(f).metadata.num_rows
+                             for f in files) > 1
+        assert n_groups <= len(files), name

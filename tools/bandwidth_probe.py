@@ -56,8 +56,7 @@ def _work(args: tuple[str, int]) -> float:
     chunk = make_chunk_batch_fn(cfg.chunk_size, cfg.chunk_overlap)
     extract = make_task_extractor(EXTRACTORS[cfg.extractor])
     combine = make_combine_extracted_fn(
-        n_salts=cfg.n_salts, cap=cfg.instance_cap,
-        min_strength=cfg.min_strength)
+        cap=cfg.instance_cap, min_strength=cfg.min_strength)
     combine(extract(chunk(extract_text_batch(t.slice(0, 64)))))   # warm
     t0 = time.perf_counter()
     for _ in range(_REPS):
