@@ -3152,20 +3152,15 @@ def _q_kg_update_supersede(sf_dir: str):
 
 def _nodes_from_extracted(extracted, columns=("name", "type", "n_instances")):
     """kg_nodes tail shared by every nodes query over an extraction
-    Dataset: per-key combine -> materialize -> repartition (the
-    blocks-already-shuffled idiom) -> one canonicalization fold -> oracle
+    Dataset: per-key combine -> one canonicalization fold (which
+    materializes and sizes its own input, kgx.functions.fold) -> oracle
     projection."""
-    import ray
-
     from kgx.stages.states import (make_combine_extracted_fn,
                                    nodes_from_states)
 
-    ncpu = int(ray.cluster_resources().get("CPU", 4))
     states = extracted.map_batches(
         make_combine_extracted_fn(cap=200, min_strength=0.5),
         batch_format="pyarrow", batch_size=None)
-    states = states.materialize() \
-        .repartition(max(8, ncpu // 2)).materialize()
     return nodes_from_states(states, cap=200).select_columns(list(columns))
 
 

@@ -66,7 +66,9 @@ def shuffle_coalesce(ds, *, min_blocks: int = 8,
 
 
 def collect_arrow(ds) -> pa.Table:
-    tbls = [ray.get(r) for r in ds.to_arrow_refs()]
+    # materialize first: on a lazy Dataset, to_arrow_refs fetches the
+    # schema after iterating, which runs the whole plan a second time
+    tbls = [ray.get(r) for r in ds.materialize().to_arrow_refs()]
     real = [t for t in tbls if t.num_columns > 0]
     nonempty = [t for t in real if t.num_rows > 0]
     if nonempty:

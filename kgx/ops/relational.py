@@ -114,9 +114,7 @@ def top_customers(sf_dir: str, *, n: int = 10):
 
     cust = read_table(f"{sf_dir}/customer.parquet",
                            columns=["c_custkey", "c_name"])
-    cust_tbl = pa.concat_tables([
-        t for t in (ray.get(r) for r in cust.to_arrow_refs())
-        if t.num_columns > 0]).combine_chunks()
+    cust_tbl = collect_arrow(cust).combine_chunks()
     cref = ray.put(cust_tbl)
 
     def partial(batch: pa.Table) -> pa.Table:

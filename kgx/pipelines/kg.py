@@ -5,9 +5,11 @@ extracted(tagged) --combine--> states (kgx.stages.states) --fold-->
 nodes; states --broadcast resolve + fold--> edges; extracted
 --broadcast resolve + fold--> claims --> sorted canonical Parquet
 tables (each fold is one sort on the output key plus one pass over every
-sorted block, kgx.functions.fold), with per-stage checkpoint manifests (skip-on-match resume) and
-per-partition lineage.  ``stream_kg`` composes the same stages with no
-checkpoints; it and ``kgx.pipelines.docs_kg`` share
+sorted block, kgx.functions.fold), with per-stage checkpoint manifests
+(skip-on-match resume) and per-partition lineage.  No stage here sizes a
+fold's input: each fold coalesces its own input to at most one block per
+Ray CPU (kgx.functions.fold).  ``stream_kg`` composes the same stages
+with no checkpoints; it and ``kgx.pipelines.docs_kg`` share
 :func:`kg_from_extracted`, and every composition finalizes nodes and
 edges from the same fused states.
 
@@ -151,11 +153,14 @@ def _page_fp_batch(batch: pa.Table) -> pa.Table:
 def _page_dup_losers(tagged_ds):
     """The urls to DROP: for each fingerprint all but the smallest url.
     The input is projected to (fp, url) BEFORE the sort, so the
-    all-to-all moves two narrow string columns — never the page text."""
+    all-to-all moves two narrow string columns — never the page text.
+    Losers come from DISTINCT (fp, url) pairs, so a url holding the same
+    text twice is never listed against itself."""
     def losers(block: pa.Table) -> pa.Table:
-        # every row of an fp is in this block: order by (fp, url) and
-        # drop each fp's first row
-        t = block.sort_by([("fp", "ascending"), ("url", "ascending")])
+        # every row of an fp is in this block: order its distinct
+        # (fp, url) pairs and drop each fp's first
+        t = block.group_by(["fp", "url"]).aggregate([]).sort_by(
+            [("fp", "ascending"), ("url", "ascending")])
         fp = t["fp"].combine_chunks()
         dup = pc.equal(fp.slice(1), fp.slice(0, len(fp) - 1))
         return pa.table({"url": t["url"].slice(1).filter(dup)})
@@ -316,17 +321,7 @@ def kg_from_extracted(extracted, cfg: KGConfig) -> dict:
     Dataset}``: the checkpoint-free KG tail of ``stream_kg`` and
     ``docs_kg.kg_tables``.  Nodes come back materialized (the alias map
     is built from them); edges stay lazy."""
-    ncpu = int(ray.cluster_resources().get("CPU", 4))
-    # One state block per CPU: the downstream resolve/finalize stages can
-    # then use every core (at ncpu//2 blocks the edge path topped out at
-    # half-width), while the sort barriers still see only O(ncpu)
-    # kilobyte-scale blocks.  MATERIALIZE BEFORE repartitioning
-    # (combine_states does): fusing the map chain into the repartition's
-    # AllToAll re-executes the chain's UDFs inside the split tasks on this
-    # Ray version (measured 16.4 s vs 8.4 s at 4 CPUs / 30k pages,
-    # neutral at 32 CPUs).
-    states = combine_states(extracted, cfg).repartition(
-        max(8, ncpu)).materialize()
+    states = combine_states(extracted, cfg)
     nodes = finalize_nodes(states, cfg).materialize()
     nodes_tbl = collect_arrow(
         nodes.select_columns(["entity_id", "name", "aliases"]))

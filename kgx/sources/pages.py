@@ -218,8 +218,9 @@ def latest_crawl_per_url(pages_ds):
     bounded by the recrawl mass, not the corpus — broadcasts via
     ``ray.put``, and rows drop map-side unless they carry the winner
     timestamp.  Rows whose url was never recrawled stream through
-    untouched.  Exact (url, ts) duplicate rows both survive here; the
-    content dedup downstream collapses them.
+    untouched.  Exact (url, ts) duplicate rows both survive, here and in
+    the content dedup downstream, which drops only urls other than a
+    text's smallest (``dedup_pages_by_text``).
     """
     import ray
 
@@ -240,16 +241,16 @@ def latest_crawl_per_url(pages_ds):
     recrawled = collect_arrow(map_sorted_blocks(
         pages_ds.map_batches(narrow, batch_format="pyarrow"), "url",
         winners, pa.schema([("url", pa.string()), ("ts", pa.int64())])))
-    win_map = dict(zip(recrawled["url"].to_pylist(),
-                       recrawled["ts"].to_pylist()))
-    wref = ray.put(win_map)
+    wref = ray.put((recrawled["url"].combine_chunks(),
+                    recrawled["ts"].combine_chunks()))
 
     def keep_latest(batch: pa.Table, _wref=wref) -> pa.Table:
-        wm = ray.get(_wref)
-        urls = batch["url"].to_pylist()
-        ts = pc.cast(batch["warc_ts"], pa.int64()).to_pylist()
-        mask = pa.array([wm.get(u, t) == t for u, t in zip(urls, ts)],
-                        pa.bool_())
-        return batch.filter(mask)
+        urls, win_ts = ray.get(_wref)
+        # a row of a recrawled url must carry its winning ts; a row of
+        # any other url (null index) passes
+        idx = pc.index_in(batch["url"], value_set=urls)
+        same = pc.equal(pc.take(win_ts, idx),
+                        pc.cast(batch["warc_ts"], pa.int64()))
+        return batch.filter(pc.coalesce(same, pc.is_null(idx)))
 
     return pages_ds.map_batches(keep_latest, batch_format="pyarrow")

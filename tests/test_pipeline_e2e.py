@@ -330,6 +330,22 @@ class TestPageDedup:
         assert losers.schema().names == ["url"]  # narrow shuffle output
         assert sorted(losers.to_pandas()["url"]) == ["u1", "u2"]
 
+    def test_repeated_winner_url_survives(self, ray_session):
+        """A url holding the same text twice is its fingerprint's winner,
+        never a loser against itself: both of its rows survive."""
+        import ray.data as rd
+        from kgx.pipelines.kg import dedup_pages_by_text
+        import pyarrow as pa
+
+        tbl = pa.table({
+            "url": pa.array(["u3", "u3", "u9"], pa.string()),
+            "text": pa.array(["same page", "same page", "other"],
+                             pa.string()),
+            "lang": pa.array(["en"] * 3, pa.string()),
+        })
+        out = dedup_pages_by_text(rd.from_arrow(tbl)).to_pandas()
+        assert sorted(out["url"]) == ["u3", "u3", "u9"]
+
     def test_knob_is_semantic(self, tmp_path_factory, smoke_corpus):
         from kgx.pipelines.kg import KGConfig
         a = KGConfig().semantic_dict()

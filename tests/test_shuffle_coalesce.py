@@ -1,6 +1,7 @@
 """Regression tests for the round-5 fixed-cost helpers: the size-aware
-pre-shuffle coalesce, the small-table read block policy, and the bounded
-per-worker task-instance cache."""
+pre-shuffle coalesce, the small-table read block policy, the bounded
+per-worker task-instance cache, and a driver-side collect that runs its
+pipeline once."""
 
 import os
 
@@ -10,7 +11,8 @@ import pytest
 import ray
 import ray.data as rd
 
-from kgx.functions.collect import default_shuffle_blocks, shuffle_coalesce
+from kgx.functions.collect import (collect_arrow, default_shuffle_blocks,
+                                   shuffle_coalesce)
 from kgx.sources.pages import _SMALL_TABLE_BYTES, read_table
 
 
@@ -36,6 +38,23 @@ def test_shuffle_coalesce_respects_block_size_bound():
     size = out.size_bytes()
     assert size > (1 << 20)
     assert out.num_blocks() >= size // (1 << 20)
+
+
+def test_collect_arrow_runs_pipeline_once(tmp_path):
+    # to_arrow_refs on a lazy Dataset fetches the schema after iterating,
+    # which re-runs the plan; collect_arrow must not pay for it
+    import uuid
+
+    def record(b: pa.Table) -> pa.Table:
+        (tmp_path / uuid.uuid4().hex).write_text(str(b.num_rows))
+        return b
+
+    ds = rd.range(300, override_num_blocks=3).sort("id").map_batches(
+        record, batch_format="pyarrow", batch_size=None)
+    out = collect_arrow(ds)
+    calls = [int(p.read_text()) for p in tmp_path.iterdir()]
+    assert len(calls) == 3 and sum(calls) == 300
+    assert sorted(out["id"].to_pylist()) == list(range(300))
 
 
 def test_read_table_small_file_block_policy(tmp_path):

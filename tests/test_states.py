@@ -5,9 +5,11 @@ Every KG output is built by kgx.functions.fold.fold_sorted: one
 on the sort's range partitioning putting every row of a key into ONE
 block, however skewed the key is; the fold tests below pin that with a
 hot key holding over half the rows.  If a Ray upgrade ever breaks it,
-these tests fail.  The streaming and checkpointed compositions must emit
-equal tables, the written tables carry one Parquet row group per block
-rather than per key, and every entry point refuses the hash shuffle.
+these tests fail.  The fold also sizes its own input: at most one block
+per Ray CPU, never a split block, never a block above the size target.
+The streaming and checkpointed compositions must emit equal tables, the
+written tables carry one Parquet row group per block rather than per
+key, and every entry point refuses the hash shuffle.
 """
 
 import numpy as np
@@ -82,6 +84,55 @@ def test_fold_sorted_multikey_hot_key_one_call(ray_session):
                     "b": [f"b{int(x):03d}" for x in b],
                     "v": rng.integers(0, 100, 40000)})
     _check_hot_key_fold(tbl, ["a", "b"], ("a03", "b017"))
+
+
+def _fold_blocks(ds, key: str) -> int:
+    schema = ds.schema().base_schema
+    return fold_sorted(ds, key, lambda g: g.slice(0, 1).to_pylist()[0],
+                       schema).materialize().num_blocks()
+
+
+def _ncpu() -> int:
+    import ray
+    return int(ray.cluster_resources()["CPU"])
+
+
+def test_fold_input_coalesces_to_ncpu(ray_session):
+    """The fold coalesces its 17 input blocks to at most one per CPU."""
+    tbl = pa.table({"k": [f"k{i % 500:03d}" for i in range(40000)]})
+    assert _fold_blocks(rd.from_arrow(tbl).repartition(17), "k") <= _ncpu()
+
+
+def test_fold_input_never_split(ray_session):
+    tbl = pa.table({"k": [f"k{i % 500:03d}" for i in range(40000)]})
+    assert _fold_blocks(rd.from_arrow(tbl), "k") == 1
+
+
+def test_fold_input_respects_block_size_bound(ray_session, monkeypatch):
+    """Above the block-size target the fold keeps enough blocks to stay
+    under it, however few CPUs there are (the target is lowered here so
+    the input stays small)."""
+    from kgx.functions import fold
+
+    target = 256 << 10
+    monkeypatch.setattr(fold, "TARGET_BLOCK_BYTES", target)
+    big = rd.range(400, override_num_blocks=40).map_batches(
+        lambda b: pa.table({"id": b["id"],
+                            "payload": [b"x" * 10_000] * b.num_rows}),
+        batch_format="pyarrow").materialize()
+    size = big.size_bytes()
+    assert size // target > _ncpu()
+    n = _fold_blocks(big, "id")
+    assert size // target <= n < 40
+
+
+def test_stream_kg_tables_at_most_one_block_per_cpu(smoke_corpus,
+                                                    ray_session):
+    from kgx.pipelines.kg import KGConfig, stream_kg
+
+    tables = stream_kg(smoke_corpus["pages"], KGConfig())
+    for name in ("nodes", "edges"):
+        assert tables[name].materialize().num_blocks() <= _ncpu(), name
 
 
 def test_stream_kg_tables_arrive_key_sorted(smoke_corpus, ray_session):
