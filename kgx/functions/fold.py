@@ -10,12 +10,13 @@ so does a third, on the block count the sort sees.
 Ray's sort runs a task per input block in each phase, and at one CPU
 that task count, not the rows, is the cost of a KG-scale fold (182 ms
 for 8 blocks of 5k rows against 71 ms for the same rows in one block).
-So the input is materialized and coalesced, without a shuffle, to
-``max(ncpu, ceil(size_bytes / 64 MiB))`` blocks: at most one block per
-Ray CPU unless that would build blocks above the 64 MiB target
-``shuffle_coalesce`` uses.  The input is repartitioned only when that
-target is below its block count, so blocks are never split.  No caller
-sizes its fold input.
+So the input goes through :func:`kgx.functions.collect.shuffle_coalesce`
+with a floor of one block per Ray CPU: it is materialized and coalesced,
+without a shuffle, to ``max(ncpu, size_bytes // 64 MiB + 1)`` blocks,
+and only when that is fewer than it has, so blocks are never split and
+never grow past the 64 MiB target.  No caller sizes its fold input.
+The materialize runs when the fold is BUILT; only the sort and the pass
+over its blocks stay lazy.
 
 :func:`fold_sorted` calls ``reduce`` once per run of equal keys, with the
 run's rows in block order (the order ``map_groups`` gives a group), and
@@ -30,7 +31,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-TARGET_BLOCK_BYTES = 64 << 20
+from kgx.functions.collect import shuffle_coalesce
 
 
 def key_runs(t: pa.Table, keys: list) -> np.ndarray:
@@ -49,19 +50,11 @@ def key_runs(t: pa.Table, keys: list) -> np.ndarray:
     return np.r_[np.flatnonzero(new), n]
 
 
-def _coalesce(ds):
-    """``ds`` materialized, in at most ``max(ncpu, ceil(size / target))``
-    blocks and never more than it had (see the module docstring)."""
-    ds = ds.materialize()
-    ncpu = int(ray.cluster_resources().get("CPU", 4))
-    target = max(ncpu, -(-(ds.size_bytes() or 0) // TARGET_BLOCK_BYTES))
-    return ds.repartition(target) if target < ds.num_blocks() else ds
-
-
 def map_sorted_blocks(ds, key, fn, schema: pa.Schema):
     """``fn`` over each whole non-empty block of ``ds.sort(key)``; empty
     blocks emit ``schema``'s empty table."""
-    return _coalesce(ds).sort(key).map_batches(
+    ncpu = int(ray.cluster_resources().get("CPU", 4))
+    return shuffle_coalesce(ds, min_blocks=ncpu).sort(key).map_batches(
         lambda b: fn(b) if b.num_rows else schema.empty_table(),
         batch_format="pyarrow", batch_size=None)
 

@@ -320,7 +320,10 @@ def kg_from_extracted(extracted, cfg: KGConfig) -> dict:
     """Tagged extraction Dataset -> ``{"nodes": Dataset, "edges":
     Dataset}``: the checkpoint-free KG tail of ``stream_kg`` and
     ``docs_kg.kg_tables``.  Nodes come back materialized (the alias map
-    is built from them); edges stay lazy."""
+    is built from them).  Every fold materializes and coalesces its
+    input when it is built (kgx.functions.fold), so the alias-resolved
+    edge input is computed here too; only the edges' sort and fold stay
+    lazy."""
     states = combine_states(extracted, cfg)
     nodes = finalize_nodes(states, cfg).materialize()
     nodes_tbl = collect_arrow(
@@ -331,10 +334,11 @@ def kg_from_extracted(extracted, cfg: KGConfig) -> dict:
 
 
 def stream_kg(pages_path: str, cfg: KGConfig | None = None) -> dict:
-    """Checkpoint-free streaming composition of the same stages: one lazy
-    Dataset expression per output, intermediates live in the object store
-    (spilling under pressure), nothing touches the filesystem until the
-    caller writes the final tables.
+    """Checkpoint-free streaming composition of the same stages: each
+    output is a sort plus a fold over an input that its fold materialized
+    and coalesced when it was built (kgx.functions.fold); intermediates
+    live in the object store (spilling under pressure), nothing touches
+    the filesystem until the caller writes the final tables.
 
     Throughput shape (kgx.stages.states): the per-batch combiners run
     INSIDE the fused read->text->chunk->extract task chain, so only one

@@ -108,24 +108,6 @@ def test_fold_input_never_split(ray_session):
     assert _fold_blocks(rd.from_arrow(tbl), "k") == 1
 
 
-def test_fold_input_respects_block_size_bound(ray_session, monkeypatch):
-    """Above the block-size target the fold keeps enough blocks to stay
-    under it, however few CPUs there are (the target is lowered here so
-    the input stays small)."""
-    from kgx.functions import fold
-
-    target = 256 << 10
-    monkeypatch.setattr(fold, "TARGET_BLOCK_BYTES", target)
-    big = rd.range(400, override_num_blocks=40).map_batches(
-        lambda b: pa.table({"id": b["id"],
-                            "payload": [b"x" * 10_000] * b.num_rows}),
-        batch_format="pyarrow").materialize()
-    size = big.size_bytes()
-    assert size // target > _ncpu()
-    n = _fold_blocks(big, "id")
-    assert size // target <= n < 40
-
-
 def test_stream_kg_tables_at_most_one_block_per_cpu(smoke_corpus,
                                                     ray_session):
     from kgx.pipelines.kg import KGConfig, stream_kg
