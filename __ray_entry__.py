@@ -7,7 +7,19 @@ Every SQL string is the exact semantic mirror of its Ray pipeline — same
 tokenization regexes (RE2 on both sides), same float operation order, and
 integer arithmetic (``floor(x*100+0.5)`` cents, integer floor-division
 averages) wherever distributed summation order could otherwise flip a
-bit.  Most once-approximate operators now carry full SQL twins
+bit.  Each kgx kernel has ONE SQL twin, a named SQL fragment that
+every oracle using the kernel composes: ``_term_docs`` (per-document
+distinct terms), ``_cooc_pairs`` (the co-occurrence edges),
+``_sym_edges``, ``_DEGREES``, ``_TRIANGLES``, ``_COMPONENTS``,
+``_set_jaccard``, ``_SHINGLE_HASHES``, ``_term_nodes``, ``_CHUNK_TEXTS``,
+``_quality_scores``/``_quality_gate``, ``_lang_ids``, ``_segments``,
+``_KNN``, ``_negatives``, ``_ngram_topk``, ``_kmeans_ctes``,
+``_ann_quantizer_ctes``, ``_pagerank_oracle`` (all three PageRank
+kernels) and the ``_md5_u64``/``_hex_int``/``_rev_units`` expressions;
+every fixed-round iteration unrolls through ``_unroll``, which
+materializes each round.
+
+Most once-approximate operators now carry full SQL twins
 (MinHash-LSH/SimHash via md5/seeded-literal hashing; LSH, IVF and PQ
 top-k + their recall reports via deterministic-init quantizer chains
 unrolled into materialized CTEs — keep kgx/ops/simsearch.py / pq.py in
@@ -36,6 +48,384 @@ _LANG_RES = {
     "es": r"\b(?:el|los|las|una|que|es|y)\b",
     "fr": r"\b(?:le|les|des|une|est|et|dans)\b",
 }
+
+
+# ----------------------------------------------------------------------
+# SQL fragments: each is the one SQL twin of one kgx kernel
+# ----------------------------------------------------------------------
+
+def _unroll(seed: str, step: Callable[[int], str], n: int) -> str:
+    """A fixed-round iteration as one CTE chain: the ``seed`` CTEs (round
+    0), then ``step(r)`` for r = 1..n, every CTE ``AS MATERIALIZED``.
+    Each round references the previous one 2-3 times, and DuckDB's
+    default inlining re-evaluates the whole prefix per reference —
+    exponential in n (measured: the 5-round IVF quantizer chain 136 s
+    inlined vs 0.3 s materialized)."""
+    import re as _re
+    return _re.sub(r"(\b[a-z_]+\d*\b) AS \(", r"\1 AS MATERIALIZED (",
+                   ",".join([seed] + [step(r) for r in range(1, n + 1)]))
+
+
+def _md5_u64(expr: str) -> str:
+    """The md5-low64 hash of kgx's sketches and samplers: the first 16
+    hex digits of md5 as an unsigned 64-bit integer."""
+    return f"CAST('0x' || substr(md5({expr}), 1, 16) AS UBIGINT)"
+
+
+def _hex_int(h: str, n: int, start: int = 1) -> str:
+    """Integer value of the ``n`` hex digits of ``h`` from ``start``:
+    kgx's md5-prefix buckets and fake media decode."""
+    return " + ".join(
+        f"(strpos('0123456789abcdef', substr({h}, {start + i}, 1)) - 1)"
+        + (f" * {16 ** (n - 1 - i)}" if i < n - 1 else "")
+        for i in range(n))
+
+
+_EMB = """e AS (SELECT vec_id, label, CAST(embedding AS DOUBLE[]) AS v
+                  FROM embeddings)"""
+
+
+def _term_docs(text: str = "text") -> str:
+    """``dt``: each document's distinct terms, one (doc_id, term) row
+    per pair — the TermExtractor mention regex, deduplicated per
+    document as the co-occurrence kernels see it."""
+    return f"""dt AS (
+              SELECT doc_id,
+                     unnest(list_distinct(regexp_extract_all(
+                       {text}, '{_TERM_RE}'))) AS term
+              FROM documents)"""
+
+
+def _cooc_pairs(*, weighted: bool = False) -> str:
+    """``p``: the co-occurrence KG edges (kg_tables' ``co_occurs_with``)
+    — distinct term pairs s < t sharing a document of ``dt``, with ``w``
+    = the number of such documents (the edge's n_instances) when
+    ``weighted``."""
+    w = ", count(*) AS w" if weighted else ""
+    return f"""p AS (
+              SELECT a.term AS s, b.term AS t{w}
+              FROM dt a JOIN dt b
+                ON a.doc_id = b.doc_id AND a.term < b.term
+              GROUP BY 1, 2)"""
+
+
+def _sym_edges(*, weighted: bool = False) -> str:
+    """``ed``: both directions of every ``p`` edge
+    (kgx.ops.graph.undirected_edges)."""
+    w = ", w" if weighted else ""
+    return f"""ed AS (SELECT s, t{w} FROM p
+                   UNION ALL SELECT t AS s, s AS t{w} FROM p)"""
+
+
+# ``deg``: vertex degrees over ``ed`` (kgx.ops.graph.degree_table).
+_DEGREES = "deg AS (SELECT s AS v, count(*) AS d FROM ed GROUP BY s)"
+
+# ``tri``: every triangle {a, b, c} of ``p`` once (a < b < c), and ``tc``
+# its per-vertex count (kgx.ops.graph.triangle_counts).
+_TRIANGLES = """tri AS (
+              SELECT e1.s AS a, e1.t AS b, e2.t AS c
+              FROM p e1
+              JOIN p e2 ON e2.s = e1.t
+              JOIN p e3 ON e3.s = e1.s AND e3.t = e2.t),
+            tc AS (
+              SELECT name, count(*) AS n FROM (
+                SELECT a AS name FROM tri
+                UNION ALL SELECT b AS name FROM tri
+                UNION ALL SELECT c AS name FROM tri)
+              GROUP BY name)"""
+
+# ``comp``: each vertex of ``ed`` with its component, the smallest name
+# it reaches, itself included (kgx.ops.graph.weakly_connected_components).
+# Every vertex is an edge endpoint, so no vertex is isolated.
+_COMPONENTS = """reach AS (
+              WITH RECURSIVE r(src, dst) AS (
+                SELECT s, t FROM ed
+                UNION
+                SELECT r.src, u.t FROM r JOIN ed u ON r.dst = u.s)
+              SELECT src, dst FROM r),
+            comp AS (
+              SELECT src AS name, least(src, min(dst)) AS component
+              FROM reach GROUP BY src)"""
+
+
+def _set_jaccard(sets: str, elem: str, threshold: float) -> str:
+    """``jp``: the (doc_a < doc_b, jaccard) pairs whose ``elem`` sets in
+    the (doc_id, elem) rows of ``sets`` have Jaccard >= ``threshold``
+    (kgx.ops.dedup.jaccard_pairs)."""
+    return f"""sz AS (SELECT doc_id, count(*) AS n FROM {sets} GROUP BY 1),
+            inter AS (
+              SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, count(*) AS i
+              FROM {sets} a JOIN {sets} b
+                ON a.{elem} = b.{elem} AND a.doc_id < b.doc_id
+              GROUP BY 1, 2),
+            jp AS (
+              SELECT doc_a, doc_b,
+                     CAST(i AS DOUBLE) / (sa.n + sb.n - i) AS jaccard
+              FROM inter
+              JOIN sz sa ON sa.doc_id = doc_a
+              JOIN sz sb ON sb.doc_id = doc_b
+              WHERE CAST(i AS DOUBLE) / (sa.n + sb.n - i) >= {threshold})"""
+
+
+# ``hs``: each document's distinct md5-low64 3-word shingle hashes
+# (kgx.ops.dedup._shingle_hashes over whitespace tokens).
+_SHINGLE_HASHES = f"""toks AS (
+          SELECT doc_id,
+                 list_filter(string_split_regex(text, '\\s+'),
+                             x -> x <> '') AS t
+          FROM documents),
+        shl AS (
+          SELECT doc_id,
+                 CASE WHEN len(t) = 0 THEN []
+                      WHEN len(t) < 3 THEN [array_to_string(t, ' ')]
+                      ELSE list_transform(
+                        generate_series(1, len(t) - 2),
+                        i -> t[i] || ' ' || t[i+1] || ' ' || t[i+2])
+                 END AS sh
+          FROM toks),
+        hs AS (
+          SELECT DISTINCT doc_id, {_md5_u64("s")} AS h
+          FROM (SELECT doc_id, unnest(sh) AS s FROM shl))"""
+
+
+def _term_nodes(text: str = "text", src: str = "documents") -> str:
+    """The term KG's nodes: one row per TermExtractor mention of
+    ``text`` over the rows of ``src``, counted per term
+    (kgx.stages.states.nodes_from_states under TermExtractor)."""
+    return f"""
+            SELECT term AS name, 'TERM' AS type, count(*) AS n_instances
+            FROM (SELECT unnest(regexp_extract_all({text}, '{_TERM_RE}'))
+                    AS term
+                  FROM {src})
+            GROUP BY term
+        """
+
+
+# ``t``: each non-blank document's one chunk (``ctext``), its tokens
+# joined by single spaces (kgx.pipelines.kg.make_chunk_batch_fn when the
+# chunk size exceeds the document).
+_CHUNK_TEXTS = """t AS (
+              SELECT array_to_string(string_split_regex(trim(text),
+                                                        '\\s+'),
+                                     ' ') AS ctext
+              FROM documents WHERE trim(text) <> '')"""
+
+
+def _quality_scores(src: str = "documents") -> str:
+    """``qs``: the rows of ``src`` with kgx.ops.text.quality_batch's
+    token counts and integer quality score."""
+    return f"""qs AS (
+              SELECT *,
+                     CAST(4000 * least(n_tokens, 100)
+                          + (300000 * n_distinct_tokens)
+                              // greatest(n_tokens, 1)
+                          + (300000 * n_stop) // greatest(n_tokens, 1)
+                        AS BIGINT) AS quality_score_ppm
+              FROM (
+                SELECT *, len(toks) AS n_tokens,
+                       len(list_distinct(toks)) AS n_distinct_tokens,
+                       len(list_filter(toks, x -> x IN {_STOP_SQL}))
+                         AS n_stop
+                FROM (SELECT *, regexp_extract_all(text, '{_WS_RE}') AS toks
+                      FROM {src})))"""
+
+
+def _quality_gate(src: str) -> str:
+    """``qg``: the ``qs`` rows of ``src`` with their source's
+    lower-quartile score as ``threshold_ppm``
+    (kgx.ops.text.quality_gate)."""
+    return f"""{_quality_scores(src)},
+            thr AS (
+              SELECT source, quality_score_ppm AS threshold_ppm FROM (
+                SELECT source, quality_score_ppm,
+                       row_number() OVER (PARTITION BY source
+                                          ORDER BY quality_score_ppm) AS rn,
+                       count(*) OVER (PARTITION BY source) AS n
+                FROM qs)
+              WHERE rn = (n - 1) // 4 + 1),
+            qg AS (SELECT qs.*, thr.threshold_ppm
+                   FROM qs JOIN thr USING (source))"""
+
+
+def _packed(src: str) -> str:
+    """``pk``: the documents of ``src`` packed in doc_id order into
+    2048-token sequences: whitespace-token count, first token offset and
+    sequence id (kgx.ops.packing.pack_offsets)."""
+    return f"""pk AS (
+              SELECT doc_id, n_tokens, begin_token,
+                     begin_token // 2048 AS seq_id
+              FROM (
+                SELECT doc_id, n_tokens,
+                       CAST(coalesce(sum(n_tokens) OVER (
+                              ORDER BY doc_id
+                              ROWS BETWEEN UNBOUNDED PRECEDING
+                                   AND 1 PRECEDING), 0) AS BIGINT)
+                         AS begin_token
+                FROM (SELECT doc_id,
+                             CAST(len(regexp_extract_all(text, '{_WS_RE}'))
+                                  AS BIGINT) AS n_tokens
+                      FROM {src})))"""
+
+
+def _lang_ids() -> str:
+    """``lid``: each document's kgx.ops.text.lang_id_batch language and
+    marker-hit count."""
+    counts = ",\n                     ".join(
+        f"len(regexp_extract_all(text, '{rx}')) AS c_{lang}"
+        for lang, rx in _LANG_RES.items())
+    return f"""lc AS (
+              SELECT doc_id, {counts}
+              FROM documents),
+            lid AS (
+              SELECT doc_id,
+                     CASE WHEN greatest(c_de, c_en, c_es, c_fr) = 0
+                            THEN 'und'
+                          WHEN c_de >= c_en AND c_de >= c_es
+                               AND c_de >= c_fr THEN 'de'
+                          WHEN c_en >= c_es AND c_en >= c_fr THEN 'en'
+                          WHEN c_es >= c_fr THEN 'es'
+                          ELSE 'fr' END AS pred_lang,
+                     greatest(c_de, c_en, c_es, c_fr) AS marker_hits
+              FROM lc)"""
+
+
+def _segments(name: str, src: str) -> str:
+    """``name``: the rows of ``src`` split into 10-token segments, one
+    (seg_no, seg) row each (kgx.ops.linededup's segmenter)."""
+    return f"""{name} AS (
+              SELECT *,
+                     array_to_string(
+                       tk[(seg_no * 10 + 1):((seg_no + 1) * 10)], ' ')
+                       AS seg
+              FROM (
+                SELECT *, unnest(generate_series(
+                         0, CAST(ceil(len(tk) / 10.0) AS BIGINT) - 1))
+                         AS seg_no
+                FROM (SELECT *, string_split(text, ' ') AS tk FROM {src})))"""
+
+
+def _boilerplate_segs(src: str) -> str:
+    """``bseg``: the ``bsegs`` segments of ``src``, each flagged
+    ``boiler`` when the same segment occurs in two or more documents of
+    its source (kgx.ops.linededup.boilerplate_scrub)."""
+    return f"""{_segments("bsegs", src)},
+            bfreq AS (
+              SELECT source, seg FROM bsegs
+              GROUP BY source, seg HAVING count(DISTINCT doc_id) >= 2),
+            bseg AS (
+              SELECT s.doc_id, s.seg_no, s.seg, f.seg IS NOT NULL AS boiler
+              FROM bsegs s LEFT JOIN bfreq f
+                ON f.source = s.source AND f.seg = s.seg)"""
+
+
+def _dup_segs(src: str) -> str:
+    """``dranked``: the ``dsegs`` segments of ``src``, ``rn`` = 1 on the
+    first (doc_id, seg_no) occurrence of each segment text corpus-wide
+    (kgx.ops.linededup.segment_dedup)."""
+    return f"""{_segments("dsegs", src)},
+            dranked AS (
+              SELECT doc_id, seg_no, seg,
+                     row_number() OVER (PARTITION BY md5(seg)
+                                        ORDER BY doc_id, seg_no) AS rn
+              FROM dsegs)"""
+
+
+def _negatives(n: int) -> str:
+    """``neg``: ``n`` deterministic negatives per vector, never itself
+    (kgx.ops.training.negative_samples)."""
+    return f"""dir AS (
+              SELECT list(vec_id ORDER BY vec_id) AS arr,
+                     count(*) AS n
+              FROM embeddings),
+            d AS (
+              SELECT e.vec_id, g.j,
+                     ({_mix32_sql("e.vec_id * 1000003 + g.j * 7919 + 101")})
+                       % i.n AS ix,
+                     i.arr, i.n
+              FROM embeddings e
+              CROSS JOIN (SELECT unnest(generate_series(1, {n})) AS j) g
+              CROSS JOIN dir i),
+            neg AS (
+              SELECT vec_id, j,
+                     CASE WHEN arr[CAST(ix AS BIGINT) + 1] = vec_id
+                          THEN arr[CAST((ix + 1) % n AS BIGINT) + 1]
+                          ELSE arr[CAST(ix AS BIGINT) + 1]
+                     END AS neg_id
+              FROM d)"""
+
+
+# ``kn``: every vector's neighbors by 6dp-rounded cosine, ranked
+# (kgx.ops.simsearch.knn_self_join).  The rank orders on the ROUNDED
+# score: both engines sort the identical 6dp numbers, while sub-ulp
+# BLAS-vs-DuckDB differences could flip near-tie ranks otherwise.
+_KNN = """kn AS (
+              SELECT a.vec_id, b.vec_id AS neighbor_id,
+                     round(list_cosine_similarity(a.v, b.v), 6) AS score,
+                     row_number() OVER (
+                       PARTITION BY a.vec_id
+                       ORDER BY round(list_cosine_similarity(a.v, b.v), 6)
+                                  DESC,
+                                b.vec_id ASC) AS rank
+              FROM e a JOIN e b ON a.vec_id <> b.vec_id)"""
+
+
+def _ngram_topk(n: int, k: int) -> str:
+    """The ``k`` most frequent lowercased word ``n``-grams, ties by
+    n-gram (kgx.ops.vocab.ngram_topk)."""
+    return f"""
+            WITH toks AS (
+              SELECT string_split_regex(lower(trim(text)), '\\s+') AS t
+              FROM documents WHERE trim(text) <> ''),
+            pos AS (
+              SELECT t, unnest(generate_series(0, len(t) - {n})) AS i
+              FROM toks WHERE len(t) >= {n}),
+            g AS (SELECT array_to_string(t[i + 1 : i + {n}], ' ') AS ngram
+                  FROM pos)
+            SELECT ngram, count(*) AS n_occurrences
+            FROM g GROUP BY ngram
+            ORDER BY n_occurrences DESC, ngram
+            LIMIT {k}
+        """
+
+
+def _rev_units(alias: str) -> str:
+    """A lineitem's discounted revenue in integer 1e-4 units: price cents
+    times (100 - discount cents) (kgx.ops.relational's revenue units);
+    ``alias`` prefixes the lineitem columns."""
+    return (f"CAST(floor({alias}l_extendedprice * 100 + 0.5) AS BIGINT)"
+            f" * (100 - CAST(floor({alias}l_discount * 100 + 0.5)"
+            f" AS BIGINT))")
+
+
+# Pearson correlation in integer ppm from the exact int64 moment sums
+# n, sx, sy, sxy, sx2, sy2; 0 when either variance is 0
+# (kgx.ops.window.corr_by_key, kgx.ops.graph.degree_assortativity).
+_PEARSON_PPM = """CASE WHEN (n * sx2 - sx * sx) > 0
+                             AND (n * sy2 - sy * sy) > 0
+                        THEN CAST(floor(
+                          CAST(n * sxy - sx * sy AS DOUBLE) * 1000000.0
+                          / sqrt(CAST(n * sx2 - sx * sx AS DOUBLE)
+                                 * CAST(n * sy2 - sy * sy AS DOUBLE)))
+                          AS BIGINT)
+                        ELSE 0 END"""
+
+
+def _recall_oracle(op: str, approx: str) -> str:
+    """Recall of the ``approx`` top-10 (query_id, neighbor_id) rows
+    against the exact cosine top-10 of the first 8 vectors, both sides
+    recomputed in SQL (the Ray side: ``_recall_row``)."""
+    return f"""
+        WITH approx AS ({approx}),
+        ex AS ({_EXACT_TOPK_SQL}),
+        h AS (SELECT count(*) AS hits FROM approx a JOIN ex e
+              ON a.query_id = e.query_id
+             AND a.neighbor_id = e.neighbor_id),
+        ne AS (SELECT count(*) AS n_exact FROM ex)
+        SELECT '{op}' AS op, CAST(8 AS BIGINT) AS n_queries,
+               CAST(10 AS BIGINT) AS k, ne.n_exact, h.hits,
+               h.hits * 1000000 // ne.n_exact AS recall_ppm
+        FROM h, ne
+    """
 
 
 def entry() -> Any:
@@ -98,10 +488,15 @@ def _q_kg_claims(sf_dir: str):
     """Claim dedup/resolution (O4/J2) over the documents table: one claim
     per chunk (content = chunk text, entities = its distinct terms),
     resolved through the alias map and union-merged by lower(content)."""
+    from kgx.pipelines.docs_kg import claims_table
+    return _claims_rows(claims_table(sf_dir))
+
+
+def _claims_rows(claims):
+    """The kg_claims oracle's projection of a claims Dataset: content,
+    entity count, instance count."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    from kgx.pipelines.docs_kg import claims_table
-    claims = claims_table(sf_dir)
 
     def project(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -295,49 +690,8 @@ def _q_kg_pagerank_weighted(sf_dir: str):
     the pair) — heavily-witnessed associations carry more mass."""
     from kgx.ops.graph import weighted_pagerank
     from kgx.pipelines.docs_kg import kg_tables
-    return weighted_pagerank(kg_tables(sf_dir)["edges"])
-
-
-def _wpagerank_oracle(*, iters=10, damping_pct=85, scale=10**12) -> str:
-    """DuckDB mirror of kgx.ops.graph.weighted_pagerank: same unrolled
-    BIGINT recurrence as _pagerank_oracle with per-edge weights —
-    r_k = base + (d * sum((r_{k-1} * w) // W_u)) // 100, w = the pair's
-    co-occurring-document count (the kg_edges n_instances)."""
-    base = (f"(({100 - damping_pct} * ({scale} // (SELECT nv FROM nn)))"
-            " // 100)")
-    its = []
-    for k in range(1, iters + 1):
-        its.append(f"""
-            r{k} AS (
-              SELECT ed.t AS v,
-                     CAST({base} + ({damping_pct}
-                          * sum((p.r * ed.w) // wd.ws))
-                          // 100 AS BIGINT) AS r
-              FROM ed JOIN r{k - 1} p ON ed.s = p.v
-                      JOIN wd ON ed.s = wd.v
-              GROUP BY ed.t)""")
-    return f"""
-            WITH dt AS (
-              SELECT doc_id,
-                     unnest(list_distinct(regexp_extract_all(
-                       text, '{_TERM_RE}'))) AS term
-              FROM documents),
-            e0 AS (
-              SELECT a.term AS s, b.term AS t, count(*) AS w
-              FROM dt a JOIN dt b
-                ON a.doc_id = b.doc_id AND a.term < b.term
-              GROUP BY 1, 2),
-            ed AS (SELECT s, t, w FROM e0
-                   UNION ALL SELECT t AS s, s AS t, w FROM e0),
-            wd AS (SELECT s AS v, CAST(sum(w) AS BIGINT) AS ws
-                   FROM ed GROUP BY s),
-            nn AS (SELECT count(*) AS nv FROM wd),
-            r0 AS (SELECT v, {scale} // (SELECT nv FROM nn) AS r
-                   FROM wd),{",".join(its)}
-            SELECT w.v AS name, w.ws AS wdegree,
-                   CAST(rr.r AS BIGINT) AS wpr_units
-            FROM wd w JOIN r{iters} rr ON w.v = rr.v
-    """
+    return weighted_pagerank(kg_tables(sf_dir)["edges"],
+                             iters=_PR_ITERS)
 
 
 _LPA_ROUNDS = 4
@@ -359,35 +713,23 @@ def _lpa_oracle(*, rounds: int) -> str:
     edges (mirrors kgx/ops/graph.py:label_propagation): per round, each
     vertex adopts the most frequent neighbor label, ties to the
     lexicographically smallest."""
-    parts = []
-    for r in range(1, rounds + 1):
-        parts.append(f"""
-            c{r} AS MATERIALIZED (
-              SELECT e0.t AS v, l{r - 1}.lab AS lab, count(*) AS c
-              FROM e0 JOIN l{r - 1} ON e0.s = l{r - 1}.v
+    def step(r: int) -> str:
+        return f"""
+            c{r} AS (
+              SELECT ed.t AS v, l{r - 1}.lab AS lab, count(*) AS c
+              FROM ed JOIN l{r - 1} ON ed.s = l{r - 1}.v
               GROUP BY 1, 2),
-            l{r} AS MATERIALIZED (
+            l{r} AS (
               SELECT v, lab FROM (
                 SELECT v, lab,
                        row_number() OVER (PARTITION BY v
                                           ORDER BY c DESC, lab) AS rn
-                FROM c{r}) WHERE rn = 1)""")
+                FROM c{r}) WHERE rn = 1)"""
+    seed = f"""{_sym_edges()},
+            l0 AS (SELECT DISTINCT s AS v, s AS lab FROM ed)"""
     return f"""
-            WITH dt AS (
-              SELECT doc_id,
-                     unnest(list_distinct(regexp_extract_all(
-                       text, '{_TERM_RE}'))) AS term
-              FROM documents),
-            p AS (
-              SELECT a.term AS s, b.term AS t
-              FROM dt a JOIN dt b
-                ON a.doc_id = b.doc_id AND a.term < b.term
-              GROUP BY 1, 2),
-            e0 AS MATERIALIZED (
-              SELECT s, t FROM p UNION ALL SELECT t AS s, s AS t FROM p),
-            l0 AS MATERIALIZED (
-              SELECT DISTINCT s AS v, s AS lab FROM e0),
-            {",".join(parts)}
+            WITH {_term_docs()}, {_cooc_pairs()},
+            {_unroll(seed, step, rounds)}
             SELECT v AS name, lab AS community FROM l{rounds}
     """
 
@@ -402,14 +744,13 @@ def _bpe_oracle(*, n_merges: int, min_count: int) -> str:
     into gaps-and-islands runs; EVEN offsets within a run are taken
     (same-symbol runs like 'wwww' merge exactly as the Python single
     pass does), the symbol after a taken position is dropped."""
-    parts = []
-    for r in range(1, n_merges + 1):
-        parts.append(f"""
-            u{r} AS MATERIALIZED (
+    def step(r: int) -> str:
+        return f"""
+            u{r} AS (
               SELECT w, cnt, generate_subscripts(syms, 1) AS pos,
                      unnest(syms) AS sym
               FROM v{r - 1}),
-            best{r} AS MATERIALIZED (
+            best{r} AS (
               SELECT a.sym AS l, b.sym AS r, sum(a.cnt) AS c
               FROM u{r} a JOIN u{r} b ON a.w = b.w AND b.pos = a.pos + 1
               GROUP BY 1, 2 HAVING sum(a.cnt) >= {min_count}
@@ -431,7 +772,7 @@ def _bpe_oracle(*, n_merges: int, min_count: int) -> str:
                             PARTITION BY w, m, grp)) % 2 = 0
                           THEN 1 ELSE 0 END AS taken
               FROM isl{r}),
-            v{r} AS MATERIALIZED (
+            v{r} AS (
               SELECT w, cnt, list(out ORDER BY pos) AS syms FROM (
                 SELECT w, cnt, pos,
                        CASE WHEN taken = 1
@@ -441,22 +782,23 @@ def _bpe_oracle(*, n_merges: int, min_count: int) -> str:
                               PARTITION BY w ORDER BY pos), 0) = 1
                             THEN NULL ELSE sym END AS out
                 FROM tk{r})
-              WHERE out IS NOT NULL GROUP BY w, cnt)""")
+              WHERE out IS NOT NULL GROUP BY w, cnt)"""
     finals = "\n              UNION ALL ".join(
         f"SELECT CAST({r} AS BIGINT) AS \"rank\", l AS \"left\", "
         f"r AS \"right\", CAST(c AS BIGINT) AS pair_count FROM best{r}"
         for r in range(1, n_merges + 1))
+    seed = """
+            v0 AS (
+              SELECT word AS w, cnt,
+                     regexp_extract_all(word, '.') AS syms
+              FROM wc)"""
     return f"""
             WITH words AS (
               SELECT unnest(string_split_regex(lower(trim(text)),
                                                '\\s+')) AS word
               FROM documents WHERE trim(text) <> ''),
             wc AS (SELECT word, count(*) AS cnt FROM words GROUP BY 1),
-            v0 AS MATERIALIZED (
-              SELECT word AS w, cnt,
-                     regexp_extract_all(word, '.') AS syms
-              FROM wc),
-            {",".join(parts)}
+            {_unroll(seed, step, n_merges)}
             SELECT * FROM ({finals}) ORDER BY "rank"
     """
 
@@ -629,32 +971,29 @@ def _q_events_corr(sf_dir: str):
     return corr_by_key(ev)
 
 
-def _q_recall_lsh(sf_dir: str):
-    """Multi-probe LSH recall vs the exact cosine top-k as ONE exact
-    driver row (VERDICT r3 item 5): both sides run distributed, the
-    80-row results intersect driver-side, and the DuckDB oracle
-    recomputes approx AND exact in SQL — the pytest recall floor,
-    driver-visible."""
+def _recall_row(op: str, sf_dir: str, approx_topk) -> Any:
+    """One row: recall of ``approx_topk(emb, qids, k=10)`` against the
+    exact cosine top-10 of the first 8 vectors; both sides run
+    distributed and their (query, neighbor) sets intersect in this
+    process (the SQL side: ``_recall_oracle``)."""
     import pyarrow as pa
     from kgx.sources.pages import read_table
 
     from kgx.functions.collect import collect_arrow
-    from kgx.ops.simsearch import cosine_topk, lsh_topk
+    from kgx.ops.simsearch import cosine_topk
 
-    def emb():
-        return read_table(f"{sf_dir}/embeddings.parquet",
-                               columns=["vec_id", "embedding"])
+    def pairs(topk) -> set:
+        t = collect_arrow(topk(
+            read_table(f"{sf_dir}/embeddings.parquet",
+                       columns=["vec_id", "embedding"]), qids, k=10))
+        return set(zip(t["query_id"].to_pylist(),
+                       t["neighbor_id"].to_pylist()))
 
     qids = list(range(8))
-    a = collect_arrow(lsh_topk(emb(), qids, k=10))
-    e = collect_arrow(cosine_topk(emb(), qids, k=10))
-    a_set = set(zip(a["query_id"].to_pylist(),
-                    a["neighbor_id"].to_pylist()))
-    e_set = set(zip(e["query_id"].to_pylist(),
-                    e["neighbor_id"].to_pylist()))
-    hits = len(a_set & e_set)
+    e_set = pairs(cosine_topk)
+    hits = len(pairs(approx_topk) & e_set)
     return pa.table({
-        "op": pa.array(["lsh"], pa.string()),
+        "op": pa.array([op], pa.string()),
         "n_queries": pa.array([len(qids)], pa.int64()),
         "k": pa.array([10], pa.int64()),
         "n_exact": pa.array([len(e_set)], pa.int64()),
@@ -662,75 +1001,32 @@ def _q_recall_lsh(sf_dir: str):
         "recall_ppm": pa.array([hits * 1_000_000 // len(e_set)],
                                pa.int64()),
     })
+
+
+def _q_recall_lsh(sf_dir: str):
+    """Multi-probe LSH recall vs the exact cosine top-k as ONE exact
+    row: the DuckDB oracle recomputes approx AND exact in SQL, so the
+    pytest recall floor is oracle-gated too."""
+    from kgx.ops.simsearch import lsh_topk
+    return _recall_row("lsh", sf_dir, lsh_topk)
 
 
 def _q_recall_ivf(sf_dir: str):
     """IVF recall vs the exact cosine top-k as ONE driver row —
     EXACT since round 5: the deterministic quantizer init gave the
-    approx side a full SQL twin (``_recall_ivf_oracle`` recomputes both
+    approx side a full SQL twin (``_recall_oracle`` recomputes both
     sides in DuckDB), so the recall number itself is oracle-gated."""
-    import pyarrow as pa
-    from kgx.sources.pages import read_table
-
-    from kgx.functions.collect import collect_arrow
-    from kgx.ops.simsearch import cosine_topk, ivf_topk
-
-    def emb():
-        return read_table(f"{sf_dir}/embeddings.parquet",
-                               columns=["vec_id", "embedding"])
-
-    qids = list(range(8))
-    a = collect_arrow(ivf_topk(emb(), qids, k=10))
-    e = collect_arrow(cosine_topk(emb(), qids, k=10))
-    a_set = set(zip(a["query_id"].to_pylist(),
-                    a["neighbor_id"].to_pylist()))
-    e_set = set(zip(e["query_id"].to_pylist(),
-                    e["neighbor_id"].to_pylist()))
-    hits = len(a_set & e_set)
-    return pa.table({
-        "op": pa.array(["ivf"], pa.string()),
-        "n_queries": pa.array([len(qids)], pa.int64()),
-        "k": pa.array([10], pa.int64()),
-        "n_exact": pa.array([len(e_set)], pa.int64()),
-        "hits": pa.array([hits], pa.int64()),
-        "recall_ppm": pa.array([hits * 1_000_000 // len(e_set)],
-                               pa.int64()),
-    })
+    from kgx.ops.simsearch import ivf_topk
+    return _recall_row("ivf", sf_dir, ivf_topk)
 
 
 def _q_recall_pq(sf_dir: str):
     """PQ (IVFADC+R) recall vs the exact cosine top-k as ONE driver
-    row — EXACT since round 5 (``_recall_pq_oracle`` recomputes both
+    row — EXACT since round 5 (``_recall_oracle`` recomputes both
     sides in DuckDB); the exact re-rank raises recall above raw-ADC —
     pytest floor 0.45."""
-    import pyarrow as pa
-    from kgx.sources.pages import read_table
-
-    from kgx.functions.collect import collect_arrow
     from kgx.ops.pq import pq_topk
-    from kgx.ops.simsearch import cosine_topk
-
-    def emb():
-        return read_table(f"{sf_dir}/embeddings.parquet",
-                               columns=["vec_id", "embedding"])
-
-    qids = list(range(8))
-    a = collect_arrow(pq_topk(emb(), qids, k=10))
-    e = collect_arrow(cosine_topk(emb(), qids, k=10))
-    a_set = set(zip(a["query_id"].to_pylist(),
-                    a["neighbor_id"].to_pylist()))
-    e_set = set(zip(e["query_id"].to_pylist(),
-                    e["neighbor_id"].to_pylist()))
-    hits = len(a_set & e_set)
-    return pa.table({
-        "op": pa.array(["pq"], pa.string()),
-        "n_queries": pa.array([len(qids)], pa.int64()),
-        "k": pa.array([10], pa.int64()),
-        "n_exact": pa.array([len(e_set)], pa.int64()),
-        "hits": pa.array([hits], pa.int64()),
-        "recall_ppm": pa.array([hits * 1_000_000 // len(e_set)],
-                               pa.int64()),
-    })
+    return _recall_row("pq", sf_dir, pq_topk)
 
 
 def _q_recall_minhash(sf_dir: str):
@@ -899,85 +1195,24 @@ def _q_text_curate(sf_dir: str):
     return curate_corpus(sf_dir)
 
 
-def _curate_oracle(*, q_num: int = 1, q_den: int = 4, seq_len: int = 2048
-                   ) -> str:
+def _curate_oracle() -> str:
     """Unrolled composition of the per-stage oracles, stage order and
     statistics scope identical to kgx.pipelines.curate.curate_corpus."""
     return f"""
             WITH d0 AS (
               SELECT doc_id, text, source FROM documents
               WHERE lang = 'en'),
-            t0 AS (
-              SELECT doc_id, source, text,
-                     regexp_extract_all(text, '{_WS_RE}') AS toks
-              FROM d0),
-            q0 AS (
-              SELECT doc_id, source, text,
-                     len(toks) AS n_tokens,
-                     len(list_distinct(toks)) AS n_distinct_tokens,
-                     len(list_filter(toks, x -> x IN {_STOP_SQL})) AS n_stop
-              FROM t0),
-            scq AS (
-              SELECT doc_id, source, text,
-                     CAST(4000 * least(n_tokens, 100)
-                          + (300000 * n_distinct_tokens)
-                              // greatest(n_tokens, 1)
-                          + (300000 * n_stop) // greatest(n_tokens, 1)
-                        AS BIGINT) AS ppm
-              FROM q0),
-            rankedq AS (
-              SELECT source, ppm,
-                     row_number() OVER (PARTITION BY source
-                                        ORDER BY ppm) AS rn,
-                     count(*) OVER (PARTITION BY source) AS n
-              FROM scq),
-            thr AS (SELECT source, ppm AS th FROM rankedq
-                    WHERE rn = ((n - 1) * {q_num}) // {q_den} + 1),
-            g AS (SELECT scq.doc_id, scq.source, scq.text
-                  FROM scq JOIN thr USING (source) WHERE scq.ppm >= thr.th),
-            btoks AS (
-              SELECT doc_id, source, string_split(text, ' ') AS tk FROM g),
-            bsegs0 AS (
-              SELECT doc_id, source, tk,
-                     unnest(generate_series(
-                       0, CAST(ceil(len(tk) / 10.0) AS BIGINT) - 1))
-                       AS seg_no
-              FROM btoks),
-            bsegs AS (
-              SELECT doc_id, source, seg_no,
-                     array_to_string(
-                       tk[(seg_no * 10 + 1):((seg_no + 1) * 10)], ' ')
-                       AS seg
-              FROM bsegs0),
-            bfreq AS (
-              SELECT source, seg FROM bsegs
-              GROUP BY source, seg HAVING count(DISTINCT doc_id) >= 2),
+            {_quality_gate("d0")},
+            g AS (SELECT doc_id, source, text FROM qg
+                  WHERE quality_score_ppm >= threshold_ppm),
+            {_boilerplate_segs("g")},
             scrub AS (
-              SELECT s.doc_id,
-                     string_agg(CASE WHEN f.seg IS NULL THEN s.seg END, ' '
-                                ORDER BY s.seg_no) AS text
-              FROM bsegs s LEFT JOIN bfreq f
-                ON f.source = s.source AND f.seg = s.seg
-              GROUP BY s.doc_id),
+              SELECT doc_id,
+                     string_agg(CASE WHEN NOT boiler THEN seg END, ' '
+                                ORDER BY seg_no) AS text
+              FROM bseg GROUP BY doc_id),
             s1 AS (SELECT doc_id, text FROM scrub WHERE text IS NOT NULL),
-            dtoks AS (SELECT doc_id, string_split(text, ' ') AS tk FROM s1),
-            dsegs0 AS (
-              SELECT doc_id, tk,
-                     unnest(generate_series(
-                       0, CAST(ceil(len(tk) / 10.0) AS BIGINT) - 1))
-                       AS seg_no
-              FROM dtoks),
-            dsegs AS (
-              SELECT doc_id, seg_no,
-                     array_to_string(
-                       tk[(seg_no * 10 + 1):((seg_no + 1) * 10)], ' ')
-                       AS seg
-              FROM dsegs0),
-            dranked AS (
-              SELECT doc_id, seg_no, seg,
-                     row_number() OVER (PARTITION BY md5(seg)
-                                        ORDER BY doc_id, seg_no) AS rn
-              FROM dsegs),
+            {_dup_segs("s1")},
             dd AS (
               SELECT doc_id,
                      string_agg(CASE WHEN rn = 1 THEN seg END, ' '
@@ -990,23 +1225,8 @@ def _curate_oracle(*, q_num: int = 1, q_den: int = 4, seq_len: int = 2048
                        row_number() OVER (PARTITION BY md5(text)
                                           ORDER BY doc_id) AS rn
                 FROM s2) WHERE rn = 1),
-            cnt AS (
-              SELECT doc_id,
-                     CAST(len(regexp_extract_all(text, '{_WS_RE}'))
-                          AS BIGINT) AS n_tokens
-              FROM uniq)
-            SELECT doc_id, n_tokens,
-                   CAST(coalesce(sum(n_tokens) OVER (
-                          ORDER BY doc_id
-                          ROWS BETWEEN UNBOUNDED PRECEDING
-                               AND 1 PRECEDING), 0) AS BIGINT)
-                     AS begin_token,
-                   CAST(coalesce(sum(n_tokens) OVER (
-                          ORDER BY doc_id
-                          ROWS BETWEEN UNBOUNDED PRECEDING
-                               AND 1 PRECEDING), 0) // {seq_len} AS BIGINT)
-                     AS seq_id
-            FROM cnt
+            {_packed("uniq")}
+            SELECT doc_id, n_tokens, begin_token, seq_id FROM pk
     """
 
 
@@ -1073,28 +1293,36 @@ _SEMDEDUP_TAU = 0.4
 _SAMPLE_CAP = 32
 
 
-def _lp_rounds_ctes(*, rounds: int) -> str:
-    """Unrolled connected-components rounds over CTEs ``und`` (directed
-    pair list src->dst) and ``l0`` (doc_id, lbl=doc_id).  Round r does a
-    one-hop neighbor-min (n{r}) then a pointer jump l(v) <- min(l(v),
-    l(l(v))) (l{r}), so label distance halves per round after the hop —
-    ``rounds=8`` converges for any component diameter <= 2^8.  Every
-    stage is AS MATERIALIZED: DuckDB would otherwise inline each
-    round's CTE into the next, exploding the plan exponentially."""
-    parts = []
-    for r in range(1, rounds + 1):
-        parts.append(f"""
-            n{r} AS MATERIALIZED (
+def _components_oracle() -> str:
+    """Near-dup clusters (mirrors kgx/ops/components.py:
+    neardup_components): exact-Jaccard >= 0.8 pairs, then unrolled
+    min-label propagation with pointer jumping.  Round r does a one-hop
+    neighbor-min (n{r}) then a jump l(v) <- min(l(v), l(l(v))) (l{r}),
+    so label distance halves per round after the hop: 8 rounds converge
+    for any component diameter <= 2^8, with no quadratic transitive
+    closure."""
+    def step(r: int) -> str:
+        return f"""
+            n{r} AS (
               SELECT l.doc_id,
                      least(l.lbl, coalesce(min(n.lbl), l.lbl)) AS lbl
               FROM l{r - 1} l
               LEFT JOIN und u ON u.src = l.doc_id
               LEFT JOIN l{r - 1} n ON n.doc_id = u.dst
               GROUP BY l.doc_id, l.lbl),
-            l{r} AS MATERIALIZED (
+            l{r} AS (
               SELECT a.doc_id, least(a.lbl, b.lbl) AS lbl
-              FROM n{r} a JOIN n{r} b ON b.doc_id = a.lbl)""")
-    return ",".join(parts)
+              FROM n{r} a JOIN n{r} b ON b.doc_id = a.lbl)"""
+    seed = """
+            und AS (
+              SELECT doc_a AS src, doc_b AS dst FROM jp
+              UNION ALL SELECT doc_b, doc_a FROM jp),
+            l0 AS (SELECT doc_id, doc_id AS lbl FROM documents)"""
+    return f"""
+            WITH {_term_docs()}, {_set_jaccard("dt", "term", 0.8)},
+            {_unroll(seed, step, 8)}
+            SELECT doc_id, lbl AS component_id FROM l8
+    """
 
 
 def _mix32_sql(expr: str) -> str:
@@ -1127,15 +1355,8 @@ def _kmeans_ctes(*, k: int, iters: int) -> str:
     dedup_semantic oracles (mirrors kgx/ops/cluster.py exactly: init = k
     lowest vec_ids, distances and centroids rounded to 6 dp, ties to the
     lowest cluster id, empty clusters keep their previous centroid)."""
-    parts = [f"""
-            e AS (SELECT vec_id, CAST(embedding AS DOUBLE[]) AS v
-                  FROM embeddings),
-            c0 AS (
-              SELECT row_number() OVER (ORDER BY vec_id) - 1 AS c,
-                     list_transform(v, x -> round(x, 6)) AS cv
-              FROM (SELECT vec_id, v FROM e ORDER BY vec_id LIMIT {k}))"""]
-    for t in range(1, iters + 1):
-        parts.append(f"""
+    def step(t: int) -> str:
+        return f"""
             a{t} AS (
               SELECT vec_id, v, c FROM (
                 SELECT e.vec_id, e.v, c{t - 1}.c,
@@ -1152,9 +1373,15 @@ def _kmeans_ctes(*, k: int, iters: int) -> str:
               SELECT c, list(m ORDER BY i) AS cv FROM u{t} GROUP BY c
               UNION ALL
               SELECT c, cv FROM c{t - 1}
-              WHERE c NOT IN (SELECT c FROM u{t}))""")
+              WHERE c NOT IN (SELECT c FROM u{t}))"""
+    seed = f"""
+            {_EMB},
+            c0 AS (
+              SELECT row_number() OVER (ORDER BY vec_id) - 1 AS c,
+                     list_transform(v, x -> round(x, 6)) AS cv
+              FROM (SELECT vec_id, v FROM e ORDER BY vec_id LIMIT {k}))"""
     # final assignment against the post-iteration centroids
-    parts.append(f"""
+    return f"""{_unroll(seed, step, iters)},
             afin AS (
               SELECT vec_id, v, c, dist FROM (
                 SELECT e.vec_id, e.v, c{iters}.c,
@@ -1162,8 +1389,7 @@ def _kmeans_ctes(*, k: int, iters: int) -> str:
                        row_number() OVER (PARTITION BY e.vec_id
                          ORDER BY round(list_distance(e.v, c{iters}.cv), 6),
                                   c{iters}.c) AS rn
-                FROM e CROSS JOIN c{iters}) WHERE rn = 1)""")
-    return ",".join(parts)
+                FROM e CROSS JOIN c{iters}) WHERE rn = 1)"""
 
 
 def _kmeans_oracle(*, k: int, iters: int) -> str:
@@ -1188,42 +1414,16 @@ def _semdedup_oracle(*, k: int, iters: int, tau: float) -> str:
     """
 
 
-def _materialize_ctes(sql: str) -> str:
-    """Force ``AS MATERIALIZED`` on every CTE: the unrolled iteration
-    chains reference each level 2-3x, and DuckDB's default inlining
-    re-evaluates the whole prefix per reference — exponential in the
-    iteration count (measured: the 5-round IVF quantizer chain 136 s
-    inlined vs 0.3 s materialized)."""
-    import re as _re
-    return _re.sub(r"(\b[a-z_]+\d*\b) AS \(", r"\1 AS MATERIALIZED (",
-                   sql)
-
-
 def _ann_quantizer_ctes(*, n_cells: int, train_mod: int,
                         iters: int) -> str:
     """Shared unrolled IVF quantizer chain (en/s/c0..c{iters}) mirroring
-    kgx/ops/simsearch.py _kmeans exactly since the round-5
-    deterministic-init change: init = the first n_cells vec_id-ordered
-    normalized sample rows rounded 6 dp; assignment = argmax of the
-    6dp-rounded dot with ties to the lowest cell; update = renormalized
-    member mean rounded 6 dp; empty cells keep their previous
-    centroid."""
-    parts = [f"""
-            en AS (
-              SELECT vec_id,
-                     list_transform(CAST(embedding AS DOUBLE[]),
-                       x -> x / sqrt(list_dot_product(
-                              CAST(embedding AS DOUBLE[]),
-                              CAST(embedding AS DOUBLE[])))) AS vn
-              FROM embeddings),
-            s AS (SELECT vec_id, vn FROM en WHERE vec_id % {train_mod} = 0),
-            c0 AS (
-              SELECT row_number() OVER (ORDER BY vec_id) - 1 AS c,
-                     list_transform(vn, x -> round(x, 6)) AS cv
-              FROM (SELECT vec_id, vn FROM s ORDER BY vec_id
-                    LIMIT {n_cells}))"""]
-    for t in range(1, iters + 1):
-        parts.append(f"""
+    kgx/ops/simsearch.py _train_sample + _kmeans exactly: init = the
+    first n_cells vec_id-ordered normalized sample rows rounded 6 dp;
+    assignment = argmax of the 6dp-rounded dot with ties to the lowest
+    cell; update = renormalized member mean rounded 6 dp; empty cells
+    keep their previous centroid."""
+    def step(t: int) -> str:
+        return f"""
             a{t} AS (
               SELECT vec_id, vn, c FROM (
                 SELECT s.vec_id, s.vn, c{t - 1}.c,
@@ -1246,8 +1446,22 @@ def _ann_quantizer_ctes(*, n_cells: int, train_mod: int,
               WHERE nrm > 0 GROUP BY u{t}.c, nrm
               UNION ALL
               SELECT c, cv FROM c{t - 1}
-              WHERE c NOT IN (SELECT c FROM n{t} WHERE nrm > 0))""")
-    return ",".join(parts)
+              WHERE c NOT IN (SELECT c FROM n{t} WHERE nrm > 0))"""
+    seed = f"""
+            en AS (
+              SELECT vec_id,
+                     list_transform(CAST(embedding AS DOUBLE[]),
+                       x -> x / sqrt(list_dot_product(
+                              CAST(embedding AS DOUBLE[]),
+                              CAST(embedding AS DOUBLE[])))) AS vn
+              FROM embeddings),
+            s AS (SELECT vec_id, vn FROM en WHERE vec_id % {train_mod} = 0),
+            c0 AS (
+              SELECT row_number() OVER (ORDER BY vec_id) - 1 AS c,
+                     list_transform(vn, x -> round(x, 6)) AS cv
+              FROM (SELECT vec_id, vn FROM s ORDER BY vec_id
+                    LIMIT {n_cells}))"""
+    return _unroll(seed, step, iters)
 
 
 def _ann_probe_ctes(*, n_q: int, n_probe: int, iters: int) -> str:
@@ -1280,7 +1494,7 @@ def _ivf_oracle(*, n_q: int, k: int, n_cells: int, n_probe: int,
     exactly since the round-5 deterministic-quantizer change); the
     final ranking orders on the raw cosine with vec_id tie-break and
     emits the 6dp-rounded score — the simsearch_topk conventions."""
-    return _materialize_ctes(f"""
+    return f"""
             WITH {_ann_quantizer_ctes(n_cells=n_cells,
                                       train_mod=train_mod, iters=iters)},
             {_ann_probe_ctes(n_q=n_q, n_probe=n_probe, iters=iters)},
@@ -1297,7 +1511,7 @@ def _ivf_oracle(*, n_q: int, k: int, n_cells: int, n_probe: int,
               WHERE en.vec_id <> q.qid)
             SELECT qid AS query_id, vec_id AS neighbor_id, score, rank
             FROM ranked WHERE rank <= {k}
-    """)
+    """
 
 
 def _pq_oracle(*, n_q: int, k: int, m: int, k_sub: int, n_cells: int,
@@ -1315,7 +1529,7 @@ def _pq_oracle(*, n_q: int, k: int, m: int, k_sub: int, n_cells: int,
     d_sub = dim // m
     shortlist = k * refine
     sub_expr = f"list_slice(vn, j * {d_sub} + 1, (j + 1) * {d_sub})"
-    parts = [f"""
+    seed = f"""
             js AS (SELECT unnest(range({m})) AS j),
             pqsub AS (
               SELECT vec_id, j, {sub_expr} AS sv
@@ -1327,9 +1541,10 @@ def _pq_oracle(*, n_q: int, k: int, m: int, k_sub: int, n_cells: int,
               FROM (SELECT vec_id, j, sv,
                            row_number() OVER (PARTITION BY j
                              ORDER BY vec_id) AS rn0
-                    FROM pqsub) WHERE rn0 <= {k_sub})"""]
-    for t in range(1, iters + 1):
-        parts.append(f"""
+                    FROM pqsub) WHERE rn0 <= {k_sub})"""
+
+    def step(t: int) -> str:
+        return f"""
             ba{t} AS (
               SELECT vec_id, j, sv, c FROM (
                 SELECT p.vec_id, p.j, p.sv, b.c,
@@ -1352,8 +1567,12 @@ def _pq_oracle(*, n_q: int, k: int, m: int, k_sub: int, n_cells: int,
               UNION ALL
               SELECT bp.j, bp.c, bp.cw FROM b{t - 1} bp
               WHERE NOT EXISTS (SELECT 1 FROM bu{t} u
-                                WHERE u.j = bp.j AND u.c = bp.c))""")
-    parts.append(f"""
+                                WHERE u.j = bp.j AND u.c = bp.c))"""
+    return f"""
+            WITH {_ann_quantizer_ctes(n_cells=n_cells,
+                                      train_mod=train_mod, iters=iters)},
+            {_ann_probe_ctes(n_q=n_q, n_probe=n_probe, iters=iters)},
+            {_unroll(seed, step, iters)},
             esub AS (
               SELECT vec_id, j, {sub_expr} AS sv
               FROM en CROSS JOIN js),
@@ -1401,15 +1620,11 @@ def _pq_oracle(*, n_q: int, k: int, m: int, k_sub: int, n_cells: int,
                                 sh.vec_id ASC) AS rank
               FROM short sh
               JOIN q ON q.qid = sh.qid
-              JOIN en ON en.vec_id = sh.vec_id)""")
-    return _materialize_ctes(f"""
-            WITH {_ann_quantizer_ctes(n_cells=n_cells,
-                                      train_mod=train_mod, iters=iters)},
-            {_ann_probe_ctes(n_q=n_q, n_probe=n_probe, iters=iters)},
-            {",".join(parts)}
+              JOIN en ON en.vec_id = sh.vec_id)
             SELECT qid AS query_id, vec_id AS neighbor_id, score, rank
             FROM ranked WHERE rank <= {k}
-    """)
+    """
+
 
 def _q_text_weighted_sample(sf_dir: str):
     """Efraimidis-Spirakis weighted sampling without replacement, top-100
@@ -1501,7 +1716,8 @@ def _q_kg_ppr(sf_dir: str):
     shape as kg_pagerank, bit-identical to the unrolled SQL oracle."""
     from kgx.ops.graph import personalized_pagerank
     from kgx.pipelines.docs_kg import kg_tables
-    return personalized_pagerank(kg_tables(sf_dir)["edges"], iters=10)
+    return personalized_pagerank(kg_tables(sf_dir)["edges"],
+                                 iters=_PR_ITERS)
 
 
 def _q_kg_pagerank(sf_dir: str):
@@ -1510,7 +1726,7 @@ def _q_kg_pagerank(sf_dir: str):
     distributed fold bit-identical to the unrolled SQL oracle."""
     from kgx.ops.graph import pagerank
     from kgx.pipelines.docs_kg import kg_tables
-    return pagerank(kg_tables(sf_dir)["edges"], iters=10)
+    return pagerank(kg_tables(sf_dir)["edges"], iters=_PR_ITERS)
 
 
 def _q_kg_triangles(sf_dir: str):
@@ -1629,117 +1845,71 @@ _KCORE_ROUNDS = 8
 
 
 def _kcore_oracle(*, k: int, rounds: int) -> str:
-    """Unrolled fixed-round k-core peel over the same co-occurrence edge
-    CTE as kg_triangles (mirrors kgx/ops/graph.py:kcore_vertices)."""
-    parts = []
-    for r in range(1, rounds + 1):
-        # MATERIALIZED stops DuckDB inlining each round's CTE into the
-        # next (inlining re-expands e0 3^rounds times -> fd exhaustion)
-        parts.append(f"""
-            s{r} AS MATERIALIZED (SELECT v FROM d{r - 1} WHERE d >= {k}),
-            e{r} AS MATERIALIZED (SELECT s, t FROM e{r - 1}
+    """Unrolled fixed-round k-core peel over the co-occurrence edges
+    (mirrors kgx/ops/graph.py:kcore_vertices): per round, keep the
+    vertices of degree >= k and the edges between them."""
+    def step(r: int) -> str:
+        return f"""
+            s{r} AS (SELECT v FROM d{r - 1} WHERE d >= {k}),
+            e{r} AS (SELECT s, t FROM e{r - 1}
                      WHERE s IN (SELECT v FROM s{r})
                        AND t IN (SELECT v FROM s{r})),
-            d{r} AS MATERIALIZED (
-              SELECT s AS v, count(*) AS d FROM e{r} GROUP BY s)""")
+            d{r} AS (SELECT s AS v, count(*) AS d FROM e{r} GROUP BY s)"""
+    seed = f"""{_sym_edges()},
+            e0 AS (SELECT s, t FROM ed),
+            d0 AS (SELECT s AS v, count(*) AS d FROM e0 GROUP BY s)"""
     return f"""
-            WITH dt AS (
-              SELECT doc_id,
-                     unnest(list_distinct(regexp_extract_all(
-                       text, '{_TERM_RE}'))) AS term
-              FROM documents),
-            p AS (
-              SELECT a.term AS s, b.term AS t
-              FROM dt a JOIN dt b
-                ON a.doc_id = b.doc_id AND a.term < b.term
-              GROUP BY 1, 2),
-            e0 AS MATERIALIZED (
-              SELECT s, t FROM p UNION ALL SELECT t AS s, s AS t FROM p),
-            d0 AS MATERIALIZED (
-              SELECT s AS v, count(*) AS d FROM e0 GROUP BY s),
-            {",".join(parts)}
+            WITH {_term_docs()}, {_cooc_pairs()},
+            {_unroll(seed, step, rounds)}
             SELECT v AS name, d AS degree FROM d{rounds} WHERE d >= {k}
     """
 
 
-def _ppr_oracle(*, iters=10, damping_pct=85, scale=10**12) -> str:
-    """DuckDB mirror of kgx.ops.graph.personalized_pagerank: identical
-    shape to _pagerank_oracle, but the teleport term lands only on the
-    lexicographically smallest vertex."""
-    seed_base = f"(({100 - damping_pct} * {scale}) // 100)"
-    its = []
-    for k in range(1, iters + 1):
-        its.append(f"""
-            r{k} AS (
-              SELECT ed.t AS v,
-                     CAST(CASE WHEN ed.t = (SELECT sv FROM sd)
-                               THEN {seed_base} ELSE 0 END
-                          + ({damping_pct} * sum(p.r // dg.d))
-                          // 100 AS BIGINT) AS r
-              FROM ed JOIN r{k - 1} p ON ed.s = p.v
-                      JOIN deg dg ON ed.s = dg.v
-              GROUP BY ed.t)""")
-    return f"""
-            WITH dt AS (
-              SELECT doc_id,
-                     unnest(list_distinct(regexp_extract_all(
-                       text, '{_TERM_RE}'))) AS term
-              FROM documents),
-            e0 AS (
-              SELECT a.term AS s, b.term AS t
-              FROM dt a JOIN dt b
-                ON a.doc_id = b.doc_id AND a.term < b.term
-              GROUP BY 1, 2),
-            ed AS (SELECT s, t FROM e0
-                   UNION ALL SELECT t AS s, s AS t FROM e0),
-            deg AS (SELECT s AS v, count(*) AS d FROM ed GROUP BY s),
-            sd AS (SELECT min(v) AS sv FROM deg),
-            r0 AS (SELECT v,
-                          CASE WHEN v = (SELECT sv FROM sd)
-                               THEN {scale} ELSE 0 END AS r
-                   FROM deg),{",".join(its)}
-            SELECT d.v AS name, d.d AS degree,
-                   CAST(rr.r AS BIGINT) AS ppr_units
-            FROM deg d JOIN r{iters} rr ON d.v = rr.v
-    """
+_PR_ITERS = 10
 
 
-def _pagerank_oracle(*, iters=10, damping_pct=85, scale=10**12) -> str:
-    """DuckDB mirror of kgx.ops.graph.pagerank over the co-occurrence
-    edges (same CTE as the kg_edges oracle), iterations unrolled in
-    BIGINT arithmetic — r_k = base + (d * sum(r_{k-1}//deg)) // 100."""
-    base = (f"(({100 - damping_pct} * ({scale} // (SELECT nv FROM nn)))"
-            " // 100)")
-    its = []
-    for k in range(1, iters + 1):
-        its.append(f"""
+def _pagerank_oracle(kind: str) -> str:
+    """The one SQL twin of kgx/ops/graph.py's three PageRank kernels over
+    the co-occurrence edges: ``"pr"`` (pagerank), ``"wpr"``
+    (weighted_pagerank: each edge carries its co-occurring-document
+    count w and a vertex's degree is its sum of w) and ``"ppr"``
+    (personalized_pagerank: the teleport mass lands only on the
+    lexicographically smallest vertex).  _PR_ITERS rounds of one BIGINT
+    recurrence, damping 85/100 over 1e12 units:
+    r_k(v) = teleport(v) + (85 * sum over in-edges of share) // 100,
+    share = r_{k-1}(u) // deg(u) (weighted: (r_{k-1}(u) * w) // deg(u))."""
+    scale = 10**12
+    weighted = kind == "wpr"
+    if kind == "ppr":
+        start = f"CASE WHEN v = (SELECT sv FROM sd) THEN {scale} ELSE 0 END"
+        teleport = (f"CASE WHEN ed.t = (SELECT sv FROM sd)"
+                    f" THEN ((15 * {scale}) // 100) ELSE 0 END")
+    else:
+        start = f"{scale} // (SELECT nv FROM nn)"
+        teleport = f"((15 * ({scale} // (SELECT nv FROM nn))) // 100)"
+    share = "(pr.r * ed.w) // dg.d" if weighted else "pr.r // dg.d"
+    degree = "CAST(sum(w) AS BIGINT)" if weighted else "count(*)"
+
+    def step(k: int) -> str:
+        return f"""
             r{k} AS (
               SELECT ed.t AS v,
-                     CAST({base} + ({damping_pct} * sum(p.r // dg.d))
-                          // 100 AS BIGINT) AS r
-              FROM ed JOIN r{k - 1} p ON ed.s = p.v
+                     CAST({teleport} + (85 * sum({share})) // 100
+                          AS BIGINT) AS r
+              FROM ed JOIN r{k - 1} pr ON ed.s = pr.v
                       JOIN deg dg ON ed.s = dg.v
-              GROUP BY ed.t)""")
+              GROUP BY ed.t)"""
     return f"""
-            WITH dt AS (
-              SELECT doc_id,
-                     unnest(list_distinct(regexp_extract_all(
-                       text, '{_TERM_RE}'))) AS term
-              FROM documents),
-            e0 AS (
-              SELECT a.term AS s, b.term AS t
-              FROM dt a JOIN dt b
-                ON a.doc_id = b.doc_id AND a.term < b.term
-              GROUP BY 1, 2),
-            ed AS (SELECT s, t FROM e0
-                   UNION ALL SELECT t AS s, s AS t FROM e0),
-            deg AS (SELECT s AS v, count(*) AS d FROM ed GROUP BY s),
+            WITH {_term_docs()}, {_cooc_pairs(weighted=weighted)},
+            {_sym_edges(weighted=weighted)},
+            deg AS (SELECT s AS v, {degree} AS d FROM ed GROUP BY s),
             nn AS (SELECT count(*) AS nv FROM deg),
-            r0 AS (SELECT v, {scale} // (SELECT nv FROM nn) AS r
-                   FROM deg),{",".join(its)}
-            SELECT d.v AS name, d.d AS degree,
-                   CAST(rr.r AS BIGINT) AS pr_units
-            FROM deg d JOIN r{iters} rr ON d.v = rr.v
+            sd AS (SELECT min(v) AS sv FROM deg),
+            {_unroll(f"r0 AS (SELECT v, {start} AS r FROM deg)", step,
+                     _PR_ITERS)}
+            SELECT d.v AS name, d.d AS {"w" if weighted else ""}degree,
+                   CAST(rr.r AS BIGINT) AS {kind}_units
+            FROM deg d JOIN r{_PR_ITERS} rr ON d.v = rr.v
     """
 
 
@@ -1894,7 +2064,7 @@ def _q_bm25_topk(sf_dir: str):
     return top.map_batches(to_ppm, batch_format="pyarrow")
 
 
-def _minhash_oracle(*, num_perm=64, bands=16, k=3, seed=13,
+def _minhash_oracle(*, num_perm=64, bands=16, seed=13,
                     min_est=0.5) -> str:
     """EXACT SQL twin of kgx.ops.dedup.minhash_lsh_pairs: the shingle
     hash is md5-low64 (SQL: CAST('0x'||substr(md5(s),1,16) AS UBIGINT)),
@@ -1911,25 +2081,7 @@ def _minhash_oracle(*, num_perm=64, bands=16, k=3, seed=13,
         f"({i}, {int(ai) | 1}::HUGEINT, {int(bi)}::HUGEINT)"
         for i, (ai, bi) in enumerate(zip(a.tolist(), b.tolist())))
     return f"""
-        WITH toks AS (
-          SELECT doc_id,
-                 list_filter(string_split_regex(text, '\\s+'),
-                             x -> x <> '') AS t
-          FROM documents),
-        shl AS (
-          SELECT doc_id,
-                 CASE WHEN len(t) = 0 THEN []
-                      WHEN len(t) < {k} THEN [array_to_string(t, ' ')]
-                      ELSE list_transform(
-                        generate_series(1, len(t) - {k - 1}),
-                        i -> t[i] || ' ' || t[i+1] || ' ' || t[i+2])
-                 END AS sh
-          FROM toks),
-        sh AS (SELECT doc_id, unnest(sh) AS s FROM shl),
-        hs AS (
-          SELECT DISTINCT doc_id,
-                 CAST('0x' || substr(md5(s), 1, 16) AS UBIGINT) AS h
-          FROM sh),
+        WITH {_SHINGLE_HASHES},
         perms(i, a1, bb) AS (VALUES {perms}),
         sig AS (
           SELECT doc_id, i,
@@ -1971,7 +2123,7 @@ def _simhash_oracle(*, bands=4, max_hamming=8) -> str:
           FROM documents),
         tf AS (
           SELECT doc_id, t, count(*) AS w,
-                 CAST('0x' || substr(md5(t), 1, 16) AS UBIGINT) AS h
+                 {_md5_u64("t")} AS h
           FROM toks GROUP BY doc_id, t),
         bits AS (
           SELECT doc_id, j.j,
@@ -2019,8 +2171,7 @@ def _lsh_oracle(*, n_queries=8, k=10, n_bits=4, seed=29, n_probe=8,
         f"({i}, [{', '.join(repr(float(x)) for x in H[i])}]::DOUBLE[])"
         for i in range(n_bits))
     return f"""
-        WITH e AS (
-          SELECT vec_id, CAST(embedding AS DOUBLE[]) AS v FROM embeddings),
+        WITH {_EMB},
         h(i, hv) AS (VALUES {hrows}),
         dots AS (
           SELECT e.vec_id, h.i, list_dot_product(e.v, h.hv) AS d
@@ -2069,9 +2220,8 @@ def _lsh_oracle(*, n_queries=8, k=10, n_bits=4, seed=29, n_probe=8,
     """
 
 
-_EXACT_TOPK_SQL = """
-    WITH e AS (
-      SELECT vec_id, CAST(embedding AS DOUBLE[]) AS v FROM embeddings),
+_EXACT_TOPK_SQL = f"""
+    WITH {_EMB},
     q AS (SELECT vec_id AS qid, v AS qv FROM e WHERE vec_id < 8),
     s AS (
       SELECT qid, vec_id,
@@ -2104,9 +2254,7 @@ def _hll_oracle(table: str, col: str, *, key: str | None = None,
     kout = f"{key}, " if key else f"'{col}' AS \"column\", "
     return f"""
         WITH h AS (
-          SELECT {kproj}
-                 CAST('0x' || substr(md5(CAST({col} AS VARCHAR)), 1, 16)
-                      AS UBIGINT) AS hv
+          SELECT {kproj} {_md5_u64(f"CAST({col} AS VARCHAR)")} AS hv
           FROM {table}),
         r AS (
           SELECT {kproj}
@@ -2173,15 +2321,14 @@ def _cms_oracle(table: str, col: str, query_values: list[str], *,
         WITH q(value) AS (VALUES {vals}),
         rs(r) AS (SELECT unnest(generate_series(0, {d - 1}))),
         eh AS (
-          SELECT CAST('0x' || substr(md5(CAST({col} AS VARCHAR)), 1, 16)
-                      AS UBIGINT) AS hv
+          SELECT {_md5_u64(f"CAST({col} AS VARCHAR)")} AS hv
           FROM {table}),
         counts AS (
           SELECT r, {pos('hv')} AS pos, count(*) AS c
           FROM eh CROSS JOIN rs GROUP BY 1, 2),
         qp AS (
           SELECT value, r,
-                 {pos("CAST('0x' || substr(md5(value), 1, 16) AS UBIGINT)")}
+                 {pos(_md5_u64("value"))}
                    AS pos
           FROM q CROSS JOIN rs),
         est AS (
@@ -2193,104 +2340,18 @@ def _cms_oracle(table: str, col: str, query_values: list[str], *,
     """
 
 
-def _recall_lsh_oracle() -> str:
-    """Recall-vs-exact report with BOTH sides recomputed in SQL: the
-    multi-probe LSH result (``_lsh_oracle``) joined against the exact
-    cosine top-k — the pytest recall floor becomes a driver-visible
-    exact row."""
-    return f"""
-        WITH approx AS ({_lsh_oracle()}),
-        ex AS ({_EXACT_TOPK_SQL}),
-        h AS (SELECT count(*) AS hits FROM approx a JOIN ex e
-              ON a.query_id = e.query_id
-             AND a.neighbor_id = e.neighbor_id),
-        ne AS (SELECT count(*) AS n_exact FROM ex)
-        SELECT 'lsh' AS op, CAST(8 AS BIGINT) AS n_queries,
-               CAST(10 AS BIGINT) AS k, ne.n_exact, h.hits,
-               h.hits * 1000000 // ne.n_exact AS recall_ppm
-        FROM h, ne
-    """
-
-
-def _recall_ivf_oracle() -> str:
-    """Recall-vs-exact report with BOTH sides recomputed in SQL — the
-    IVF side via the unrolled deterministic-quantizer oracle
-    (``_ivf_oracle``), the exact side via the brute cosine top-k; the
-    rows-only gap closed by the round-5 deterministic k-means init."""
-    return f"""
-        WITH approx AS ({_ivf_oracle(n_q=8, k=10, n_cells=16, n_probe=4,
-                                     train_mod=4, iters=5)}),
-        ex AS ({_EXACT_TOPK_SQL}),
-        h AS (SELECT count(*) AS hits FROM approx a JOIN ex e
-              ON a.query_id = e.query_id
-             AND a.neighbor_id = e.neighbor_id),
-        ne AS (SELECT count(*) AS n_exact FROM ex)
-        SELECT 'ivf' AS op, CAST(8 AS BIGINT) AS n_queries,
-               CAST(10 AS BIGINT) AS k, ne.n_exact, h.hits,
-               h.hits * 1000000 // ne.n_exact AS recall_ppm
-        FROM h, ne
-    """
-
-
-def _recall_pq_oracle() -> str:
-    """Recall-vs-exact report with BOTH sides recomputed in SQL — the
-    PQ side via the unrolled IVFADC+R oracle (``_pq_oracle``), the
-    exact side via the brute cosine top-k."""
-    return f"""
-        WITH approx AS ({_pq_oracle(n_q=8, k=10, m=16, k_sub=32,
-                                    n_cells=16, n_probe=8, train_mod=4,
-                                    iters=5, refine=4)}),
-        ex AS ({_EXACT_TOPK_SQL}),
-        h AS (SELECT count(*) AS hits FROM approx a JOIN ex e
-              ON a.query_id = e.query_id
-             AND a.neighbor_id = e.neighbor_id),
-        ne AS (SELECT count(*) AS n_exact FROM ex)
-        SELECT 'pq' AS op, CAST(8 AS BIGINT) AS n_queries,
-               CAST(10 AS BIGINT) AS k, ne.n_exact, h.hits,
-               h.hits * 1000000 // ne.n_exact AS recall_ppm
-        FROM h, ne
-    """
-
-
-def _recall_minhash_oracle(*, k=3, threshold=0.5) -> str:
+def _recall_minhash_oracle() -> str:
     """Recall of the MinHash-LSH candidate pairs against TRUE
-    shingle-set Jaccard >= threshold (the similarity the signatures
+    shingle-set Jaccard >= 0.5 (the similarity the signatures
     estimate), both sides in SQL over the same md5-low64 shingle
     hashes."""
     return f"""
         WITH cand AS ({_minhash_oracle()}),
-        toks AS (
-          SELECT doc_id,
-                 list_filter(string_split_regex(text, '\\s+'),
-                             x -> x <> '') AS t
-          FROM documents),
-        shl AS (
-          SELECT doc_id,
-                 CASE WHEN len(t) = 0 THEN []
-                      WHEN len(t) < {k} THEN [array_to_string(t, ' ')]
-                      ELSE list_transform(
-                        generate_series(1, len(t) - {k - 1}),
-                        i -> t[i] || ' ' || t[i+1] || ' ' || t[i+2])
-                 END AS sh
-          FROM toks),
-        sh AS (SELECT doc_id, unnest(sh) AS s FROM shl),
-        hs AS (
-          SELECT DISTINCT doc_id,
-                 CAST('0x' || substr(md5(s), 1, 16) AS UBIGINT) AS h
-          FROM sh),
-        sz AS (SELECT doc_id, count(*) AS n FROM hs GROUP BY 1),
-        inter AS (
-          SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, count(*) AS i
-          FROM hs a JOIN hs b ON a.h = b.h AND a.doc_id < b.doc_id
-          GROUP BY 1, 2),
-        truth AS (
-          SELECT doc_a, doc_b FROM inter
-          JOIN sz sa ON sa.doc_id = doc_a
-          JOIN sz sb ON sb.doc_id = doc_b
-          WHERE CAST(i AS DOUBLE) / (sa.n + sb.n - i) >= {threshold}),
-        h2 AS (SELECT count(*) AS hits FROM cand c JOIN truth t
+        {_SHINGLE_HASHES},
+        {_set_jaccard("hs", "h", 0.5)},
+        h2 AS (SELECT count(*) AS hits FROM cand c JOIN jp t
                ON c.doc_a = t.doc_a AND c.doc_b = t.doc_b),
-        nt AS (SELECT count(*) AS n_true FROM truth),
+        nt AS (SELECT count(*) AS n_true FROM jp),
         nc AS (SELECT count(*) AS n_cand FROM cand)
         SELECT 'minhash' AS op, nt.n_true, nc.n_cand, h2.hits,
                h2.hits * 1000000 // greatest(nt.n_true, 1) AS recall_ppm
@@ -3164,25 +3225,32 @@ def _nodes_from_extracted(extracted, columns=("name", "type", "n_instances")):
     return nodes_from_states(states, cap=200).select_columns(list(columns))
 
 
+def _llm_extraction(**extractor_kwargs) -> dict:
+    """Keyword arguments that route ``extract_documents`` or
+    ``claims_table`` through the production LLMExtractor actor pool,
+    sized to the cluster: (1, ncpu - 2) actors, at least 2, which
+    leaves CPUs for the fused read tasks."""
+    import ray
+
+    from kgx.stages.extract import LLMExtractor
+
+    ncpu = int(ray.cluster_resources().get("CPU", 4))
+    return {"extractor": LLMExtractor, "extractor_kwargs": extractor_kwargs,
+            "concurrency": (1, max(2, ncpu - 2))}
+
+
 def _q_kg_nodes_llm(sf_dir: str):
     """Nodes via the PRODUCTION LLM extraction path (SURVEY §2.3 T1):
     actor-pool LLMExtractor, bounded thread fan-out, retry client and
     JSON parsing all live — with the deterministic term-emulating
     transport (kgx/functions/fake_llm.py), so the same kg_nodes DuckDB
     oracle gates the whole path, not just the parsers' pytest."""
-    import ray
-
     from kgx.functions.fake_llm import TermEmulatingTransport
     from kgx.pipelines.docs_kg import extract_documents
-    from kgx.stages.extract import LLMExtractor
 
-    ncpu = int(ray.cluster_resources().get("CPU", 4))
-    extracted = extract_documents(
-        sf_dir, extractor=LLMExtractor,
-        extractor_kwargs={"transport": TermEmulatingTransport(),
-                          "extract_claims": False},
-        concurrency=(1, max(2, ncpu - 2)))
-    return _nodes_from_extracted(extracted)
+    return _nodes_from_extracted(extract_documents(
+        sf_dir, **_llm_extraction(transport=TermEmulatingTransport(),
+                                  extract_claims=False)))
 
 
 def _q_kg_claims_llm(sf_dir: str):
@@ -3191,28 +3259,11 @@ def _q_kg_claims_llm(sf_dir: str):
     then claim pass over the same chunk's entity names — the reference's
     two-pass flow) with the deterministic claim-emulating transport, so
     the same kg_claims DuckDB oracle gates the full claim path."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from kgx.functions.fake_llm import ClaimEmulatingTransport
     from kgx.pipelines.docs_kg import claims_table
-    from kgx.stages.extract import LLMExtractor
 
-    ncpu = int(ray.cluster_resources().get("CPU", 4))
-    claims = claims_table(
-        sf_dir, extractor=LLMExtractor,
-        extractor_kwargs={"transport": ClaimEmulatingTransport()},
-        concurrency=(1, max(2, ncpu - 2)))
-
-    def project(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "content": t["content"],
-            "n_entities": pc.cast(pc.list_value_length(t["entity_ids"]),
-                                  pa.int64()),
-            "n_instances": t["n_instances"],
-        })
-    return claims.map_batches(project, batch_format="pyarrow")
+    return _claims_rows(claims_table(
+        sf_dir, **_llm_extraction(transport=ClaimEmulatingTransport())))
 
 
 # Fault-injection knobs shared by the faulty queries AND their SQL
@@ -3240,13 +3291,12 @@ def _faulty_extracted(sf_dir: str):
     kg_nodes_llm_faulty and kg_llm_quarantine share one extraction run
     (the most expensive gate stage — every poisoned chunk costs 5
     transport attempts) instead of re-running it each."""
+    import os
+
     import ray
 
     from kgx.functions.fake_llm import FaultInjectingTransport
     from kgx.pipelines.docs_kg import extract_documents
-    from kgx.stages.extract import LLMExtractor
-
-    import os
 
     job = (ray.get_runtime_context().get_job_id()
            if ray.is_initialized() else None)
@@ -3254,15 +3304,12 @@ def _faulty_extracted(sf_dir: str):
     hit = _FAULTY_EXTRACTED_CACHE.get(key)
     if hit is not None:
         return hit
-    ncpu = int(ray.cluster_resources().get("CPU", 4))
-    out = extract_documents(
-        sf_dir, extractor=LLMExtractor,
-        extractor_kwargs={"transport": FaultInjectingTransport(**_FAULT_KW),
-                          "extract_claims": False,
-                          # injectable no-op sleep: the backoff LOGIC
-                          # runs, the test box doesn't wait 2^n seconds
-                          "client_kwargs": {"sleep": lambda _s: None}},
-        concurrency=(1, max(2, ncpu - 2))).materialize()
+    out = extract_documents(sf_dir, **_llm_extraction(
+        transport=FaultInjectingTransport(**_FAULT_KW),
+        extract_claims=False,
+        # injectable no-op sleep: the backoff LOGIC runs, the test box
+        # doesn't wait 2^n seconds
+        client_kwargs={"sleep": lambda _s: None})).materialize()
     _FAULTY_EXTRACTED_CACHE[key] = out
     return out
 
@@ -3301,49 +3348,25 @@ def _q_kg_nodes_pipe(sf_dir: str):
     parse_pipe_extraction, falling back to the line format on empty
     parses) — same kg_nodes oracle, so the pipe grammar round-trips
     end-to-end, not just in parser pytest."""
-    import ray
-
     from kgx.functions.fake_llm import PipeTermTransport
     from kgx.pipelines.docs_kg import extract_documents
-    from kgx.stages.extract import LLMExtractor
 
-    ncpu = int(ray.cluster_resources().get("CPU", 4))
-    extracted = extract_documents(
-        sf_dir, extractor=LLMExtractor,
-        extractor_kwargs={"transport": PipeTermTransport(),
-                          "prompt_format": "pipe",
-                          "extract_claims": False},
-        concurrency=(1, max(2, ncpu - 2)))
-    return _nodes_from_extracted(extracted)
+    return _nodes_from_extracted(extract_documents(
+        sf_dir, **_llm_extraction(transport=PipeTermTransport(),
+                                  prompt_format="pipe",
+                                  extract_claims=False)))
 
 
 def _q_kg_claims_pipe(sf_dir: str):
     """Claims via the pipe-record prompt family (M6 pipe twin:
     pipe_claim_extraction -> parse_pipe_claims), gated by the same
     kg_claims oracle."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray
-
     from kgx.functions.fake_llm import PipeTermTransport
     from kgx.pipelines.docs_kg import claims_table
-    from kgx.stages.extract import LLMExtractor
 
-    ncpu = int(ray.cluster_resources().get("CPU", 4))
-    claims = claims_table(
-        sf_dir, extractor=LLMExtractor,
-        extractor_kwargs={"transport": PipeTermTransport(),
-                          "prompt_format": "pipe"},
-        concurrency=(1, max(2, ncpu - 2)))
-
-    def project(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "content": t["content"],
-            "n_entities": pc.cast(pc.list_value_length(t["entity_ids"]),
-                                  pa.int64()),
-            "n_instances": t["n_instances"],
-        })
-    return claims.map_batches(project, batch_format="pyarrow")
+    return _claims_rows(claims_table(
+        sf_dir, **_llm_extraction(transport=PipeTermTransport(),
+                                  prompt_format="pipe")))
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
@@ -3539,9 +3562,38 @@ def oracle_sql() -> dict[str, str]:
     from kgx.ops.pii import EMAIL_RE as _EMAIL_RE
     from kgx.ops.pii import IPV4_RE as _IPV4_RE
     from kgx.ops.pii import PHONE_RE as _PHONE_RE
-    lang_counts = ",\n        ".join(
-        f"len(regexp_extract_all(text, '{rx}')) AS c_{lang}"
-        for lang, rx in _LANG_RES.items())
+    # SQL that more than one entry shares
+    nodes = _term_nodes()
+    claims = f"""
+            WITH {_CHUNK_TEXTS},
+            g AS (
+              SELECT min(ctext) AS content,
+                     CAST(len(list_distinct(flatten(array_agg(
+                       regexp_extract_all(ctext, '{_TERM_RE}')))))
+                       AS BIGINT) AS n_entities,
+                     count(*) AS n_instances
+              FROM t GROUP BY lower(ctext))
+            SELECT content, n_entities, n_instances
+            FROM g WHERE n_entities >= 1
+        """
+    # the fault transport's per-chunk poison draw (ppm scale)
+    poison = (_md5_u64(f"'{_FAULT_SEED}:poison:' || ctext")
+              + " % 1000000")
+    hourly = """
+            SELECT make_timestamp((epoch_us(ts) // 3600000000) * 3600000000)
+                     AS window_start,
+                   event_type,
+                   count(*) AS n_events,
+                   round(sum(value), 2) AS sum_value,
+                   min(value) AS min_value,
+                   max(value) AS max_value
+            FROM events GROUP BY 1, 2
+        """
+    lsh = _lsh_oracle()
+    ivf = _ivf_oracle(n_q=8, k=10, n_cells=16, n_probe=4, train_mod=4,
+                      iters=5)
+    pq = _pq_oracle(n_q=8, k=10, m=16, k_sub=32, n_cells=16, n_probe=8,
+                    train_mod=4, iters=5, refine=4)
     return {
         "kg_chunks": f"""
             WITH t AS (
@@ -3581,166 +3633,69 @@ def oracle_sql() -> dict[str, str]:
             SELECT url, chunk_id, unnest(terms) AS mention, 'TERM' AS type
             FROM t
         """,
-        "kg_nodes": f"""
-            SELECT term AS name, 'TERM' AS type, count(*) AS n_instances
-            FROM (SELECT unnest(regexp_extract_all(text, '{_TERM_RE}')) AS term
-                  FROM documents)
-            GROUP BY term
-        """,
+        "kg_nodes": nodes,
         # Incremental ingest (shard A built, shard B update_pipeline'd)
         # must equal a from-scratch build of the UNION — which is the
         # whole documents table, i.e. exactly the kg_nodes SQL.
-        "kg_update_parity": f"""
-            SELECT term AS name, 'TERM' AS type, count(*) AS n_instances
-            FROM (SELECT unnest(regexp_extract_all(text, '{_TERM_RE}')) AS term
-                  FROM documents)
-            GROUP BY term
-        """,
+        "kg_update_parity": nodes,
         # Newest-snapshot-wins: the final corpus is each url's LATEST
         # snapshot — even docs keep their text, odd docs carry the
         # re-crawled text (one appended term).
-        "kg_update_supersede": f"""
-            SELECT term AS name, 'TERM' AS type, count(*) AS n_instances
-            FROM (SELECT unnest(regexp_extract_all(
-                    CASE WHEN doc_id % 2 = 1
-                         THEN text || ' freshlyrecrawled' ELSE text END,
-                    '{_TERM_RE}')) AS term
-                  FROM documents)
-            GROUP BY term
-        """,
+        "kg_update_supersede": _term_nodes(
+            "CASE WHEN doc_id % 2 = 1"
+            " THEN text || ' freshlyrecrawled' ELSE text END"),
         # The LLM production path with the term-emulating transport has
         # the SAME mention semantics as TermExtractor, hence the same SQL.
-        "kg_nodes_llm": f"""
-            SELECT term AS name, 'TERM' AS type, count(*) AS n_instances
-            FROM (SELECT unnest(regexp_extract_all(text, '{_TERM_RE}')) AS term
-                  FROM documents)
-            GROUP BY term
-        """,
+        "kg_nodes_llm": nodes,
         # Fault-injected LLM path: transient/malformed faults RECOVER
         # (same tables), poisoned chunks drop via quarantine — the
         # oracle excludes exactly those chunks with the same seeded md5
         # predicate the transport uses (chunk text = the whitespace-
         # normalized document, oracle-pinned by kg_chunks).
         "kg_nodes_llm_faulty": f"""
-            WITH t AS (
-              SELECT array_to_string(string_split_regex(trim(text),
-                                                        '\\s+'),
-                                     ' ') AS ctext
-              FROM documents WHERE trim(text) <> ''),
-            keep AS (
-              SELECT ctext FROM t
-              WHERE CAST('0x' || substr(
-                      md5('{_FAULT_SEED}:poison:' || ctext), 1, 16)
-                      AS UBIGINT) % 1000000 >= {_FAULT_POISON_PPM})
-            SELECT term AS name, 'TERM' AS type, count(*) AS n_instances
-            FROM (SELECT unnest(regexp_extract_all(ctext, '{_TERM_RE}'))
-                    AS term
-                  FROM keep)
-            GROUP BY term
+            WITH {_CHUNK_TEXTS},
+            keep AS (SELECT ctext FROM t
+                     WHERE {poison} >= {_FAULT_POISON_PPM})
+            {_term_nodes("ctext", "keep")}
         """,
         # The quarantine sidecar: n_quarantined == the poisoned chunks.
         "kg_llm_quarantine": f"""
-            WITH t AS (
-              SELECT array_to_string(string_split_regex(trim(text),
-                                                        '\\s+'),
-                                     ' ') AS ctext
-              FROM documents WHERE trim(text) <> '')
+            WITH {_CHUNK_TEXTS}
             SELECT CAST(count(*) AS BIGINT) AS n_quarantined
-            FROM t
-            WHERE CAST('0x' || substr(
-                    md5('{_FAULT_SEED}:poison:' || ctext), 1, 16)
-                    AS UBIGINT) % 1000000 < {_FAULT_POISON_PPM}
+            FROM t WHERE {poison} < {_FAULT_POISON_PPM}
         """,
         # The pipe-record prompt family with the pipe term transport has
         # the same mention semantics — one entity record per term
         # occurrence — so the kg_nodes SQL gates it too.
-        "kg_nodes_pipe": f"""
-            SELECT term AS name, 'TERM' AS type, count(*) AS n_instances
-            FROM (SELECT unnest(regexp_extract_all(text, '{_TERM_RE}')) AS term
-                  FROM documents)
-            GROUP BY term
-        """,
+        "kg_nodes_pipe": nodes,
         # The Louvain partition is not SQL-expressible, but its checkable
         # invariants are: C0 must cover every canonical node, account for
         # every edge (internal + cross/2), respect the min-size floor,
         # and the stored flow/description_length arithmetic must match an
         # independent recomputation (violation counters pinned at 0).
         "kg_community_invariants": f"""
-            WITH dt AS (
-              SELECT doc_id,
-                     unnest(list_distinct(regexp_extract_all(text, '{_TERM_RE}'))) AS term
-              FROM documents),
-            e AS (
-              SELECT DISTINCT a.term AS s, b.term AS o
-              FROM dt a JOIN dt b ON a.doc_id = b.doc_id AND a.term < b.term)
+            WITH {_term_docs()}, {_cooc_pairs()}
             SELECT CAST(0 AS INT) AS level,
-                   (SELECT count(DISTINCT term) FROM dt)
-                     AS n_members,
-                   (SELECT count(*) FROM e) AS n_edges_accounted,
+                   (SELECT count(DISTINCT term) FROM dt) AS n_members,
+                   (SELECT count(*) FROM p) AS n_edges_accounted,
                    CAST(3 AS BIGINT) AS min_size_clamped,
                    CAST(0 AS BIGINT) AS n_flow_mismatch,
                    CAST(0 AS BIGINT) AS n_dl_mismatch,
                    CAST(0 AS BIGINT) AS n_hierarchy_orphans
         """,
         "kg_edges": f"""
-            WITH dt AS (
-              SELECT doc_id,
-                     unnest(list_distinct(regexp_extract_all(text, '{_TERM_RE}'))) AS term
-              FROM documents)
-            SELECT a.term AS subj_name, 'co_occurs_with' AS pred,
-                   b.term AS obj_name, CAST(0.6 AS DOUBLE) AS strength,
-                   count(*) AS n_instances
-            FROM dt a JOIN dt b ON a.doc_id = b.doc_id AND a.term < b.term
-            GROUP BY 1, 2, 3
+            WITH {_term_docs()}, {_cooc_pairs(weighted=True)}
+            SELECT s AS subj_name, 'co_occurs_with' AS pred,
+                   t AS obj_name, CAST(0.6 AS DOUBLE) AS strength,
+                   w AS n_instances
+            FROM p
         """,
-        "kg_claims": f"""
-            WITH t AS (
-              SELECT array_to_string(string_split_regex(trim(text), '\\s+'),
-                                     ' ') AS content
-              FROM documents WHERE trim(text) <> ''),
-            g AS (
-              SELECT min(content) AS content,
-                     CAST(len(list_distinct(flatten(array_agg(
-                       regexp_extract_all(content, '{_TERM_RE}')))))
-                       AS BIGINT) AS n_entities,
-                     count(*) AS n_instances
-              FROM t GROUP BY lower(content))
-            SELECT content, n_entities, n_instances
-            FROM g WHERE n_entities >= 1
-        """,
+        "kg_claims": claims,
         # The LLM claim path (ClaimEmulatingTransport / PipeTermTransport)
         # reproduces TermExtractor(emit_claims=True) semantics exactly, so
         # the kg_claims SQL gates both prompt formats end-to-end.
-        "kg_claims_llm": f"""
-            WITH t AS (
-              SELECT array_to_string(string_split_regex(trim(text), '\\s+'),
-                                     ' ') AS content
-              FROM documents WHERE trim(text) <> ''),
-            g AS (
-              SELECT min(content) AS content,
-                     CAST(len(list_distinct(flatten(array_agg(
-                       regexp_extract_all(content, '{_TERM_RE}')))))
-                       AS BIGINT) AS n_entities,
-                     count(*) AS n_instances
-              FROM t GROUP BY lower(content))
-            SELECT content, n_entities, n_instances
-            FROM g WHERE n_entities >= 1
-        """,
-        "kg_claims_pipe": f"""
-            WITH t AS (
-              SELECT array_to_string(string_split_regex(trim(text), '\\s+'),
-                                     ' ') AS content
-              FROM documents WHERE trim(text) <> ''),
-            g AS (
-              SELECT min(content) AS content,
-                     CAST(len(list_distinct(flatten(array_agg(
-                       regexp_extract_all(content, '{_TERM_RE}')))))
-                       AS BIGINT) AS n_entities,
-                     count(*) AS n_instances
-              FROM t GROUP BY lower(content))
-            SELECT content, n_entities, n_instances
-            FROM g WHERE n_entities >= 1
-        """,
+        "kg_claims_llm": claims,
+        "kg_claims_pipe": claims,
         "text_tokens": f"""
             SELECT doc_id, length(text) AS n_chars,
                    len(regexp_extract_all(text, '{_WS_RE}')) AS n_ws_tokens,
@@ -3748,43 +3703,22 @@ def oracle_sql() -> dict[str, str]:
             FROM documents
         """,
         "text_quality": f"""
-            WITH t AS (
-              SELECT doc_id,
-                     length(regexp_replace(text, '\\s+', '', 'g')) AS n_nonws,
-                     regexp_extract_all(text, '{_WS_RE}') AS toks
-              FROM documents),
-            q AS (
-              SELECT doc_id,
-                     len(toks) AS n_tokens,
-                     len(list_distinct(toks)) AS n_distinct_tokens,
-                     n_nonws,
-                     len(list_filter(toks, x -> x IN {_STOP_SQL})) AS n_stop
-              FROM t)
+            WITH {_quality_scores()}
             SELECT doc_id, n_tokens, n_distinct_tokens,
-                   round(n_distinct_tokens / CAST(greatest(n_tokens, 1) AS DOUBLE), 6)
+                   round(n_distinct_tokens
+                         / CAST(greatest(n_tokens, 1) AS DOUBLE), 6)
                      AS type_token_ratio,
-                   round(n_nonws / CAST(greatest(n_tokens, 1) AS DOUBLE), 6)
+                   round(length(regexp_replace(text, '\\s+', '', 'g'))
+                         / CAST(greatest(n_tokens, 1) AS DOUBLE), 6)
                      AS mean_token_len,
                    round(n_stop / CAST(greatest(n_tokens, 1) AS DOUBLE), 6)
                      AS stopword_ratio,
-                   CAST(4000 * least(n_tokens, 100)
-                        + (300000 * n_distinct_tokens) // greatest(n_tokens, 1)
-                        + (300000 * n_stop) // greatest(n_tokens, 1) AS BIGINT)
-                     AS quality_score_ppm
-            FROM q
+                   quality_score_ppm
+            FROM qs
         """,
         "text_lang": f"""
-            WITH c AS (
-              SELECT doc_id, {lang_counts}
-              FROM documents)
-            SELECT doc_id,
-                   CASE WHEN greatest(c_de, c_en, c_es, c_fr) = 0 THEN 'und'
-                        WHEN c_de >= c_en AND c_de >= c_es AND c_de >= c_fr THEN 'de'
-                        WHEN c_en >= c_es AND c_en >= c_fr THEN 'en'
-                        WHEN c_es >= c_fr THEN 'es'
-                        ELSE 'fr' END AS pred_lang,
-                   greatest(c_de, c_en, c_es, c_fr) AS marker_hits
-            FROM c
+            WITH {_lang_ids()}
+            SELECT doc_id, pred_lang, marker_hits FROM lid
         """,
         "text_fingerprint": """
             SELECT doc_id, md5(text) AS fingerprint, strlen(text) AS n_bytes
@@ -3798,52 +3732,14 @@ def oracle_sql() -> dict[str, str]:
             FROM documents GROUP BY source
         """,
         "text_filter": f"""
-            WITH t AS (
-              SELECT doc_id,
-                     length(regexp_replace(text, '\\s+', '', 'g')) AS n_nonws,
-                     regexp_extract_all(text, '{_WS_RE}') AS toks
-              FROM documents),
-            q AS (
-              SELECT doc_id,
-                     CAST(4000 * least(len(toks), 100)
-                          + (300000 * len(list_distinct(toks)))
-                            // greatest(len(toks), 1)
-                          + (300000 * len(list_filter(toks,
-                               x -> x IN {_STOP_SQL})))
-                            // greatest(len(toks), 1) AS BIGINT)
-                       AS quality_score_ppm
-              FROM t),
-            c AS (
-              SELECT doc_id, {lang_counts}
-              FROM documents),
-            l AS (
-              SELECT doc_id,
-                     CASE WHEN greatest(c_de, c_en, c_es, c_fr) = 0 THEN 'und'
-                          WHEN c_de >= c_en AND c_de >= c_es AND c_de >= c_fr
-                            THEN 'de'
-                          WHEN c_en >= c_es AND c_en >= c_fr THEN 'en'
-                          WHEN c_es >= c_fr THEN 'es'
-                          ELSE 'fr' END AS pred_lang
-              FROM c)
-            SELECT q.doc_id, q.quality_score_ppm, l.pred_lang
-            FROM q JOIN l ON q.doc_id = l.doc_id
-            WHERE q.quality_score_ppm >= 300000 AND l.pred_lang = 'en'
+            WITH {_quality_scores()}, {_lang_ids()}
+            SELECT qs.doc_id, qs.quality_score_ppm, lid.pred_lang
+            FROM qs JOIN lid ON qs.doc_id = lid.doc_id
+            WHERE qs.quality_score_ppm >= 300000 AND lid.pred_lang = 'en'
         """,
         "text_pack": f"""
-            WITH t AS (
-              SELECT doc_id,
-                     CAST(len(regexp_extract_all(text, '{_WS_RE}'))
-                          AS BIGINT) AS n_tokens
-              FROM documents),
-            o AS (
-              SELECT doc_id, n_tokens,
-                     CAST(coalesce(sum(n_tokens) OVER (ORDER BY doc_id
-                       ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING),
-                       0) AS BIGINT) AS begin_token
-              FROM t)
-            SELECT doc_id, n_tokens, begin_token,
-                   begin_token // 2048 AS seq_id
-            FROM o
+            WITH {_packed("documents")}
+            SELECT doc_id, n_tokens, begin_token, seq_id FROM pk
         """,
         "text_contaminate": """
             WITH toks AS (
@@ -3877,50 +3773,10 @@ def oracle_sql() -> dict[str, str]:
         "dedup_minhash": _minhash_oracle(),
         "dedup_simhash": _simhash_oracle(),
         "dedup_jaccard": f"""
-            WITH dt AS (
-              SELECT doc_id,
-                     unnest(list_distinct(regexp_extract_all(text, '{_TERM_RE}'))) AS term
-              FROM documents),
-            sz AS (SELECT doc_id, count(*) AS n FROM dt GROUP BY 1),
-            inter AS (
-              SELECT a.doc_id AS da, b.doc_id AS db, count(*) AS i
-              FROM dt a JOIN dt b ON a.term = b.term AND a.doc_id < b.doc_id
-              GROUP BY 1, 2)
-            SELECT da AS doc_a, db AS doc_b,
-                   CAST(i AS DOUBLE) / (sa.n + sb.n - i) AS jaccard
-            FROM inter
-            JOIN sz sa ON sa.doc_id = da
-            JOIN sz sb ON sb.doc_id = db
-            WHERE CAST(i AS DOUBLE) / (sa.n + sb.n - i) >= 0.8
+            WITH {_term_docs()}, {_set_jaccard("dt", "term", 0.8)}
+            SELECT doc_a, doc_b, jaccard FROM jp
         """,
-        # Unrolled min-label propagation + pointer jumping (the
-        # kg_kcore AS MATERIALIZED device): each round is one linear
-        # neighbor-min pass plus one label self-join, and jumping makes
-        # convergence log-diameter, so 8 rounds cover diameter 2^8 —
-        # no quadratic transitive closure, gates at sf0.1 in seconds.
-        "dedup_components": f"""
-            WITH dt AS (
-              SELECT doc_id,
-                     unnest(list_distinct(regexp_extract_all(text, '{_TERM_RE}'))) AS term
-              FROM documents),
-            sz AS (SELECT doc_id, count(*) AS n FROM dt GROUP BY 1),
-            inter AS (
-              SELECT a.doc_id AS da, b.doc_id AS db, count(*) AS i
-              FROM dt a JOIN dt b ON a.term = b.term AND a.doc_id < b.doc_id
-              GROUP BY 1, 2),
-            p AS (
-              SELECT da, db FROM inter
-              JOIN sz sa ON sa.doc_id = da
-              JOIN sz sb ON sb.doc_id = db
-              WHERE CAST(i AS DOUBLE) / (sa.n + sb.n - i) >= 0.8),
-            und AS MATERIALIZED (
-              SELECT da AS src, db AS dst FROM p
-              UNION ALL SELECT db, da FROM p),
-            l0 AS MATERIALIZED (
-              SELECT doc_id, doc_id AS lbl FROM documents),
-            {_lp_rounds_ctes(rounds=8)}
-            SELECT doc_id, lbl AS component_id FROM l8
-        """,
+        "dedup_components": _components_oracle(),
         # A-ES key = ln(u)/w, u = (hex12(md5(id)) + 1) / 16^12; libm-vs-
         # DuckDB ln() differ at ~1 ulp, far under the 12-dp rounding
         "text_weighted_sample": """
@@ -3941,130 +3797,53 @@ def oracle_sql() -> dict[str, str]:
             SELECT doc_id, weight, key AS samp_key, rank
             FROM s WHERE rank <= 100
         """,
-        "text_split": """
+        "text_split": f"""
             WITH b AS (
               SELECT doc_id,
-                     (strpos('0123456789abcdef',
-                             substr(md5(CAST(doc_id AS VARCHAR)), 1, 1)) - 1)
-                       * 16
-                     + strpos('0123456789abcdef',
-                              substr(md5(CAST(doc_id AS VARCHAR)), 2, 1)) - 1
-                       AS bucket
+                     {_hex_int("md5(CAST(doc_id AS VARCHAR))", 2)} AS bucket
               FROM documents)
             SELECT doc_id, CAST(bucket AS INT) AS bucket,
                    CASE WHEN bucket < 26 THEN 'val' ELSE 'train' END AS split
             FROM b
         """,
         "text_source_cap": f"""
-            WITH t AS (
-              SELECT doc_id, source,
-                     length(regexp_replace(text, '\\s+', '', 'g')) AS n_nonws,
-                     regexp_extract_all(text, '{_WS_RE}') AS toks
-              FROM documents),
-            q AS (
-              SELECT doc_id, source,
-                     CAST(4000 * least(len(toks), 100)
-                          + (300000 * len(list_distinct(toks)))
-                            // greatest(len(toks), 1)
-                          + (300000 * len(list_filter(toks,
-                               x -> x IN {_STOP_SQL})))
-                            // greatest(len(toks), 1) AS BIGINT)
-                       AS quality_score_ppm
-              FROM t),
+            WITH {_quality_scores()},
             r AS (
               SELECT source, doc_id, quality_score_ppm,
                      row_number() OVER (
                        PARTITION BY source
                        ORDER BY quality_score_ppm DESC, doc_id ASC) AS rank
-              FROM q)
+              FROM qs)
             SELECT source, doc_id, quality_score_ppm, rank
             FROM r WHERE rank <= 10
         """,
-        "dedup_embedding": """
-            WITH e AS (
-              SELECT vec_id, CAST(embedding AS DOUBLE[]) AS v FROM embeddings)
+        "dedup_embedding": f"""
+            WITH {_EMB}
             SELECT a.vec_id AS vec_a, b.vec_id AS vec_b,
                    round(list_cosine_similarity(a.v, b.v), 6) AS cosine
             FROM e a JOIN e b ON a.vec_id < b.vec_id
             WHERE list_cosine_similarity(a.v, b.v) >= 0.45
         """,
-        "simsearch_lsh": _lsh_oracle(),
-        "simsearch_ivf": _ivf_oracle(n_q=8, k=10, n_cells=16, n_probe=4,
-                                     train_mod=4, iters=5),
-        "simsearch_pq": _pq_oracle(n_q=8, k=10, m=16, k_sub=32,
-                                   n_cells=16, n_probe=8, train_mod=4,
-                                   iters=5, refine=4),
-        "recall_lsh": _recall_lsh_oracle(),
-        "recall_ivf": _recall_ivf_oracle(),
-        "recall_pq": _recall_pq_oracle(),
+        "simsearch_lsh": lsh,
+        "simsearch_ivf": ivf,
+        "simsearch_pq": pq,
+        "recall_lsh": _recall_oracle("lsh", lsh),
+        "recall_ivf": _recall_oracle("ivf", ivf),
+        "recall_pq": _recall_oracle("pq", pq),
         "recall_minhash": _recall_minhash_oracle(),
-        "simsearch_topk": """
-            WITH e AS (
-              SELECT vec_id, CAST(embedding AS DOUBLE[]) AS v FROM embeddings),
-            q AS (SELECT vec_id AS qid, v AS qv FROM e WHERE vec_id < 8),
-            s AS (
-              SELECT qid, vec_id,
-                     round(list_cosine_similarity(qv, v), 6) AS score,
-                     row_number() OVER (
-                       PARTITION BY qid
-                       ORDER BY list_cosine_similarity(qv, v) DESC, vec_id ASC)
-                       AS rank
-              FROM q JOIN e ON vec_id <> qid)
-            SELECT qid AS query_id, vec_id AS neighbor_id, score, rank
-            FROM s WHERE rank <= 10
-        """,
+        "simsearch_topk": _EXACT_TOPK_SQL,
         "bm25_topk": _bm25_oracle(_BM25_QUERIES),
-        "kg_pagerank": _pagerank_oracle(iters=10),
-        "kg_ppr": _ppr_oracle(iters=10),
-        # Each triangle {a,b,c} (a<b<c in e0's ordered pairs) is
-        # enumerated exactly once, then exploded to its three vertices.
+        "kg_pagerank": _pagerank_oracle("pr"),
+        "kg_ppr": _pagerank_oracle("ppr"),
         "kg_triangles": f"""
-            WITH dt AS (
-              SELECT doc_id,
-                     unnest(list_distinct(regexp_extract_all(
-                       text, '{_TERM_RE}'))) AS term
-              FROM documents),
-            e0 AS (
-              SELECT a.term AS s, b.term AS t
-              FROM dt a JOIN dt b
-                ON a.doc_id = b.doc_id AND a.term < b.term
-              GROUP BY 1, 2),
-            tri AS (
-              SELECT e1.s AS a, e1.t AS b, e2.t AS c
-              FROM e0 e1
-              JOIN e0 e2 ON e2.s = e1.t
-              JOIN e0 e3 ON e3.s = e1.s AND e3.t = e2.t),
-            v AS (SELECT a AS name FROM tri
-                  UNION ALL SELECT b AS name FROM tri
-                  UNION ALL SELECT c AS name FROM tri)
-            SELECT name, CAST(count(*) AS BIGINT) AS n_triangles
-            FROM v GROUP BY name
+            WITH {_term_docs()}, {_cooc_pairs()}, {_TRIANGLES}
+            SELECT name, CAST(n AS BIGINT) AS n_triangles FROM tc
         """,
         # lcc_units = (2*T*1e12) // (deg*(deg-1)), integer floor-div —
         # identical fixed-point arithmetic to kgx.ops.graph.
         "kg_lcc": f"""
-            WITH dt AS (
-              SELECT doc_id,
-                     unnest(list_distinct(regexp_extract_all(
-                       text, '{_TERM_RE}'))) AS term
-              FROM documents),
-            e0 AS (
-              SELECT a.term AS s, b.term AS t
-              FROM dt a JOIN dt b
-                ON a.doc_id = b.doc_id AND a.term < b.term
-              GROUP BY 1, 2),
-            ed AS (SELECT s, t FROM e0
-                   UNION ALL SELECT t AS s, s AS t FROM e0),
-            deg AS (SELECT s AS v, count(*) AS d FROM ed GROUP BY s),
-            tri AS (
-              SELECT e1.s AS a, e1.t AS b, e2.t AS c
-              FROM e0 e1
-              JOIN e0 e2 ON e2.s = e1.t
-              JOIN e0 e3 ON e3.s = e1.s AND e3.t = e2.t),
-            vv AS (SELECT a AS name FROM tri
-                   UNION ALL SELECT b AS name FROM tri
-                   UNION ALL SELECT c AS name FROM tri),
-            tc AS (SELECT name, count(*) AS n FROM vv GROUP BY name)
+            WITH {_term_docs()}, {_cooc_pairs()}, {_sym_edges()},
+            {_DEGREES}, {_TRIANGLES}
             SELECT d.v AS name,
                    CAST(d.d AS BIGINT) AS degree,
                    CAST(COALESCE(tc.n, 0) AS BIGINT) AS n_triangles,
@@ -4073,48 +3852,19 @@ def oracle_sql() -> dict[str, str]:
             FROM deg d LEFT JOIN tc ON d.v = tc.name
             WHERE d.d >= 2
         """,
-        # component = lexicographically smallest name reachable (incl.
-        # self); every vertex is an edge endpoint, so no isolated rows.
         "kg_wcc": f"""
-            WITH dt AS (
-              SELECT doc_id,
-                     unnest(list_distinct(regexp_extract_all(
-                       text, '{_TERM_RE}'))) AS term
-              FROM documents),
-            e0 AS (
-              SELECT a.term AS s, b.term AS t
-              FROM dt a JOIN dt b
-                ON a.doc_id = b.doc_id AND a.term < b.term
-              GROUP BY 1, 2),
-            und AS (SELECT s, t FROM e0 UNION SELECT t AS s, s AS t FROM e0),
-            reach AS (
-              WITH RECURSIVE r(src, dst) AS (
-                SELECT s, t FROM und
-                UNION
-                SELECT r.src, u.t FROM r JOIN und u ON r.dst = u.s)
-              SELECT src, dst FROM r),
-            v AS (SELECT DISTINCT s AS name FROM und)
-            SELECT v.name, least(v.name, min(r.dst)) AS component
-            FROM v LEFT JOIN reach r ON r.src = v.name
-            GROUP BY v.name
+            WITH {_term_docs()}, {_cooc_pairs()}, {_sym_edges()},
+            {_COMPONENTS}
+            SELECT name, component FROM comp
         """,
         # EXACT twin of kgx/ops/graph.py:partition_modularity under the
         # first-letter partition: per edge, both endpoints' communities
         # gain a degree unit and intra edges count once — then the
         # integer form q_num = sum(4*m*e_c - d_c^2), q_den = 4*m^2.
         "kg_modularity": f"""
-            WITH dt AS (
-              SELECT doc_id,
-                     unnest(list_distinct(regexp_extract_all(
-                       text, '{_TERM_RE}'))) AS term
-              FROM documents),
-            e0 AS (
-              SELECT a.term AS s, b.term AS t
-              FROM dt a JOIN dt b
-                ON a.doc_id = b.doc_id AND a.term < b.term
-              GROUP BY 1, 2),
+            WITH {_term_docs()}, {_cooc_pairs()},
             lab AS (SELECT substr(s, 1, 1) AS cs,
-                           substr(t, 1, 1) AS ct FROM e0),
+                           substr(t, 1, 1) AS ct FROM p),
             contrib AS (
               SELECT cs AS comm, 1 AS d,
                      CASE WHEN cs = ct THEN 1 ELSE 0 END AS e
@@ -4135,101 +3885,42 @@ def oracle_sql() -> dict[str, str]:
             GROUP BY mm.m
         """,
         "kg_lpa": _lpa_oracle(rounds=_LPA_ROUNDS),
-        "kg_pagerank_weighted": _wpagerank_oracle(iters=10),
+        "kg_pagerank_weighted": _pagerank_oracle("wpr"),
         "kg_kcore": _kcore_oracle(k=_KCORE_K, rounds=_KCORE_ROUNDS),
-        # triangles counted once per vertex -> /3 for the triangle count
         "kg_stats": f"""
-            WITH dt AS (
-              SELECT doc_id,
-                     unnest(list_distinct(regexp_extract_all(
-                       text, '{_TERM_RE}'))) AS term
-              FROM documents),
-            e0 AS (
-              SELECT a.term AS s, b.term AS t
-              FROM dt a JOIN dt b
-                ON a.doc_id = b.doc_id AND a.term < b.term
-              GROUP BY 1, 2),
-            ed AS (SELECT s, t FROM e0 UNION ALL SELECT t AS s, s AS t FROM e0),
-            deg AS (SELECT s AS v, count(*) AS d FROM ed GROUP BY s),
-            und AS (SELECT s, t FROM e0 UNION SELECT t AS s, s AS t FROM e0),
-            reach AS (
-              WITH RECURSIVE r(src, dst) AS (
-                SELECT s, t FROM und
-                UNION
-                SELECT r.src, u.t FROM r JOIN und u ON r.dst = u.s)
-              SELECT src, dst FROM r),
-            comp AS (
-              SELECT v.v AS name, least(v.v, min(r.dst)) AS component
-              FROM deg v LEFT JOIN reach r ON r.src = v.v
-              GROUP BY v.v),
-            tri AS (
-              SELECT count(*) AS n3 FROM e0 e1
-              JOIN e0 e2 ON e2.s = e1.t
-              JOIN e0 e3 ON e3.s = e1.s AND e3.t = e2.t)
+            WITH {_term_docs()}, {_cooc_pairs()}, {_sym_edges()},
+            {_DEGREES}, {_COMPONENTS}, {_TRIANGLES}
             SELECT CAST((SELECT count(*) FROM deg) AS BIGINT) AS n_vertices,
-                   CAST((SELECT count(*) FROM e0) AS BIGINT) AS n_edges,
+                   CAST((SELECT count(*) FROM p) AS BIGINT) AS n_edges,
                    CAST((SELECT max(d) FROM deg) AS BIGINT) AS max_degree,
                    CAST((SELECT count(DISTINCT component) FROM comp)
                         AS BIGINT) AS n_components,
-                   CAST((SELECT n3 FROM tri) AS BIGINT) AS n_triangles
+                   CAST((SELECT count(*) FROM tri) AS BIGINT) AS n_triangles
         """,
         # degree histogram buckets: floor(degree / 4); sum column is the
         # histogram op's integer-cents contract (degree * 100)
         "kg_degree_hist": f"""
-            WITH dt AS (
-              SELECT doc_id,
-                     unnest(list_distinct(regexp_extract_all(
-                       text, '{_TERM_RE}'))) AS term
-              FROM documents),
-            p AS (
-              SELECT a.term AS s, b.term AS t
-              FROM dt a JOIN dt b
-                ON a.doc_id = b.doc_id AND a.term < b.term
-              GROUP BY 1, 2),
-            ed AS (SELECT s, t FROM p UNION ALL SELECT t AS s, s AS t FROM p),
-            deg AS (SELECT s AS v, CAST(count(*) AS DOUBLE) AS d
-                    FROM ed GROUP BY s)
+            WITH {_term_docs()}, {_cooc_pairs()}, {_sym_edges()}, {_DEGREES}
             SELECT CAST(floor(d / 4.0) AS BIGINT) AS bin,
                    CAST(count(*) AS BIGINT) AS n_rows,
-                   CAST(sum(CAST(floor(d * 100 + 0.5) AS BIGINT))
-                        AS BIGINT) AS sum_value_cents
+                   CAST(sum(d * 100) AS BIGINT) AS sum_value_cents
             FROM deg GROUP BY 1
         """,
         # lift_units = (c_ab * N * 1e6) // (c_a * c_b), integer floor-div
         "kg_lift": f"""
-            WITH dt AS (
-              SELECT doc_id,
-                     unnest(list_distinct(regexp_extract_all(
-                       lower(text), '{_TERM_RE}'))) AS term
-              FROM documents),
+            WITH {_term_docs("lower(text)")}, {_cooc_pairs(weighted=True)},
             n AS (SELECT count(*) AS nd FROM documents),
-            df AS (SELECT term, count(*) AS c FROM dt GROUP BY term),
-            pairs AS (
-              SELECT a.term AS term_a, b.term AS term_b,
-                     count(*) AS n_both
-              FROM dt a JOIN dt b
-                ON a.doc_id = b.doc_id AND a.term < b.term
-              GROUP BY 1, 2)
-            SELECT p.term_a, p.term_b,
-                   CAST(p.n_both AS BIGINT) AS n_both,
-                   (p.n_both * (SELECT nd FROM n) * 1000000)
+            df AS (SELECT term, count(*) AS c FROM dt GROUP BY term)
+            SELECT p.s AS term_a, p.t AS term_b,
+                   CAST(p.w AS BIGINT) AS n_both,
+                   (p.w * (SELECT nd FROM n) * 1000000)
                      // (da.c * db.c) AS lift_units
-            FROM pairs p JOIN df da ON da.term = p.term_a
-                         JOIN df db ON db.term = p.term_b
+            FROM p JOIN df da ON da.term = p.s
+                   JOIN df db ON db.term = p.t
         """,
         # BFS distance = min hop over the unioned frontier expansions
         "kg_khop": f"""
-            WITH dt AS (
-              SELECT doc_id,
-                     unnest(list_distinct(regexp_extract_all(
-                       text, '{_TERM_RE}'))) AS term
-              FROM documents),
-            p AS (
-              SELECT a.term AS s, b.term AS t
-              FROM dt a JOIN dt b
-                ON a.doc_id = b.doc_id AND a.term < b.term
-              GROUP BY 1, 2),
-            ed AS (SELECT s, t FROM p UNION ALL SELECT t AS s, s AS t FROM p),
+            WITH {_term_docs()}, {_cooc_pairs()}, {_sym_edges()},
             seed AS (SELECT min(s) AS v FROM ed),
             h1 AS (SELECT DISTINCT t AS name FROM ed
                    WHERE s = (SELECT v FROM seed)),
@@ -4244,18 +3935,8 @@ def oracle_sql() -> dict[str, str]:
         # common neighbors of (a,b) == wedges a-c-b; jac_units is the
         # same integer floor-division as kgx.ops.graph (SCALE = 1e12)
         "kg_neighbor_jaccard": f"""
-            WITH dt AS (
-              SELECT doc_id,
-                     unnest(list_distinct(regexp_extract_all(
-                       text, '{_TERM_RE}'))) AS term
-              FROM documents),
-            p AS (
-              SELECT a.term AS s, b.term AS t
-              FROM dt a JOIN dt b
-                ON a.doc_id = b.doc_id AND a.term < b.term
-              GROUP BY 1, 2),
-            ed AS (SELECT s, t FROM p UNION ALL SELECT t AS s, s AS t FROM p),
-            deg AS (SELECT s AS v, count(*) AS d FROM ed GROUP BY s),
+            WITH {_term_docs()}, {_cooc_pairs()}, {_sym_edges()},
+            {_DEGREES},
             w AS (SELECT l.t AS x, r.t AS y
                   FROM ed l JOIN ed r ON l.s = r.s AND l.t < r.t),
             cm AS (SELECT x, y, count(*) AS common FROM w GROUP BY x, y)
@@ -4294,37 +3975,15 @@ def oracle_sql() -> dict[str, str]:
                    c.c_name
             FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey
         """,
-        "text_ngrams": """
-            WITH toks AS (
-              SELECT string_split_regex(lower(trim(text)), '\\s+') AS t
-              FROM documents WHERE trim(text) <> ''),
-            pos AS (
-              SELECT t, unnest(generate_series(0, len(t) - 2)) AS i
-              FROM toks WHERE len(t) >= 2),
-            g AS (SELECT array_to_string(t[i + 1 : i + 2], ' ') AS ngram
-                  FROM pos)
-            SELECT ngram, count(*) AS n_occurrences
-            FROM g GROUP BY ngram
-            ORDER BY n_occurrences DESC, ngram
-            LIMIT 20
-        """,
-        "text_wordfreq": """
-            WITH toks AS (
-              SELECT unnest(string_split_regex(lower(trim(text)),
-                                               '\\s+')) AS ngram
-              FROM documents WHERE trim(text) <> '')
-            SELECT ngram, count(*) AS n_occurrences
-            FROM toks GROUP BY ngram
-            ORDER BY n_occurrences DESC, ngram
-            LIMIT 100
-        """,
+        "text_ngrams": _ngram_topk(2, 20),
+        "text_wordfreq": _ngram_topk(1, 100),
         # rows-only -> exact r5: the fixed-rounds merge loop unrolled
         # into per-round argmax + greedy-rewrite CTEs (see _bpe_oracle)
         "text_bpe": _bpe_oracle(n_merges=_BPE_MERGES,
                                 min_count=_BPE_MIN_COUNT),
         # EXACT twin of kgx/ops/dsir.py:dsir_weights — same md5-high64
         # bucketing, same single-ln-of-integer-quotient micro fixing.
-        "text_dsir": """
+        "text_dsir": f"""
             WITH toks AS (
               SELECT doc_id, lang,
                      unnest(regexp_extract_all(lower(trim(text)),
@@ -4332,7 +3991,7 @@ def oracle_sql() -> dict[str, str]:
               FROM documents WHERE trim(text) <> ''),
             bt AS (
               SELECT doc_id, lang,
-                     CAST('0x' || substr(md5(tok), 1, 16) AS UBIGINT)
+                     {_md5_u64("tok")}
                        % 4096 AS b
               FROM toks),
             agg AS (
@@ -4381,36 +4040,9 @@ def oracle_sql() -> dict[str, str]:
                    CAST(rk AS BIGINT) AS "rank"
             FROM r WHERE rk <= 5
         """,
-        "events_stream": """
-            SELECT make_timestamp((epoch_us(ts) // 3600000000) * 3600000000)
-                     AS window_start,
-                   event_type,
-                   count(*) AS n_events,
-                   round(sum(value), 2) AS sum_value,
-                   min(value) AS min_value,
-                   max(value) AS max_value
-            FROM events GROUP BY 1, 2
-        """,
-        "events_window": """
-            SELECT make_timestamp((epoch_us(ts) // 3600000000) * 3600000000)
-                     AS window_start,
-                   event_type,
-                   count(*) AS n_events,
-                   round(sum(value), 2) AS sum_value,
-                   min(value) AS min_value,
-                   max(value) AS max_value
-            FROM events GROUP BY 1, 2
-        """,
-        "events_stream_sharded": """
-            SELECT make_timestamp((epoch_us(ts) // 3600000000) * 3600000000)
-                     AS window_start,
-                   event_type,
-                   count(*) AS n_events,
-                   round(sum(value), 2) AS sum_value,
-                   min(value) AS min_value,
-                   max(value) AS max_value
-            FROM events GROUP BY 1, 2
-        """,
+        "events_stream": hourly,
+        "events_window": hourly,
+        "events_stream_sharded": hourly,
         "events_sliding": """
             WITH e AS (SELECT epoch_us(ts) AS t, event_type, value
                        FROM events),
@@ -4513,18 +4145,15 @@ def oracle_sql() -> dict[str, str]:
         # Fake decode dims derive from md5 hex pairs of the payload (the
         # utf-8 text) — byte i == int(hex[2i:2i+2], 16), computed below
         # with strpos over the hex alphabet.
-        "multimodal_decode": """
+        "multimodal_decode": f"""
             WITH m AS (
               SELECT 'doc-' || doc_id AS media_id, md5(text) AS h
               FROM documents),
             b AS (
               SELECT media_id,
-                     (strpos('0123456789abcdef', substr(h, 1, 1)) - 1) * 16
-                       + strpos('0123456789abcdef', substr(h, 2, 1)) - 1 AS b0,
-                     (strpos('0123456789abcdef', substr(h, 3, 1)) - 1) * 16
-                       + strpos('0123456789abcdef', substr(h, 4, 1)) - 1 AS b1,
-                     (strpos('0123456789abcdef', substr(h, 5, 1)) - 1) * 16
-                       + strpos('0123456789abcdef', substr(h, 6, 1)) - 1 AS b2
+                     {_hex_int("h", 2, 1)} AS b0,
+                     {_hex_int("h", 2, 3)} AS b1,
+                     {_hex_int("h", 2, 5)} AS b2
               FROM m)
             SELECT media_id, CAST(64 + b0 % 192 AS INT) AS width,
                    CAST(64 + b1 % 192 AS INT) AS height,
@@ -4702,12 +4331,10 @@ def oracle_sql() -> dict[str, str]:
                             AND l.l_quantity > 49.0)
             GROUP BY o_orderpriority
         """,
-        "rel_promo": """
+        "rel_promo": f"""
             WITH l AS (
               SELECT l_partkey,
-                     CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT)
-                     * (100 - CAST(floor(l_discount * 100 + 0.5)
-                                   AS BIGINT)) AS rev
+                     {_rev_units("")} AS rev
               FROM lineitem
               WHERE l_shipdate >= TIMESTAMP '1996-01-01'
                 AND l_shipdate <  TIMESTAMP '1996-02-01'),
@@ -4738,12 +4365,10 @@ def oracle_sql() -> dict[str, str]:
                    l.n_big, r.acctbal_cents
             FROM l FULL OUTER JOIN r ON l.custkey = r.c_custkey
         """,
-        "rel_regional": """
+        "rel_regional": f"""
             SELECT n.n_name,
                    CAST(sum(
-                     CAST(floor(l.l_extendedprice * 100 + 0.5) AS BIGINT)
-                     * (100 - CAST(floor(l.l_discount * 100 + 0.5)
-                                   AS BIGINT))) AS BIGINT) AS revenue_units
+                     {_rev_units("l.")}) AS BIGINT) AS revenue_units
             FROM customer c
             JOIN orders o ON c.c_custkey = o.o_custkey
             JOIN lineitem l ON l.l_orderkey = o.o_orderkey
@@ -4769,7 +4394,7 @@ def oracle_sql() -> dict[str, str]:
             ORDER BY min_count DESC, value ASC
             LIMIT 5
         """,
-        "rel_volume": """
+        "rel_volume": f"""
             WITH s AS (
               SELECT s_suppkey, n_name AS supp_nation
               FROM supplier JOIN nation ON s_nationkey = n_nationkey
@@ -4781,9 +4406,7 @@ def oracle_sql() -> dict[str, str]:
             SELECT s.supp_nation, c.cust_nation,
                    CAST(year(l.l_shipdate) AS BIGINT) AS l_year,
                    CAST(sum(
-                     CAST(floor(l.l_extendedprice * 100 + 0.5) AS BIGINT)
-                     * (100 - CAST(floor(l.l_discount * 100 + 0.5)
-                                   AS BIGINT))) AS BIGINT) AS revenue_units
+                     {_rev_units("l.")}) AS BIGINT) AS revenue_units
             FROM lineitem l
             JOIN orders o ON l.l_orderkey = o.o_orderkey
             JOIN s ON l.l_suppkey = s.s_suppkey
@@ -4793,12 +4416,10 @@ def oracle_sql() -> dict[str, str]:
               AND l.l_shipdate <  TIMESTAMP '1999-01-01'
             GROUP BY 1, 2, 3
         """,
-        "rel_market_share": """
+        "rel_market_share": f"""
             WITH l AS (
               SELECT l_orderkey,
-                     CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT)
-                       * (100 - CAST(floor(l_discount * 100 + 0.5)
-                                     AS BIGINT)) AS rev,
+                     {_rev_units("")} AS rev,
                      CASE WHEN l_suppkey IN (
                             SELECT s_suppkey FROM supplier
                             JOIN nation ON s_nationkey = n_nationkey
@@ -4837,13 +4458,11 @@ def oracle_sql() -> dict[str, str]:
                    count(*) AS custdist
             FROM c_orders GROUP BY c_count
         """,
-        "rel_top_supplier": """
+        "rel_top_supplier": f"""
             WITH rev AS (
               SELECT l_suppkey AS s,
                      CAST(sum(
-                       CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT)
-                       * (100 - CAST(floor(l_discount * 100 + 0.5)
-                                     AS BIGINT))) AS BIGINT) AS r
+                       {_rev_units("")}) AS BIGINT) AS r
               FROM lineitem
               WHERE l_shipdate >= TIMESTAMP '1996-01-01'
                 AND l_shipdate <  TIMESTAMP '1996-04-01'
@@ -4963,13 +4582,11 @@ def oracle_sql() -> dict[str, str]:
             ORDER BY numwait DESC, s_name
             LIMIT 100
         """,
-        "rel_profit": """
+        "rel_profit": f"""
             SELECT n_name AS nation,
                    CAST(year(o_orderdate) AS BIGINT) AS o_year,
                    CAST(sum(
-                     CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT)
-                     * (100 - CAST(floor(l_discount * 100 + 0.5)
-                                   AS BIGINT))) AS BIGINT) AS profit_units
+                     {_rev_units("")}) AS BIGINT) AS profit_units
             FROM lineitem
             JOIN orders ON l_orderkey = o_orderkey
             JOIN supplier ON l_suppkey = s_suppkey
@@ -4978,13 +4595,11 @@ def oracle_sql() -> dict[str, str]:
                                 WHERE p_name LIKE '%red%')
             GROUP BY 1, 2
         """,
-        "rel_important": """
+        "rel_important": f"""
             WITH v AS (
               SELECT l_partkey,
                      CAST(sum(
-                       CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT)
-                       * (100 - CAST(floor(l_discount * 100 + 0.5)
-                                     AS BIGINT))) AS BIGINT) AS value_units
+                       {_rev_units("")}) AS BIGINT) AS value_units
               FROM lineitem
               WHERE l_suppkey IN (SELECT s_suppkey FROM supplier
                                   JOIN nation ON s_nationkey = n_nationkey
@@ -5153,18 +4768,8 @@ def oracle_sql() -> dict[str, str]:
               WHERE year(o_orderdate) = 1997)
         """,
         "kg_assortativity": f"""
-            WITH dt AS (
-              SELECT doc_id,
-                     unnest(list_distinct(regexp_extract_all(
-                       text, '{_TERM_RE}'))) AS term
-              FROM documents),
-            p AS (
-              SELECT a.term AS s, b.term AS t
-              FROM dt a JOIN dt b
-                ON a.doc_id = b.doc_id AND a.term < b.term
-              GROUP BY 1, 2),
-            ed AS (SELECT s, t FROM p UNION ALL SELECT t AS s, s AS t FROM p),
-            deg AS (SELECT s AS v, count(*) AS d FROM ed GROUP BY s),
+            WITH {_term_docs()}, {_cooc_pairs()}, {_sym_edges()},
+            {_DEGREES},
             xy AS (SELECT da.d AS x, db.d AS y
                    FROM ed JOIN deg da ON da.v = ed.s
                            JOIN deg db ON db.v = ed.t),
@@ -5176,17 +4781,10 @@ def oracle_sql() -> dict[str, str]:
                          CAST(sum(y * y) AS BIGINT) AS sy2
                   FROM xy)
             SELECT n AS n_directed,
-                   CASE WHEN (n * sx2 - sx * sx) > 0
-                             AND (n * sy2 - sy * sy) > 0
-                        THEN CAST(floor(
-                          CAST(n * sxy - sx * sy AS DOUBLE) * 1000000.0
-                          / sqrt(CAST(n * sx2 - sx * sx AS DOUBLE)
-                                 * CAST(n * sy2 - sy * sy AS DOUBLE)))
-                          AS BIGINT)
-                        ELSE CAST(0 AS BIGINT) END AS corr_ppm
+                   {_PEARSON_PPM} AS corr_ppm
             FROM m
         """,
-        "events_corr": """
+        "events_corr": f"""
             WITH m AS (
               SELECT event_type,
                      CAST(count(*) AS BIGINT) AS n,
@@ -5206,14 +4804,7 @@ def oracle_sql() -> dict[str, str]:
               FROM events GROUP BY event_type)
             SELECT event_type, n, sx AS sum_x, sy AS sum_y,
                    sxy AS sum_xy,
-                   CASE WHEN (n * sx2 - sx * sx) > 0
-                             AND (n * sy2 - sy * sy) > 0
-                        THEN CAST(floor(
-                          CAST(n * sxy - sx * sy AS DOUBLE) * 1000000.0
-                          / sqrt(CAST(n * sx2 - sx * sx AS DOUBLE)
-                                 * CAST(n * sy2 - sy * sy AS DOUBLE)))
-                          AS BIGINT)
-                        ELSE 0 END AS corr_ppm
+                   {_PEARSON_PPM} AS corr_ppm
             FROM m
         """,
         "rel_global_sales": """
@@ -5308,13 +4899,11 @@ def oracle_sql() -> dict[str, str]:
             FROM events
             WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
         """,
-        "rel_returns": """
+        "rel_returns": f"""
             WITH agg AS (
               SELECT o.o_custkey AS c_custkey,
                      CAST(sum(
-                       CAST(floor(l.l_extendedprice * 100 + 0.5) AS BIGINT)
-                       * (100 - CAST(floor(l.l_discount * 100 + 0.5)
-                                     AS BIGINT))) AS BIGINT)
+                       {_rev_units("l.")}) AS BIGINT)
                        AS revenue_units
               FROM orders o
               JOIN lineitem l ON l.l_orderkey = o.o_orderkey
@@ -5393,7 +4982,7 @@ def oracle_sql() -> dict[str, str]:
             SELECT doc_id, t AS text_clean, n_emails, n_ips, n_phones
             FROM s3
         """,
-        "text_winnow": """
+        "text_winnow": f"""
             WITH tk AS (
               SELECT doc_id, regexp_extract_all(text, '\\S+') AS t
               FROM documents),
@@ -5405,21 +4994,7 @@ def oracle_sql() -> dict[str, str]:
                     FROM tk)),
             hs AS (
               SELECT doc_id, i,
-                     CAST((strpos('0123456789abcdef', substr(hx, 1, 1)) - 1)
-                            * 268435456
-                        + (strpos('0123456789abcdef', substr(hx, 2, 1)) - 1)
-                            * 16777216
-                        + (strpos('0123456789abcdef', substr(hx, 3, 1)) - 1)
-                            * 1048576
-                        + (strpos('0123456789abcdef', substr(hx, 4, 1)) - 1)
-                            * 65536
-                        + (strpos('0123456789abcdef', substr(hx, 5, 1)) - 1)
-                            * 4096
-                        + (strpos('0123456789abcdef', substr(hx, 6, 1)) - 1)
-                            * 256
-                        + (strpos('0123456789abcdef', substr(hx, 7, 1)) - 1)
-                            * 16
-                        + strpos('0123456789abcdef', substr(hx, 8, 1)) - 1
+                     CAST({_hex_int("hx", 8)}
                           AS BIGINT) AS v
               FROM gr),
             nh AS (SELECT doc_id, count(*) AS ch FROM hs GROUP BY doc_id),
@@ -5534,29 +5109,13 @@ def oracle_sql() -> dict[str, str]:
                      AS mean_logprob_micro
             FROM d
         """,
-        "multimodal_frames": """
+        "multimodal_frames": f"""
             WITH m AS (
               SELECT 'doc-' || doc_id AS media_id, md5(text) AS h
               FROM documents),
             d AS (
               SELECT media_id,
-                     1000 + (
-                       (strpos('0123456789abcdef', substr(h, 1, 1)) - 1)
-                         * 268435456
-                     + (strpos('0123456789abcdef', substr(h, 2, 1)) - 1)
-                         * 16777216
-                     + (strpos('0123456789abcdef', substr(h, 3, 1)) - 1)
-                         * 1048576
-                     + (strpos('0123456789abcdef', substr(h, 4, 1)) - 1)
-                         * 65536
-                     + (strpos('0123456789abcdef', substr(h, 5, 1)) - 1)
-                         * 4096
-                     + (strpos('0123456789abcdef', substr(h, 6, 1)) - 1)
-                         * 256
-                     + (strpos('0123456789abcdef', substr(h, 7, 1)) - 1)
-                         * 16
-                     + strpos('0123456789abcdef', substr(h, 8, 1)) - 1
-                     ) % 59000 AS duration_ms
+                     1000 + ({_hex_int("h", 8)}) % 59000 AS duration_ms
               FROM m),
             f AS (SELECT media_id, duration_ms,
                          unnest(generate_series(0, 1)) AS i
@@ -5623,20 +5182,14 @@ def oracle_sql() -> dict[str, str]:
             LEFT JOIN bs ON d.doc_id = bs.doc_id
             LEFT JOIN ts ON d.doc_id = ts.doc_id
         """,
-        "text_mix": """
+        "text_mix": f"""
             WITH h AS (
               SELECT doc_id, source,
                      md5(CAST(doc_id AS VARCHAR)) AS hx
               FROM documents),
             b AS (
               SELECT doc_id, source,
-                     CAST((strpos('0123456789abcdef', substr(hx,1,1)) - 1)
-                            * 4096
-                        + (strpos('0123456789abcdef', substr(hx,2,1)) - 1)
-                            * 256
-                        + (strpos('0123456789abcdef', substr(hx,3,1)) - 1)
-                            * 16
-                        + strpos('0123456789abcdef', substr(hx,4,1)) - 1
+                     CAST({_hex_int("hx", 4)}
                           AS BIGINT) AS bucket16
               FROM h)
             SELECT doc_id, source, bucket16,
@@ -5649,144 +5202,38 @@ def oracle_sql() -> dict[str, str]:
             FROM b
         """,
         "embed_negatives": f"""
-            WITH dir AS (
-              SELECT list(vec_id ORDER BY vec_id) AS arr,
-                     count(*) AS n
-              FROM embeddings),
-            g AS (SELECT unnest(generate_series(1, 4)) AS j),
-            d AS (
-              SELECT e.vec_id, g.j,
-                     ({_mix32_sql("e.vec_id * 1000003 + g.j * 7919 + 101")})
-                       % i.n AS ix,
-                     i.arr, i.n
-              FROM embeddings e CROSS JOIN g CROSS JOIN dir i)
-            SELECT vec_id, j,
-                   CASE WHEN arr[CAST(ix AS BIGINT) + 1] = vec_id
-                        THEN arr[CAST((ix + 1) % n AS BIGINT) + 1]
-                        ELSE arr[CAST(ix AS BIGINT) + 1]
-                   END AS neg_id
-            FROM d
+            WITH {_negatives(4)}
+            SELECT vec_id, j, neg_id FROM neg
         """,
         "embed_triplets": f"""
-            WITH e AS (
-              SELECT vec_id, CAST(embedding AS DOUBLE[]) AS v
-              FROM embeddings),
-            s AS (
-              SELECT a.vec_id, b.vec_id AS pos_id,
-                     round(list_cosine_similarity(a.v, b.v), 6) AS score,
-                     row_number() OVER (
-                       PARTITION BY a.vec_id
-                       ORDER BY round(list_cosine_similarity(a.v, b.v), 6)
-                                  DESC,
-                                b.vec_id ASC) AS rank
-              FROM e a JOIN e b ON a.vec_id <> b.vec_id),
+            WITH {_EMB}, {_KNN},
             pos AS (
-              SELECT vec_id, pos_id, score AS pos_score
-              FROM s WHERE rank = 1),
-            dir AS (
-              SELECT list(vec_id ORDER BY vec_id) AS arr,
-                     count(*) AS n
-              FROM embeddings),
-            g AS (SELECT unnest(generate_series(1, 2)) AS j),
-            d AS (
-              SELECT e2.vec_id, g.j,
-                     ({_mix32_sql("e2.vec_id * 1000003 + g.j * 7919 + 101")})
-                       % i.n AS ix,
-                     i.arr, i.n
-              FROM embeddings e2 CROSS JOIN g CROSS JOIN dir i),
-            neg AS (
-              SELECT vec_id, j,
-                     CASE WHEN arr[CAST(ix AS BIGINT) + 1] = vec_id
-                          THEN arr[CAST((ix + 1) % n AS BIGINT) + 1]
-                          ELSE arr[CAST(ix AS BIGINT) + 1]
-                     END AS neg_id
-              FROM d)
+              SELECT vec_id, neighbor_id AS pos_id, score AS pos_score
+              FROM kn WHERE rank = 1),
+            {_negatives(2)}
             SELECT p.vec_id, p.pos_id, p.pos_score, ng.j, ng.neg_id
             FROM pos p JOIN neg ng USING (vec_id)
         """,
-        "simsearch_knn": """
-            WITH e AS (
-              SELECT vec_id, CAST(embedding AS DOUBLE[]) AS v
-              FROM embeddings),
-            s AS (
-              SELECT a.vec_id, b.vec_id AS neighbor_id,
-                     round(list_cosine_similarity(a.v, b.v), 6) AS score,
-                     -- rank on the ROUNDED score (both engines sort the
-                     -- identical 6dp numbers; sub-ulp BLAS-vs-DuckDB
-                     -- differences can flip near-tie ranks otherwise)
-                     row_number() OVER (
-                       PARTITION BY a.vec_id
-                       ORDER BY round(list_cosine_similarity(a.v, b.v), 6)
-                                  DESC,
-                                b.vec_id ASC) AS rank
-              FROM e a JOIN e b ON a.vec_id <> b.vec_id)
-            SELECT vec_id, neighbor_id, score, rank FROM s WHERE rank <= 3
+        "simsearch_knn": f"""
+            WITH {_EMB}, {_KNN}
+            SELECT vec_id, neighbor_id, score, rank FROM kn WHERE rank <= 3
         """,
         "text_quality_gate": f"""
-            WITH t AS (
-              SELECT doc_id, source,
-                     length(regexp_replace(text, '\\s+', '', 'g'))
-                       AS n_nonws,
-                     regexp_extract_all(text, '{_WS_RE}') AS toks
-              FROM documents),
-            q AS (
-              SELECT doc_id, source,
-                     len(toks) AS n_tokens,
-                     len(list_distinct(toks)) AS n_distinct_tokens,
-                     len(list_filter(toks, x -> x IN {_STOP_SQL})) AS n_stop
-              FROM t),
-            sc AS (
-              SELECT doc_id, source,
-                     CAST(4000 * least(n_tokens, 100)
-                          + (300000 * n_distinct_tokens)
-                              // greatest(n_tokens, 1)
-                          + (300000 * n_stop) // greatest(n_tokens, 1)
-                        AS BIGINT) AS quality_score_ppm
-              FROM q),
-            ranked AS (
-              SELECT source, quality_score_ppm,
-                     row_number() OVER (PARTITION BY source
-                                        ORDER BY quality_score_ppm) AS rn,
-                     count(*) OVER (PARTITION BY source) AS n
-              FROM sc),
-            thr AS (
-              SELECT source, quality_score_ppm AS threshold_ppm
-              FROM ranked WHERE rn = ((n - 1) * 1) // 4 + 1)
-            SELECT sc.doc_id, sc.source, sc.quality_score_ppm,
-                   thr.threshold_ppm,
-                   sc.quality_score_ppm >= thr.threshold_ppm AS keep
-            FROM sc JOIN thr USING (source)
+            WITH {_quality_gate("documents")}
+            SELECT doc_id, source, quality_score_ppm, threshold_ppm,
+                   quality_score_ppm >= threshold_ppm AS keep
+            FROM qg
         """,
         "text_curate": _curate_oracle(),
-        "text_boilerplate": """
-            WITH toks AS (
-              SELECT doc_id, source, string_split(text, ' ') AS tk
-              FROM documents),
-            segs0 AS (
-              SELECT doc_id, source, tk,
-                     unnest(generate_series(
-                       0, CAST(ceil(len(tk) / 10.0) AS BIGINT) - 1))
-                       AS seg_no
-              FROM toks),
-            segs AS (
-              SELECT doc_id, source, seg_no,
-                     array_to_string(
-                       tk[(seg_no * 10 + 1):((seg_no + 1) * 10)], ' ')
-                       AS seg
-              FROM segs0),
-            freq AS (
-              SELECT source, seg FROM segs
-              GROUP BY source, seg
-              HAVING count(DISTINCT doc_id) >= 2)
-            SELECT s.doc_id,
-                   string_agg(CASE WHEN f.seg IS NULL THEN s.seg END, ' '
-                              ORDER BY s.seg_no) AS text_clean,
+        "text_boilerplate": f"""
+            WITH {_boilerplate_segs("documents")}
+            SELECT doc_id,
+                   string_agg(CASE WHEN NOT boiler THEN seg END, ' '
+                              ORDER BY seg_no) AS text_clean,
                    CAST(count(*) AS BIGINT) AS n_segs,
-                   CAST(sum(CASE WHEN f.seg IS NOT NULL THEN 1 ELSE 0 END)
+                   CAST(sum(CASE WHEN boiler THEN 1 ELSE 0 END)
                         AS BIGINT) AS n_removed
-            FROM segs s LEFT JOIN freq f
-              ON f.source = s.source AND f.seg = s.seg
-            GROUP BY s.doc_id
+            FROM bseg GROUP BY doc_id
         """,
         "embed_kmeans": _kmeans_oracle(k=_KMEANS_K, iters=_KMEANS_ITERS),
         "dedup_semantic": _semdedup_oracle(k=_KMEANS_K, iters=_KMEANS_ITERS,
@@ -5795,10 +5242,8 @@ def oracle_sql() -> dict[str, str]:
             k=_KMEANS_K, iters=_KMEANS_ITERS, cap=_SAMPLE_CAP),
         # centroid = per-dim mean rounded 6dp (the kmeans device); dist
         # rounded 6dp per vector, mean rounded 4dp
-        "embed_labels": """
-            WITH e AS (
-              SELECT vec_id, label, CAST(embedding AS DOUBLE[]) AS v
-              FROM embeddings),
+        "embed_labels": f"""
+            WITH {_EMB},
             cm AS (
               SELECT label, i, round(avg(x), 6) AS m
               FROM (SELECT label, unnest(v) AS x,
@@ -5819,32 +5264,14 @@ def oracle_sql() -> dict[str, str]:
             SELECT s.label, s.n_vecs, nrm.centroid_norm, s.mean_dist
             FROM s JOIN nrm USING (label)
         """,
-        "dedup_lines": """
-            WITH toks AS (
-              SELECT doc_id, string_split(text, ' ') AS tk FROM documents),
-            segs0 AS (
-              SELECT doc_id, tk,
-                     unnest(generate_series(
-                       0, CAST(ceil(len(tk) / 10.0) AS BIGINT) - 1))
-                       AS seg_no
-              FROM toks),
-            segs AS (
-              SELECT doc_id, seg_no,
-                     array_to_string(
-                       tk[(seg_no * 10 + 1):((seg_no + 1) * 10)], ' ')
-                       AS seg
-              FROM segs0),
-            ranked AS (
-              SELECT doc_id, seg_no, seg,
-                     row_number() OVER (PARTITION BY md5(seg)
-                                        ORDER BY doc_id, seg_no) AS rn
-              FROM segs)
+        "dedup_lines": f"""
+            WITH {_dup_segs("documents")}
             SELECT doc_id,
                    string_agg(CASE WHEN rn = 1 THEN seg END, ' '
                               ORDER BY seg_no) AS text_dedup,
                    count(*) AS n_segs,
                    CAST(sum(CASE WHEN rn > 1 THEN 1 ELSE 0 END) AS BIGINT)
                      AS n_dropped
-            FROM ranked GROUP BY doc_id
+            FROM dranked GROUP BY doc_id
         """,
     }

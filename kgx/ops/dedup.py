@@ -744,8 +744,7 @@ def simhash_pairs(docs_ds, *, bands: int = 4, max_hamming: int = 3,
 
 def embedding_dup_pairs(emb_ds, *, threshold: float = 0.45,
                         method: str = "bucketed", n_cells: int = 16,
-                        train_mod: int = 4, iters: int = 5,
-                        seed: int = 37):
+                        train_mod: int = 4, iters: int = 5):
     """Exact embedding-cosine near-dup pairs >= threshold.
 
     ``method="bucketed"`` (default, the 100 TB shape): IVF cells with
@@ -763,7 +762,7 @@ def embedding_dup_pairs(emb_ds, *, threshold: float = 0.45,
     if method == "bucketed":
         return _embedding_dup_pairs_bucketed(
             emb_ds, threshold=threshold, n_cells=n_cells,
-            train_mod=train_mod, iters=iters, seed=seed)
+            train_mod=train_mod, iters=iters)
     assert method == "matrix", method
 
     from kgx.functions.collect import collect_arrow
@@ -803,7 +802,7 @@ def embedding_dup_pairs(emb_ds, *, threshold: float = 0.45,
 
 def _embedding_dup_pairs_bucketed(emb_ds, *, threshold: float,
                                   n_cells: int, train_mod: int,
-                                  iters: int, seed: int):
+                                  iters: int):
     """IVF-bucketed EXACT cosine pairs >= threshold — no corpus broadcast.
 
     Shape: a deterministic sample (``vec_id % train_mod == 0``) trains a
@@ -825,20 +824,9 @@ def _embedding_dup_pairs_bucketed(emb_ds, *, threshold: float,
     import ray
 
     from kgx.functions.collect import collect_arrow
-    from kgx.ops.simsearch import _kmeans, emb_matrix
+    from kgx.ops.simsearch import _kmeans, _train_sample, emb_matrix
 
-    def train_sample(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch["vec_id"].to_pylist(), dtype=np.int64)
-        keep = np.flatnonzero(ids % train_mod == 0)
-        return batch.take(pa.array(keep, pa.int64()))
-
-    sample_tbl = collect_arrow(
-        emb_ds.map_batches(train_sample, batch_format="pyarrow"))
-    order = np.argsort(np.asarray(sample_tbl["vec_id"].to_pylist()))
-    S = np.asarray(sample_tbl["embedding"].to_pylist(),
-                   dtype=np.float64)[order]
-    S = S / np.linalg.norm(S, axis=1, keepdims=True)
-    C = _kmeans(S, n_cells, iters, seed)
+    C = _kmeans(_train_sample(emb_ds, train_mod), n_cells, iters)
     cref = ray.put(C)
 
     # pass 1: per-cell radius partials (cell, max distance to centroid)

@@ -43,27 +43,11 @@ import pyarrow as pa
 import ray
 
 from kgx.ops.simsearch import (_kmeans, _merge_topk_all, _pull_queries,
-                               emb_matrix)
+                               _train_sample, emb_matrix)
 
 
-def _train_sample(emb_ds, train_mod: int) -> np.ndarray:
-    """Deterministic driver-side training sample, vec_id-ordered and
-    L2-normalized (same device as ivf_topk's quantizer training)."""
-    from kgx.functions.collect import collect_arrow
-
-    def pick(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch["vec_id"].to_pylist(), dtype=np.int64)
-        keep = np.flatnonzero(ids % train_mod == 0)
-        return batch.take(pa.array(keep, pa.int64()))
-
-    tbl = collect_arrow(emb_ds.map_batches(pick, batch_format="pyarrow"))
-    order = np.argsort(np.asarray(tbl["vec_id"].to_pylist()))
-    S = np.asarray(tbl["embedding"].to_pylist(), dtype=np.float64)[order]
-    return S / np.linalg.norm(S, axis=1, keepdims=True)
-
-
-def train_pq(sample: np.ndarray, *, m: int, k_sub: int, iters: int,
-             seed: int) -> np.ndarray:
+def train_pq(sample: np.ndarray, *, m: int, k_sub: int,
+             iters: int) -> np.ndarray:
     """Per-subspace k-means codebooks: (m, k_sub, dim//m).
 
     Subspace vectors are NOT re-normalized (they are residual-free
@@ -77,9 +61,7 @@ def train_pq(sample: np.ndarray, *, m: int, k_sub: int, iters: int,
     in this repo, exactness assumes no value lands within the two
     engines' float-sum residue of a 0.5e-6 rounding boundary — the
     synthetic embeddings keep comfortable margins, and the gate would
-    flag a violation rather than hide it.)  ``seed`` retained for API
-    compatibility, no longer consumed."""
-    del seed
+    flag a violation rather than hide it.)"""
     dim = sample.shape[1]
     assert dim % m == 0, (dim, m)
     d_sub = dim // m
@@ -120,13 +102,13 @@ def _encode(M: np.ndarray, books: np.ndarray) -> np.ndarray:
 
 
 def pq_encode(emb_ds, *, m: int = 8, k_sub: int = 32, n_cells: int = 16,
-              train_mod: int = 4, iters: int = 5, seed: int = 41):
+              train_mod: int = 4, iters: int = 5):
     """Encode the corpus: (vec_id, cell, code list<uint8>) — the
     persisted, 32x-smaller search table.  Returns (encoded_ds, cref,
     bref): centroid/codebook object refs for reuse by :func:`pq_topk`."""
     sample = _train_sample(emb_ds, train_mod)
-    cells = _kmeans(sample, n_cells, iters, seed)
-    books = train_pq(sample, m=m, k_sub=k_sub, iters=iters, seed=seed)
+    cells = _kmeans(sample, n_cells, iters)
+    books = train_pq(sample, m=m, k_sub=k_sub, iters=iters)
     cref, bref = ray.put(cells), ray.put(books)
 
     def encode(batch: pa.Table) -> pa.Table:
@@ -149,8 +131,7 @@ def pq_encode(emb_ds, *, m: int = 8, k_sub: int = 32, n_cells: int = 16,
 
 def pq_topk(emb_ds, query_ids: list[int], *, k: int = 10, m: int = 16,
             k_sub: int = 32, n_cells: int = 16, n_probe: int = 8,
-            train_mod: int = 4, iters: int = 5, seed: int = 41,
-            refine: int = 4):
+            train_mod: int = 4, iters: int = 5, refine: int = 4):
     """IVF-ADC top-k with exact re-ranking (IVFADC+R): PQ-encode the
     corpus, probe each query's ``n_probe`` nearest cells, score codes
     via the query's ADC lookup table, shortlist ``k * refine``
@@ -173,7 +154,7 @@ def pq_topk(emb_ds, query_ids: list[int], *, k: int = 10, m: int = 16,
     qids, Q = _pull_queries(emb_ds, query_ids)
     encoded, cref, bref = pq_encode(
         emb_ds, m=m, k_sub=k_sub, n_cells=n_cells, train_mod=train_mod,
-        iters=iters, seed=seed)
+        iters=iters)
 
     shortlist_k = k if refine <= 0 else k * refine
     cells = ray.get(cref)

@@ -130,8 +130,24 @@ def cosine_topk(emb_ds, query_ids: list[int], *, k: int = 10):
 # IVF (inverted-file) approximate variant
 # ----------------------------------------------------------------------
 
-def _kmeans(sample: np.ndarray, n_centroids: int, iters: int,
-            seed: int) -> np.ndarray:
+def _train_sample(emb_ds, train_mod: int) -> np.ndarray:
+    """Deterministic training sample, collected in the calling process:
+    the ``vec_id % train_mod == 0`` rows, vec_id-ordered and L2-normalized
+    (the ``s`` CTE of the DuckDB quantizer oracles)."""
+    from kgx.functions.collect import collect_arrow
+
+    def pick(batch: pa.Table) -> pa.Table:
+        ids = np.asarray(batch["vec_id"].to_pylist(), dtype=np.int64)
+        keep = np.flatnonzero(ids % train_mod == 0)
+        return batch.take(pa.array(keep, pa.int64()))
+
+    tbl = collect_arrow(emb_ds.map_batches(pick, batch_format="pyarrow"))
+    order = np.argsort(np.asarray(tbl["vec_id"].to_pylist()))
+    S = np.asarray(tbl["embedding"].to_pylist(), dtype=np.float64)[order]
+    return S / np.linalg.norm(S, axis=1, keepdims=True)
+
+
+def _kmeans(sample: np.ndarray, n_centroids: int, iters: int) -> np.ndarray:
     """Deterministic, SQL-twinnable k-means on L2-normalized vectors.
 
     Init = the first ``n_centroids`` sample rows (the sample arrives
@@ -140,10 +156,7 @@ def _kmeans(sample: np.ndarray, n_centroids: int, iters: int,
     renormalized member mean rounded to 6dp, empty clusters keep their
     previous centroid.  The 6dp rounding at every step is what lets the
     DuckDB oracle reproduce the iteration exactly (the embed_kmeans
-    unroll pattern, kgx/ops/cluster.py); ``seed`` is retained for API
-    compatibility but no longer consumed — the previous seeded-choice
-    init had no SQL twin, which kept every IVF consumer rows-only."""
-    del seed
+    unroll pattern, kgx/ops/cluster.py)."""
     C = np.round(sample[:min(n_centroids, len(sample))].copy(), 6)
     for _ in range(iters):
         assign = np.argmax(np.round(sample @ C.T, 6), axis=1)
@@ -159,7 +172,7 @@ def _kmeans(sample: np.ndarray, n_centroids: int, iters: int,
 
 def ivf_topk(emb_ds, query_ids: list[int], *, k: int = 10,
              n_centroids: int = 16, n_probe: int = 4, train_mod: int = 4,
-             iters: int = 5, seed: int = 37):
+             iters: int = 5):
     """IVF approximate top-k: k-means coarse quantizer, per-query probing
     of the ``n_probe`` nearest cells, exact scoring inside probed cells.
 
@@ -179,19 +192,7 @@ def ivf_topk(emb_ds, query_ids: list[int], *, k: int = 10,
     emb_ds = emb_ds.materialize()
     qids, Q = _pull_queries(emb_ds, query_ids)
 
-    def train_sample(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch["vec_id"].to_pylist(), dtype=np.int64)
-        keep = np.flatnonzero(ids % train_mod == 0)
-        return batch.take(pa.array(keep, pa.int64()))
-
-    from kgx.functions.collect import collect_arrow
-    sample_tbl = collect_arrow(
-        emb_ds.map_batches(train_sample, batch_format="pyarrow"))
-    order = np.argsort(np.asarray(sample_tbl["vec_id"].to_pylist()))
-    S = np.asarray(sample_tbl["embedding"].to_pylist(),
-                   dtype=np.float64)[order]
-    S = S / np.linalg.norm(S, axis=1, keepdims=True)
-    C = _kmeans(S, n_centroids, iters, seed)
+    C = _kmeans(_train_sample(emb_ds, train_mod), n_centroids, iters)
     cref = ray.put(C)
 
     # rounded + stable so the probing order has an exact SQL twin

@@ -110,13 +110,10 @@ class KGConfig:
     # knob.
     supersede_recrawls: bool = False
     # Performance knobs (never part of the checkpoint config hash — they
-    # cannot change results, only wall time).  ``None`` concurrency resolves
-    # at run time to an autoscaling pool (1, cluster_cpus - 2): a fixed pool
-    # equal to the CPU count deadlocks the fused read stage on small hosts.
-    extract_concurrency: int | tuple | None = None
+    # cannot change results, only wall time).
     extract_batch_size: int = 1024
 
-    _PERF_KNOBS = ("extract_concurrency", "extract_batch_size", "n_salts")
+    _PERF_KNOBS = ("extract_batch_size", "n_salts")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -151,11 +148,13 @@ def _page_fp_batch(batch: pa.Table) -> pa.Table:
 
 
 def _page_dup_losers(tagged_ds):
-    """The urls to DROP: for each fingerprint all but the smallest url.
-    The input is projected to (fp, url) BEFORE the sort, so the
-    all-to-all moves two narrow string columns — never the page text.
-    Losers come from DISTINCT (fp, url) pairs, so a url holding the same
-    text twice is never listed against itself."""
+    """The (fp, url) pairs to DROP: for each fingerprint every distinct
+    url but the smallest.  The input is projected to (fp, url) BEFORE the
+    sort, so the all-to-all moves two narrow string columns — never the
+    page text.  Losers come from DISTINCT (fp, url) pairs, so a url
+    holding the same text twice is never listed against itself."""
+    schema = pa.schema([("fp", pa.string()), ("url", pa.string())])
+
     def losers(block: pa.Table) -> pa.Table:
         # every row of an fp is in this block: order its distinct
         # (fp, url) pairs and drop each fp's first
@@ -163,16 +162,21 @@ def _page_dup_losers(tagged_ds):
             [("fp", "ascending"), ("url", "ascending")])
         fp = t["fp"].combine_chunks()
         dup = pc.equal(fp.slice(1), fp.slice(0, len(fp) - 1))
-        return pa.table({"url": t["url"].slice(1).filter(dup)})
+        return t.slice(1).filter(dup).select(schema.names)
 
     narrow = tagged_ds.map_batches(
-        lambda t: t.filter(pc.is_valid(t["fp"])).select(["fp", "url"]),
+        lambda t: t.filter(pc.is_valid(t["fp"])).select(schema.names),
         batch_format="pyarrow")
-    return map_sorted_blocks(narrow, "fp", losers,
-                             pa.schema([("url", pa.string())]))
+    return map_sorted_blocks(narrow, "fp", losers, schema)
 
 
-# Per-worker cache of broadcast loser-url value sets, keyed by object ref —
+def _fp_url_key(t: pa.Table):
+    """One string per (fp, url) pair: fp is 32 hex characters, so
+    ``fp + url`` is unambiguous.  Null where fp is null."""
+    return pc.binary_join_element_wise(t["fp"], t["url"], "")
+
+
+# Per-worker cache of broadcast loser-key value sets, keyed by object ref —
 # ray.get once per worker process, reused by every filter task on it.
 _WORKER_DROPSET_CACHE: dict[str, pa.Array] = {}
 
@@ -184,8 +188,9 @@ def _make_loser_filter(drop_ref):
         if vs is None:
             vs = _WORKER_DROPSET_CACHE[key] = pa.array(
                 ray.get(drop_ref), pa.string())
-        keep = pc.invert(pc.is_in(batch["url"], value_set=vs))
-        return batch.filter(keep).drop_columns(["fp"])
+        # a null key (empty text) is never in the set
+        drop = pc.is_in(_fp_url_key(batch), value_set=vs)
+        return batch.filter(pc.invert(drop)).drop_columns(["fp"])
     return drop_losers
 
 
@@ -193,14 +198,17 @@ def dedup_pages_by_text(texts_ds):
     """Exact page dedup on the extracted text, in the narrow-shuffle shape:
 
     1. fingerprint each page map-side (md5 of text);
-    2. shuffle ONLY (fp, url) to find each group's losers (every url but
-       the lexicographically smallest — the deterministic representative);
-    3. broadcast the loser-url set once (``ray.put``) and drop those rows
-       map-side.  Page text never moves through an all-to-all.
+    2. shuffle ONLY (fp, url) to find each fingerprint's losers (every
+       url but the lexicographically smallest — the deterministic
+       representative);
+    3. broadcast the loser (fp, url) keys once (``ray.put``) and drop
+       map-side exactly the rows whose own (fp, url) is listed, so a
+       url's other texts survive.  Page text never moves through an
+       all-to-all.
 
     The tagged dataset is materialized once (object store, spillable) so
     fingerprints aren't recomputed for the filter pass.  Scale note: the
-    broadcast set holds only the DUPLICATE urls (bounded by the corpus's
+    broadcast set holds only the DUPLICATE pairs (bounded by the corpus's
     duplicate fraction, not its size); if a corpus were majority-duplicate
     the loser set itself would need the co-shuffle treatment — the
     near-dup path for pages is kgx.ops.dedup.minhash_lsh_pairs.
@@ -212,7 +220,7 @@ def dedup_pages_by_text(texts_ds):
     tagged = texts_ds.map_batches(_page_fp_batch,
                                   batch_format="pyarrow").materialize()
     loser_tbl = collect_arrow(_page_dup_losers(tagged))
-    drop_ref = ray.put(sorted(loser_tbl["url"].to_pylist()))
+    drop_ref = ray.put(sorted(_fp_url_key(loser_tbl).to_pylist()))
     return tagged.map_batches(_make_loser_filter(drop_ref),
                               batch_format="pyarrow")
 
@@ -316,6 +324,34 @@ def finalize_nodes(states, cfg: KGConfig):
     return nodes
 
 
+def _read_latest_pages(pages_path: str, cfg: KGConfig, *,
+                       pages_ds_factory=None, **read_kw):
+    """The pages a KG run starts from: (url, html, text, lang), read from
+    ``pages_path`` unless ``pages_ds_factory`` builds them.  Under
+    ``dedup_recrawls`` or ``supersede_recrawls`` the read adds
+    ``warc_ts`` and only each url's newest snapshot survives
+    (kgx.sources.pages.latest_crawl_per_url); ``warc_ts`` stays on the
+    rows.  ``supersede_recrawls`` refuses pages without ``warc_ts``;
+    ``dedup_recrawls`` alone passes them through unchanged."""
+    recrawls = cfg.dedup_recrawls or cfg.supersede_recrawls
+    if pages_ds_factory is not None:
+        ds = pages_ds_factory()
+    else:
+        cols = ["url", "html", "text", "lang"]
+        if recrawls:
+            cols.insert(1, "warc_ts")
+        ds = rd.read_parquet(pages_path, columns=cols, **read_kw)
+    if not recrawls:
+        return ds
+    if "warc_ts" not in [f.name for f in ds.schema().base_schema]:
+        if cfg.supersede_recrawls:
+            raise ValueError(
+                "supersede_recrawls needs a warc_ts column on the pages")
+        return ds
+    from kgx.sources.pages import latest_crawl_per_url
+    return latest_crawl_per_url(ds)
+
+
 def kg_from_extracted(extracted, cfg: KGConfig) -> dict:
     """Tagged extraction Dataset -> ``{"nodes": Dataset, "edges":
     Dataset}``: the checkpoint-free KG tail of ``stream_kg`` and
@@ -345,7 +381,9 @@ def stream_kg(pages_path: str, cfg: KGConfig | None = None) -> dict:
     aggregation-state row per key per block leaves the map phase — the
     corpus-sized tagged table is never materialized and never re-scanned,
     and the downstream shuffles run over a few small blocks.  Results are
-    identical to the checkpointed ``run_pipeline`` (parity-tested).
+    identical to the checkpointed ``run_pipeline`` (parity-tested), page
+    selection included: ``lang_filter``, ``dedup_pages``,
+    ``dedup_recrawls`` and ``supersede_recrawls``.
     Returns ``{"nodes": Dataset, "edges": Dataset}``.
     """
     cfg = cfg or KGConfig()
@@ -359,8 +397,7 @@ def stream_kg(pages_path: str, cfg: KGConfig | None = None) -> dict:
     # 4 waves 8.9 s, 8 waves 10.5 s, 16 waves 10.4 s for the same
     # stage), so fewer, larger blocks win.  Straggler re-leveling still
     # has 4 tasks per core to work with.
-    ds = rd.read_parquet(pages_path, columns=["url", "html", "text", "lang"],
-                         override_num_blocks=4 * ncpu)
+    ds = _read_latest_pages(pages_path, cfg, override_num_blocks=4 * ncpu)
     ds = ds.map_batches(extract_text_batch, batch_format="pyarrow")
     if cfg.lang_filter:
         ds = ds.map_batches(
@@ -393,9 +430,8 @@ def _build_extraction(pages_path: str, dest_dir: str, cfg: "KGConfig",
     # actor pool starting at half the target width so ramp-up doesn't
     # dominate (max leaves CPUs for the fused read tasks; a fixed pool ==
     # CPU count deadlocks small hosts).
-    pool = (max(1, (ncpu - 2) // 2), max(1, ncpu - 2))
-    extract_conc = cfg.extract_concurrency or (
-        pool if cfg.extractor == "llm" else None)
+    extract_conc = ((max(1, (ncpu - 2) // 2), max(1, ncpu - 2))
+                    if cfg.extractor == "llm" else None)
     input_fp = mf.fingerprint_input(pages_path)
     paths = {s: mf.stage_dir(dest_dir, s)
              for s in ("texts", "chunks", "extracted")}
@@ -405,34 +441,21 @@ def _build_extraction(pages_path: str, dest_dir: str, cfg: "KGConfig",
 
     # 1. texts: html -> text (stateless tasks; html column dropped after)
     def build_texts(sdir):
-        if pages_ds_factory is not None:
-            ds = pages_ds_factory()
-        else:
-            cols = ["url", "html", "text", "lang"]
-            if cfg.dedup_recrawls or cfg.supersede_recrawls:
-                cols.insert(1, "warc_ts")
-            ds = rd.read_parquet(pages_path, columns=cols)
-        has_ts = "warc_ts" in [f.name for f in ds.schema().base_schema]
-        if cfg.supersede_recrawls and not has_ts:
-            raise ValueError(
-                "supersede_recrawls needs a warc_ts column on the pages")
-        if (cfg.dedup_recrawls or cfg.supersede_recrawls) and has_ts:
-            from kgx.sources.pages import latest_crawl_per_url
-            ds = latest_crawl_per_url(ds)
-            if cfg.supersede_recrawls:
-                # (url, ts) crawlmeta sidecar: the finalize's
-                # newest-snapshot-wins filter reads it to retract rows of
-                # urls re-crawled by a LATER source.  One extra narrow
-                # pass over the shard (url + ts only; html never moves).
-                import shutil
-                meta_dir = os.path.join(dest_dir, "crawlmeta")
-                shutil.rmtree(meta_dir, ignore_errors=True)
-                ds.map_batches(
-                    lambda b: pa.table({
-                        "url": b["url"],
-                        "ts": pc.cast(b["warc_ts"], pa.int64())}),
-                    batch_format="pyarrow").write_parquet(meta_dir)
-            ds = ds.drop_columns(["warc_ts"])
+        ds = _read_latest_pages(pages_path, cfg,
+                                pages_ds_factory=pages_ds_factory)
+        if cfg.supersede_recrawls:
+            # (url, ts) crawlmeta sidecar: the finalize's
+            # newest-snapshot-wins filter reads it to retract rows of
+            # urls re-crawled by a LATER source.  One extra narrow
+            # pass over the shard (url + ts only; html never moves).
+            import shutil
+            meta_dir = os.path.join(dest_dir, "crawlmeta")
+            shutil.rmtree(meta_dir, ignore_errors=True)
+            ds.map_batches(
+                lambda b: pa.table({
+                    "url": b["url"],
+                    "ts": pc.cast(b["warc_ts"], pa.int64())}),
+                batch_format="pyarrow").write_parquet(meta_dir)
         ds = ds.map_batches(extract_text_batch, batch_format="pyarrow")
         if cfg.lang_filter:
             ds = ds.map_batches(

@@ -219,8 +219,9 @@ def latest_crawl_per_url(pages_ds):
     ``ray.put``, and rows drop map-side unless they carry the winner
     timestamp.  Rows whose url was never recrawled stream through
     untouched.  Exact (url, ts) duplicate rows both survive, here and in
-    the content dedup downstream, which drops only urls other than a
-    text's smallest (``dedup_pages_by_text``).
+    the content dedup downstream, which drops only the rows of a text
+    held by a url other than that text's smallest
+    (``dedup_pages_by_text``).
     """
     import ray
 

@@ -327,7 +327,7 @@ class TestPageDedup:
         tagged = rd.from_arrow(tbl).map_batches(_page_fp_batch,
                                                 batch_format="pyarrow")
         losers = _page_dup_losers(tagged)
-        assert losers.schema().names == ["url"]  # narrow shuffle output
+        assert losers.schema().names == ["fp", "url"]  # narrow output
         assert sorted(losers.to_pandas()["url"]) == ["u1", "u2"]
 
     def test_repeated_winner_url_survives(self, ray_session):
@@ -345,6 +345,22 @@ class TestPageDedup:
         })
         out = dedup_pages_by_text(rd.from_arrow(tbl)).to_pandas()
         assert sorted(out["url"]) == ["u3", "u3", "u9"]
+
+    def test_loser_url_keeps_its_unique_text(self, ray_session):
+        """Only the duplicated (fp, url) row of a url drops: u3's "A" has
+        no duplicate anywhere and survives, while its "B" loses to u1."""
+        import ray.data as rd
+        from kgx.pipelines.kg import dedup_pages_by_text
+        import pyarrow as pa
+
+        tbl = pa.table({
+            "url": pa.array(["u1", "u3", "u3"], pa.string()),
+            "text": pa.array(["B", "A", "B"], pa.string()),
+            "lang": pa.array(["en"] * 3, pa.string()),
+        })
+        out = dedup_pages_by_text(rd.from_arrow(tbl)).to_pandas()
+        assert sorted(zip(out["url"], out["text"])) == \
+            [("u1", "B"), ("u3", "A")]
 
     def test_knob_is_semantic(self, tmp_path_factory, smoke_corpus):
         from kgx.pipelines.kg import KGConfig

@@ -132,21 +132,54 @@ def test_stream_kg_tables_arrive_key_sorted(smoke_corpus, ray_session):
     assert spo == sorted(spo) and len(spo) == len(set(spo))
 
 
-@pytest.mark.parametrize("extractor", ["gazetteer", "term"])
-def test_stream_kg_equals_run_pipeline(smoke_corpus, ray_session,
-                                       tmp_path_factory, extractor):
-    """Both compositions finalize nodes and edges from the same fused
-    states (kgx.pipelines.kg), so their tables are equal value for value,
-    not just in names and counts."""
+@pytest.fixture(scope="module")
+def recrawl_corpus(smoke_corpus, tmp_path_factory):
+    """The smoke corpus plus a newer snapshot of every fourth url, whose
+    page is the next url's page."""
+    import os
+
     import pyarrow.parquet as pq
 
+    pages = pq.read_table(smoke_corpus["pages"])
+    old = list(range(0, pages.num_rows - 1, 4))
+    new = pages.take(old)
+    for col in ("html", "text"):
+        new = new.set_column(new.schema.get_field_index(col), col,
+                             pages[col].take([i + 1 for i in old]))
+    ts = pc.cast(pc.add(pc.cast(new["warc_ts"], pa.int64()), 86_400_000_000),
+                 new.schema.field("warc_ts").type)
+    new = new.set_column(new.schema.get_field_index("warc_ts"), "warc_ts", ts)
+    root = str(tmp_path_factory.mktemp("recrawl_pages"))
+    pq.write_table(pages, os.path.join(root, "part-0.parquet"))
+    pq.write_table(new, os.path.join(root, "part-1.parquet"))
+    return {"pages": root}
+
+
+@pytest.mark.parametrize("corpus, cfg_kw", [
+    pytest.param("smoke_corpus", {"extractor": "gazetteer"}, id="gazetteer"),
+    pytest.param("smoke_corpus", {"extractor": "term"}, id="term"),
+    pytest.param("recrawl_corpus", {"dedup_recrawls": True},
+                 id="dedup_recrawls"),
+    pytest.param("smoke_corpus", {"lang_filter": "en"}, id="lang_filter"),
+])
+def test_stream_kg_equals_run_pipeline(request, ray_session, tmp_path_factory,
+                                       corpus, cfg_kw):
+    """Both compositions finalize nodes and edges from the same fused
+    states (kgx.pipelines.kg), so their tables are equal value for value,
+    not just in names and counts — under every page-selection option
+    too.  The language-filtered tables also equal the sequential
+    oracle's."""
+    import pyarrow.parquet as pq
+
+    from kgx.oracle import run_oracle
     from kgx.pipelines.kg import KGConfig, run_pipeline, stream_kg
 
-    cfg = KGConfig(extractor=extractor)
-    streamed = stream_kg(smoke_corpus["pages"], cfg)
-    paths = run_pipeline(smoke_corpus["pages"],
-                         str(tmp_path_factory.mktemp(f"parity_{extractor}")),
-                         cfg)
+    pages = request.getfixturevalue(corpus)["pages"]
+    cfg = KGConfig(**cfg_kw)
+    streamed = stream_kg(pages, cfg)
+    paths = run_pipeline(pages, str(tmp_path_factory.mktemp("parity")), cfg)
+    oracle = (run_oracle(pq.read_table(pages), lang_filter=cfg.lang_filter)
+              if cfg.lang_filter else None)
     for name, key in (("nodes", ["entity_id"]),
                       ("edges", ["subj_id", "pred", "obj_id"])):
         order = [(k, "ascending") for k in key]
@@ -154,6 +187,8 @@ def test_stream_kg_equals_run_pipeline(smoke_corpus, ray_session,
         c = pq.read_table(paths[name]).sort_by(order)
         assert s.num_rows > 0
         assert s.equals(c), name
+        if oracle is not None:
+            assert c.to_pylist() == oracle[name].sort_by(order).to_pylist()
 
 
 def test_hash_shuffle_refused_before_execution(ray_session, tmp_path):
