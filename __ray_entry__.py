@@ -843,7 +843,8 @@ def _q_rel_cube(sf_dir: str):
 
 def _q_rel_waiting(sf_dir: str):
     """TPC-H Q21 shape: exists/anti-exists self-join on lineitem,
-    folded per order inside a bucketed map_groups."""
+    folded per order in one pass over each block of a sort on the
+    order key."""
     from kgx.ops.relational import waiting_suppliers
     return waiting_suppliers(sf_dir)
 
@@ -865,7 +866,8 @@ def _q_rel_important(sf_dir: str):
 
 def _q_rel_mincost(sf_dir: str):
     """TPC-H Q2 shape: correlated-min join-back — per-part argmin rows
-    resolved in one bucketed vectorized fold, all ties kept."""
+    resolved in one vectorized fold per block of a sort on the part
+    key, all ties kept."""
     from kgx.ops.relational import min_cost_supplier
     return min_cost_supplier(sf_dir)
 
@@ -879,7 +881,8 @@ def _q_rel_suppcnt(sf_dir: str):
 
 def _q_rel_dominant(sf_dir: str):
     """TPC-H Q20 shape: per-(part,supplier) share vs per-part total in
-    one bucketed fold; EXISTS reduced to a distinct survivor keyset."""
+    one fold per block of a sort on the part key; EXISTS reduced to a
+    distinct survivor keyset."""
     from kgx.ops.relational import dominant_suppliers
     return dominant_suppliers(sf_dir)
 

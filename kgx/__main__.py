@@ -221,13 +221,15 @@ def cmd_export_jsonl(args) -> int:
 
 
 def main(argv=None) -> int:
+    from kgx.pipelines.kg import EXTRACTORS
     p = argparse.ArgumentParser(prog="kgx")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     pi = sub.add_parser("index")
     pi.add_argument("--pages", required=True)
     pi.add_argument("--out", required=True)
-    pi.add_argument("--extractor", default="gazetteer")
+    pi.add_argument("--extractor", default="gazetteer",
+                    choices=sorted(EXTRACTORS))
     pi.add_argument("--chunk-size", type=int, default=200)
     pi.add_argument("--chunk-overlap", type=int, default=50)
     pi.add_argument("--min-strength", type=float, default=0.5)
@@ -238,7 +240,8 @@ def main(argv=None) -> int:
     pu = sub.add_parser("update")
     pu.add_argument("--pages", required=True, help="NEW page shard")
     pu.add_argument("--out", required=True, help="existing KG dir")
-    pu.add_argument("--extractor", default="gazetteer")
+    pu.add_argument("--extractor", default="gazetteer",
+                    choices=sorted(EXTRACTORS))
     pu.add_argument("--chunk-size", type=int, default=200)
     pu.add_argument("--chunk-overlap", type=int, default=50)
     pu.add_argument("--min-strength", type=float, default=0.5)

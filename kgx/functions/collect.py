@@ -13,26 +13,6 @@ import pyarrow as pa
 import ray
 
 
-def coalesce_small(ds, *, min_blocks: int = 8,
-                   target_block_bytes: int = 64 << 20):
-    """Materialize and, when blocks are tiny, coalesce them.
-
-    Ray's sort-based groupby/sort launch tasks proportional to the input
-    BLOCK COUNT, so a dataset of thousands of kilobyte blocks turns each
-    shuffle barrier into a thousand-task affair dominated by scheduling.
-    This repartitions down to ~``target_block_bytes`` blocks (never below
-    ``min_blocks``) — and leaves genuinely large datasets untouched, so
-    it is safe to apply at corpus scale.
-    """
-    ds = ds.materialize()
-    nb = ds.num_blocks()
-    size = ds.size_bytes() or 0
-    target = max(min_blocks, min(nb, size // target_block_bytes + 1))
-    if target < nb:
-        ds = ds.repartition(target).materialize()
-    return ds
-
-
 def default_shuffle_blocks(*, min_blocks: int = 8) -> int:
     """Block count for a coalesced pre-shuffle exchange: ~ncpu/2, floor
     ``min_blocks``.  Falls back to the floor when Ray is not yet

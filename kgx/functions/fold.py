@@ -22,6 +22,18 @@ over its blocks stay lazy.
 run's rows in block order (the order ``map_groups`` gives a group), and
 builds one table per block: no per-group UDF call or Arrow table, and a
 Parquet write of the result gets one row group per block, not per key.
+
+Every pass that must see all rows of a key together goes through here,
+never through a synthetic hash-bucket ``groupby``: the KG folds
+(kgx.stages.states, kgx.stages.edges, kgx.stages.neardup,
+kgx.pipelines.kg, kgx.sources.pages) and the corpus and relational ops,
+whose folds already take many keys per call —
+kgx.ops.dedup (``exact_dup_groups``, ``minhash_lsh_pairs``,
+``simhash_pairs``, ``prefix_hamming_pairs``),
+kgx.ops.multimodal.media_dedup_groups, kgx.ops.linededup
+(``duplicated_spans``, ``segment_dedup``, ``boilerplate_scrub``),
+kgx.pipelines.curate (exact-doc losers) and kgx.ops.relational
+(``waiting_suppliers``, ``min_cost_supplier``, ``dominant_suppliers``).
 """
 
 from __future__ import annotations

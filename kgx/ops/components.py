@@ -74,20 +74,20 @@ def connected_components(nodes_ds, pairs_ds, *, max_iters: int = 12):
     where component_id is the smallest doc_id in the component;
     singletons map to themselves.  Returns a Dataset sorted by doc_id.
     """
-    from kgx.functions.collect import coalesce_small
+    from kgx.functions.collect import shuffle_coalesce
 
     # Coalesce both sides once: every iteration runs two sort shuffles
     # whose task counts track the BLOCK counts, so thousands of tiny
     # blocks would make each round a scheduling storm.
-    labels = coalesce_small(nodes_ds.map_batches(
+    labels = shuffle_coalesce(nodes_ds.map_batches(
         lambda t: pa.table({
             "node": t["doc_id"].combine_chunks().cast(pa.int64()),
             "other": pa.nulls(t.num_rows, pa.int64()),
             "label": t["doc_id"].combine_chunks().cast(pa.int64()),
         }),
-        batch_format="pyarrow"))
-    edges = coalesce_small(pairs_ds.map_batches(_edge_endpoint_rows,
-                                                batch_format="pyarrow"))
+        batch_format="pyarrow")).materialize()
+    edges = shuffle_coalesce(pairs_ds.map_batches(
+        _edge_endpoint_rows, batch_format="pyarrow")).materialize()
 
     prev_sum = None
     for _ in range(max_iters):
@@ -175,10 +175,11 @@ def neardup_components(docs_ds, *, threshold: float = 0.8,
             "doc_b": pa.array(b_c, pa.int64()),
         })
 
-    from kgx.functions.collect import coalesce_small
-    tagged = coalesce_small(
+    from kgx.functions.collect import shuffle_coalesce
+    tagged = shuffle_coalesce(
         docs_ds.map_batches(set_fp, batch_format="pyarrow")
-        .groupby("fp").map_groups(group_rows, batch_format="pyarrow"))
+        .groupby("fp").map_groups(group_rows, batch_format="pyarrow")
+    ).materialize()
     star = tagged.map_batches(
         lambda t: t.filter(pc.equal(t["kind"], "e")).select(
             ["doc_a", "doc_b"]),

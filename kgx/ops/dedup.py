@@ -3,8 +3,8 @@ embedding-cosine.
 
 Scale design notes (100 TB path):
 
-- **Exact** dedup is a hash-partition groupby on the content fingerprint —
-  the only all-to-all move is one narrow (fingerprint, doc_id) table.
+- **Exact** dedup is one sort on the content fingerprint — the only
+  all-to-all move is one narrow (fingerprint, doc_id) table.
 - **Exact Jaccard** (:func:`jaccard_pairs`) defaults to
   ``method="lsh_verify"``: MinHash-LSH banding over the term sets
   generates candidate pairs, and each candidate is verified with the
@@ -19,10 +19,11 @@ Scale design notes (100 TB path):
   path (broadcast normalized matrix, one matmul per block); past one
   node's heap, the scale path is the hyperplane-LSH bucketing of
   :func:`kgx.ops.simsearch.lsh_topk`.
-- **MinHash+LSH** (shingle -> minhash -> band -> bucket groupby) and
-  **SimHash** (bit-sampling bands) never materialize a pairwise matrix:
-  candidates come out of ``groupby(band, bucket).map_groups`` and are
-  deduplicated by a second pair-keyed groupby.  Both are deterministic
+- **MinHash+LSH** (shingle -> minhash -> band -> sort on (band,
+  bucket)) and **SimHash** (bit-sampling bands, sort on (band, value))
+  never materialize a pairwise matrix: candidates come out of one pass
+  over each sorted block (kgx.functions.fold.map_sorted_blocks), and
+  first-band ownership emits each pair once.  Both are deterministic
   (seeded permutations, content hashes) but approximate, so their driver
   checks are rows-only.  A skewed bucket (boilerplate-identical docs)
   would go quadratic, so in-bucket pair generation is CAPPED at
@@ -41,6 +42,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from kgx.functions.fold import map_sorted_blocks
 from kgx.ops.text import WS_TOKEN_RE  # noqa: F401  (shared tokenization)
 
 TERM_RE = r"\b[a-z]{4,}\b"
@@ -62,12 +64,12 @@ def fingerprint_docs_batch(batch: pa.Table) -> pa.Table:
     })
 
 
-def _dedup_bucket(group: pa.Table) -> pa.Table:
-    """Fold EVERY fingerprint in one bucket group vectorized: np.unique
+def _dedup_block(block: pa.Table) -> pa.Table:
+    """Fold EVERY fingerprint in one sorted block vectorized: np.unique
     codes, min-doc representative via np.minimum.at, counts via
-    bincount — one Python call per bucket, not per distinct document."""
-    fps = np.asarray(group["fingerprint"].to_pylist())
-    ids = np.asarray(group["doc_id"].to_pylist(), dtype=np.int64)
+    bincount — one Python call per block, not per distinct document."""
+    fps = np.asarray(block["fingerprint"].to_pylist())
+    ids = np.asarray(block["doc_id"].to_pylist(), dtype=np.int64)
     uniq, inv = np.unique(fps, return_inverse=True)
     rep = np.full(len(uniq), np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(rep, inv, ids)
@@ -79,21 +81,20 @@ def _dedup_bucket(group: pa.Table) -> pa.Table:
     })
 
 
-def exact_dup_groups(docs_ds, *, n_buckets: int = 256):
-    """documents -> one row per distinct content fingerprint with the
-    smallest doc_id as the kept representative (hash-partition +
-    per-group first; the canonical exact-dedup shape).  Groups on a
-    fingerprint-prefix BUCKET (``n_buckets``, a rows-per-worker knob)
-    so the per-group Python cost is per bucket, not per distinct doc."""
-    def fp_bucket(batch: pa.Table) -> pa.Table:
-        t = fingerprint_docs_batch(batch)
-        b = [int(f[:8], 16) % n_buckets
-             for f in t["fingerprint"].to_pylist()]
-        return t.append_column("b", pa.array(b, pa.int64()))
+_EXACT_SCHEMA = pa.schema([("fingerprint", pa.string()),
+                           ("rep_doc_id", pa.int64()),
+                           ("n_docs", pa.int64())])
 
-    fp = docs_ds.map_batches(fp_bucket, batch_format="pyarrow")
-    return fp.groupby("b").map_groups(
-        _dedup_bucket, batch_format="pyarrow")
+
+def exact_dup_groups(docs_ds):
+    """documents -> one row per distinct content fingerprint with the
+    smallest doc_id as the kept representative.  One sort on the
+    fingerprint puts every copy of a text in one block and
+    :func:`_dedup_block` folds each whole block
+    (kgx.functions.fold.map_sorted_blocks, which materializes and
+    coalesces the fingerprint rows when the fold is built)."""
+    fp = docs_ds.map_batches(fingerprint_docs_batch, batch_format="pyarrow")
+    return map_sorted_blocks(fp, "fingerprint", _dedup_block, _EXACT_SCHEMA)
 
 
 # ----------------------------------------------------------------------
@@ -254,7 +255,7 @@ def _jaccard_pairs_lsh_verified(docs_ds, *, threshold: float, pattern: str,
     rows_per_band = num_perm // bands
     a, b = _perm_params(num_perm, seed)
 
-    from kgx.functions.collect import coalesce_small
+    from kgx.functions.collect import shuffle_coalesce
 
     def term_hash_rows(batch: pa.Table) -> pa.Table:
         """(doc_id, thash): unique uint64 term hashes per doc — the
@@ -281,8 +282,8 @@ def _jaccard_pairs_lsh_verified(docs_ds, *, threshold: float, pattern: str,
 
     # materialized once (feeds banding + both verify joins) and coalesced:
     # the four downstream shuffles' task counts track the block count
-    sets_ds = coalesce_small(docs_ds.map_batches(
-        term_hash_rows, batch_format="pyarrow"))
+    sets_ds = shuffle_coalesce(docs_ds.map_batches(
+        term_hash_rows, batch_format="pyarrow")).materialize()
 
     def band_rows(batch: pa.Table) -> pa.Table:
         band_c, bucket_c, doc_c, bands_c = [], [], [], []
@@ -499,15 +500,14 @@ def _log_bucket_drop(op: str, n_members: int, n_emitted: int,
 
 def _band_group_pairs(group: pa.Table,
                       max_pairs: int = DEFAULT_MAX_BUCKET_PAIRS) -> pa.Table:
-    """Owned pairs across EVERY (band, bucket) segment in one
-    digest-bucket group, with signature-estimated Jaccard.
+    """Owned pairs across EVERY (band, bucket) segment in one block
+    of the (band, bucket) sort, with signature-estimated Jaccard.
 
-    The group key is a reduced hash of (band, bucket) (see
-    :func:`minhash_lsh_pairs`), so one group holds many true LSH
-    buckets: rows lexsort by (band, bucket, doc_id), each segment runs
-    the vectorized triu pair pass (numpy-only — the per-Ray-group
-    Python/Arrow overhead is paid once per 256-way group, not once per
-    LSH bucket), and one Arrow table leaves per group.
+    One block holds many whole LSH buckets (see
+    :func:`minhash_lsh_pairs`): rows lexsort by (band, bucket, doc_id),
+    each segment runs the vectorized triu pair pass (numpy-only — the
+    Python/Arrow overhead is paid once per block, not once per LSH
+    bucket), and one Arrow table leaves per block.
 
     First-band ownership (see :func:`_owned_bucket_pairs`) means a pair
     is emitted by exactly one band — no dedup shuffle downstream.  A
@@ -567,11 +567,12 @@ def minhash_lsh_pairs(docs_ds, *, num_perm: int = 64, bands: int = 16,
                       max_bucket_pairs: int = DEFAULT_MAX_BUCKET_PAIRS):
     """MinHash+LSH candidate near-dup pairs (deterministic, approximate).
 
-    shingle -> minhash -> bucketed band-bucket groupby -> in-segment
-    pairs -> filter.  Only (band, bucket, doc, sig) rows shuffle, and
-    the groupby key is a 256-way reduction of (band, bucket) so the
-    per-Ray-group Python overhead amortizes over many LSH buckets; the
-    pair pass walks exact (band, bucket) segments inside each group.
+    shingle -> minhash -> one sort on (band, bucket) -> in-segment
+    pairs -> filter.  Only (band, bucket, doc, sig) rows shuffle; every
+    LSH bucket lands whole in one sorted block, and the pair pass walks
+    the (band, bucket) segments of each block in one Python call
+    (kgx.functions.fold.map_sorted_blocks, which materializes and
+    coalesces the banded rows when the fold is built).
     Skewed buckets are capped at ``max_bucket_pairs`` pairs each, with
     drops logged (never silent).
     """
@@ -583,24 +584,11 @@ def minhash_lsh_pairs(docs_ds, *, num_perm: int = 64, bands: int = 16,
                             k=k, seed=seed),
         batch_format="pyarrow")
 
-    def add_gb(t: pa.Table) -> pa.Table:
-        b = np.asarray(t["band"].to_pylist(), dtype=np.uint64)
-        kk = np.asarray(t["bucket"].to_pylist(), dtype=np.uint64)
-        gb = ((kk * np.uint64(2654435761) + b)
-              % np.uint64(256)).astype(np.int64)
-        return t.append_column("gb", pa.array(gb, pa.int64()))
-
-    from kgx.functions.collect import shuffle_coalesce
-
-    # Coalesce the banded rows before the key shuffle: Ray's sort-based
-    # groupby materializes B_in x B_out partition slices, so 64 tiny
-    # blocks cost 4096 slices of machinery while ~ncpu/2 blocks cost
-    # a few hundred for the same bytes moved.
-    cand = shuffle_coalesce(
-        banded.map_batches(add_gb, batch_format="pyarrow")) \
-        .groupby("gb").map_groups(
-            lambda g: _band_group_pairs(g, max_bucket_pairs),
-            batch_format="pyarrow")
+    cand = map_sorted_blocks(
+        banded, ["band", "bucket"],
+        lambda g: _band_group_pairs(g, max_bucket_pairs),
+        pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                   ("est_jaccard", pa.float64())]))
     # first-band ownership already guarantees one row per distinct pair
     return cand.map_batches(
         lambda t: t.filter(
@@ -665,8 +653,8 @@ def simhash_pairs(docs_ds, *, bands: int = 4, max_hamming: int = 3,
     """SimHash near-dup pairs with hamming distance <= max_hamming.
 
     Band-equality blocking guarantees recall for distances < bands
-    (pigeonhole); pairs are verified in-bucket and deduplicated by a
-    pair-keyed groupby.  Skewed buckets are capped at
+    (pigeonhole); pairs are verified in-bucket, and first-band ownership
+    emits each pair once.  Skewed buckets are capped at
     ``max_bucket_pairs`` EMITTED pairs each, with drops logged.
     """
     width = 64 // bands
@@ -678,8 +666,9 @@ def simhash_pairs(docs_ds, *, bands: int = 4, max_hamming: int = 3,
         lambda b: _simhash_band_rows(b, bands), batch_format="pyarrow")
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
-        """Owned pairs across every (band, val) segment of one 256-way
-        bucket group (the same amortization as the MinHash pair stage):
+        """Owned pairs across every (band, val) segment of one block of
+        the (band, val) sort (the same amortization as the MinHash pair
+        stage):
         band chunks derive straight from the carried simhash, so
         first-band ownership (emit-once, see _owned_bucket_pairs) needs
         no extra columns; hamming via 64-bit popcount in numpy."""
@@ -724,18 +713,11 @@ def simhash_pairs(docs_ds, *, bands: int = 4, max_hamming: int = 3,
             "hamming": pa.array(np.concatenate(h_c), pa.int32()),
         })
 
-    def add_gb(t: pa.Table) -> pa.Table:
-        b = np.asarray(t["band"].to_pylist(), dtype=np.uint64)
-        v = np.asarray(t["val"].to_pylist(), dtype=np.uint64)
-        gb = ((v * np.uint64(2654435761) + b)
-              % np.uint64(256)).astype(np.int64)
-        return t.append_column("gb", pa.array(gb, pa.int64()))
-
     # first-band ownership already emits each pair exactly once
-    from kgx.functions.collect import coalesce_small
-    return coalesce_small(banded).map_batches(
-        add_gb, batch_format="pyarrow").groupby("gb").map_groups(
-        bucket_pairs, batch_format="pyarrow")
+    return map_sorted_blocks(
+        banded, ["band", "val"], bucket_pairs,
+        pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                   ("hamming", pa.int32())]))
 
 
 # ----------------------------------------------------------------------
@@ -927,7 +909,7 @@ def _embedding_dup_pairs_bucketed(emb_ds, *, threshold: float,
 
 
 def prefix_hamming_pairs(docs_ds, *, prefix_chars: int = 24,
-                         max_dist: int = 2, n_buckets: int = 256,
+                         max_dist: int = 2,
                          max_pairs: int = DEFAULT_MAX_BUCKET_PAIRS):
     """Fuzzy-string near-dup pairs: documents whose first
     ``prefix_chars`` characters (padded with chr(1)) differ in at most
@@ -943,16 +925,17 @@ def prefix_hamming_pairs(docs_ds, *, prefix_chars: int = 24,
     both full prefixes, so a pair is emitted only from its FIRST
     matching chunk index — no dedup shuffle downstream.
 
-    Scale shape: (max_dist+1) narrow (bucket-hash, chunk, prefix, id)
-    rows per document ride ONE groupby; in-group work is a lexsort +
-    per-segment vectorized char-matrix compare (one Python call per
-    256-way bucket, minhash-style).  A boilerplate-degenerate chunk
+    Scale shape: (max_dist+1) narrow (chunk index, chunk value, prefix,
+    id) rows per document ride ONE sort on (chunk index, chunk value),
+    so every chunk segment lands whole in one block; per-block work is
+    a lexsort + per-segment vectorized char-matrix compare (one Python
+    call per sorted block, minhash-style; kgx.functions.fold
+    materializes and coalesces the chunk rows when the fold is built).
+    A boilerplate-degenerate chunk
     value goes quadratic in its members, so emission caps at
     ``max_pairs`` with the drop logged.  Output: (doc_a, doc_b, dist),
     each unordered pair exactly once.
     """
-    import hashlib as _hl
-
     n_chunks = max_dist + 1
     width = prefix_chars // n_chunks
     assert prefix_chars % n_chunks == 0, "prefix_chars % (max_dist+1) != 0"
@@ -963,19 +946,16 @@ def prefix_hamming_pairs(docs_ds, *, prefix_chars: int = 24,
         texts = batch["text"].to_pylist()
         pres = [(t or "")[:prefix_chars].ljust(prefix_chars, pad)
                 for t in texts]
-        out_b, out_c, out_id, out_p = [], [], [], []
+        out_v, out_c, out_id, out_p = [], [], [], []
         for did, pre in zip(ids, pres):
             for ci in range(n_chunks):
-                val = pre[ci * width:(ci + 1) * width]
-                h = int.from_bytes(
-                    _hl.md5(f"{ci}|{val}".encode()).digest()[:8], "big")
-                out_b.append(h % n_buckets)
+                out_v.append(pre[ci * width:(ci + 1) * width])
                 out_c.append(ci)
                 out_id.append(did)
                 out_p.append(pre)
         return pa.table({
-            "bkey": pa.array(out_b, pa.int64()),
             "ci": pa.array(out_c, pa.int64()),
+            "val": pa.array(out_v, pa.string()),
             "doc_id": pa.array(out_id, pa.int64()),
             "pre": pa.array(out_p, pa.string()),
         })
@@ -986,9 +966,7 @@ def prefix_hamming_pairs(docs_ds, *, prefix_chars: int = 24,
         pres = group["pre"].to_pylist()
         P = np.array(pres, dtype=f"U{prefix_chars}") \
             .view("U1").reshape(len(pres), prefix_chars)
-        chunk_vals = np.array([p[ci * width:(ci + 1) * width]
-                               for p, ci in zip(pres, cis)],
-                              dtype=f"U{width}")
+        chunk_vals = np.array(group["val"].to_pylist(), dtype=f"U{width}")
         order = np.lexsort((ids, chunk_vals, cis))
         c_s, v_s = cis[order], chunk_vals[order]
         starts = np.flatnonzero(np.r_[True, (c_s[1:] != c_s[:-1]) |
@@ -1029,6 +1007,8 @@ def prefix_hamming_pairs(docs_ds, *, prefix_chars: int = 24,
                              pa.int64()),
         })
 
-    return (docs_ds.map_batches(chunk_rows, batch_format="pyarrow")
-            .groupby("bkey")
-            .map_groups(bucket_pairs, batch_format="pyarrow"))
+    return map_sorted_blocks(
+        docs_ds.map_batches(chunk_rows, batch_format="pyarrow"),
+        ["ci", "val"], bucket_pairs,
+        pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                   ("dist", pa.int64())]))

@@ -23,7 +23,7 @@ def asof_join_events(events_ds, *, left_type: str, right_type: str,
 
     One groupby(key) shuffle; per-group sorted-merge via ONE
     ``np.searchsorted`` over the group's (ts, event_id)-lexsorted right
-    side (no per-left-row Python loop — the bucketed-fold idiom).
+    side (no per-left-row Python loop — a vectorized fold).
     Partitioning assumption: one key's events fit one group.
     Output: (event_id, user_id, ts, value, prior_event_id, prior_ts,
     prior_value).

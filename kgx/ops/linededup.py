@@ -10,7 +10,9 @@ Scale shape (the full text never moves through a wide shuffle):
 
 1. explode map-side to NARROW rows ``(seg_md5, doc_id, seg_no)`` — the
    segment text stays behind;
-2. one ``groupby(seg_md5)`` finds each segment's global winner (smallest
+2. one sort on ``seg_md5`` puts every occurrence of a segment in one
+   block (kgx.functions.fold.map_sorted_blocks); one pass over each
+   whole block finds every segment's global winner (smallest
    ``(doc_id, seg_no)``) and emits only the LOSING occurrences;
 3. the loser list — one ``(doc_id, seg_no)`` pair per *duplicated*
    occurrence, i.e. proportional to the duplication mass, not the corpus
@@ -36,6 +38,9 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from kgx.functions.collect import collect_arrow
+from kgx.functions.fold import map_sorted_blocks
+
 _POLY_B = np.uint64(1099511628211)      # FNV prime as the rolling base
 
 
@@ -58,8 +63,9 @@ def duplicated_spans(docs_ds, *, window: int = 16):
     vector ops per block, wraparound mod 2^64); only NARROW
     (window_hash, doc_id, pos) rows shuffle — one row per corpus token,
     the same order of shuffle mass as the token-level tfidf/logprob
-    passes, never the text.  One ``groupby(hash)`` ranks occurrences;
-    map-side per-doc partials then one tiny per-doc groupby.  The
+    passes, never the text.  One sort on the window hash ranks
+    occurrences in one pass per sorted block, which emits per-doc
+    partials that the driver sums.  The
     DuckDB oracle groups by the window STRING itself, so the gate also
     certifies the 64-bit hash collision-free on the tested corpora.
 
@@ -90,23 +96,20 @@ def duplicated_spans(docs_ds, *, window: int = 16):
             p_c.append(np.arange(n_win, dtype=np.int64))
         if not h_c:
             return pa.table({"h": pa.array([], pa.uint64()),
-                             "b": pa.array([], pa.int64()),
                              "doc_id": pa.array([], pa.int64()),
                              "pos": pa.array([], pa.int64())})
         hh = np.concatenate(h_c)
         return pa.table({
             "h": pa.array(hh, pa.uint64()),
-            "b": pa.array((hh % np.uint64(256)).astype(np.int64),
-                          pa.int64()),
             "doc_id": pa.array(np.concatenate(d_c), pa.int64()),
             "pos": pa.array(np.concatenate(p_c), pa.int64()),
         })
 
     def rank_group(group: pa.Table) -> pa.Table:
-        """Per hash-BUCKET group: every distinct hash value in the
-        bucket ranks independently (owner = lexicographically first
+        """Per sorted block: every distinct hash value in the block
+        ranks independently (owner = lexicographically first
         (doc_id, pos) occurrence); emits per-doc duplicate-count
-        partials — one vectorized Python call per bucket."""
+        partials — one vectorized Python call per block."""
         d = np.asarray(group["doc_id"].to_pylist(), dtype=np.int64)
         p = np.asarray(group["pos"].to_pylist(), dtype=np.int64)
         h = np.asarray(group["h"].to_pylist(), dtype=np.uint64)
@@ -135,12 +138,10 @@ def duplicated_spans(docs_ds, *, window: int = 16):
         return pa.table({"doc_id": pa.array(ids, pa.int64()),
                          "n_windows": pa.array(ns, pa.int64())})
 
-    from kgx.functions.collect import collect_arrow, shuffle_coalesce
-    exploded = shuffle_coalesce(
-        docs_ds.map_batches(explode, batch_format="pyarrow"))
-    dup_parts = collect_arrow(
-        exploded.groupby("b").map_groups(rank_group,
-                                         batch_format="pyarrow"))
+    dup_parts = collect_arrow(map_sorted_blocks(
+        docs_ds.map_batches(explode, batch_format="pyarrow"), "h",
+        rank_group,
+        pa.schema([("doc_id", pa.int64()), ("dup", pa.int64())])))
     dup_map: dict[int, int] = {}
     for doc_id, c in zip(dup_parts["doc_id"].to_pylist(),
                          dup_parts["dup"].to_pylist()):
@@ -181,8 +182,6 @@ def segment_dedup(docs_ds, *, seg_tokens: int = 10):
     (doc_id, seg_no)) is removed.  ``text_dedup`` is null when every
     segment of the document was a repeat."""
 
-    n_buckets = 256
-
     def explode(batch: pa.Table) -> pa.Table:
         ids, segs_no, his, los = [], [], [], []
         for d, t in zip(batch["doc_id"].to_pylist(),
@@ -205,14 +204,14 @@ def segment_dedup(docs_ds, *, seg_tokens: int = 10):
         return pa.table({
             "h_hi": pa.array(his, pa.int64()),
             "h_lo": pa.array(los, pa.int64()),
-            "b": pa.array([h % n_buckets for h in his], pa.int64()),
             "doc_id": pa.array(ids, pa.int64()),
             "seg_no": pa.array(segs_no, pa.int64()),
         })
 
     def losers(group: pa.Table) -> pa.Table:
-        """All-but-the-winner of EVERY distinct digest in one bucket,
-        vectorized (one Python call per bucket, not per segment)."""
+        """All-but-the-winner of EVERY distinct digest in one sorted
+        block, vectorized (one Python call per block, not per
+        segment)."""
         hi = np.asarray(group["h_hi"].to_pylist(), dtype=np.int64)
         lo = np.asarray(group["h_lo"].to_pylist(), dtype=np.int64)
         ids = np.asarray(group["doc_id"].to_pylist(), dtype=np.int64)
@@ -226,11 +225,10 @@ def segment_dedup(docs_ds, *, seg_tokens: int = 10):
             "seg_no": pa.array(segs[lose], pa.int64()),
         })
 
-    from kgx.functions.collect import collect_arrow, shuffle_coalesce
-    loser_tbl = collect_arrow(
-        shuffle_coalesce(docs_ds.map_batches(explode,
-                                             batch_format="pyarrow"))
-        .groupby("b").map_groups(losers, batch_format="pyarrow"))
+    loser_tbl = collect_arrow(map_sorted_blocks(
+        docs_ds.map_batches(explode, batch_format="pyarrow"),
+        ["h_hi", "h_lo"], losers,
+        pa.schema([("doc_id", pa.int64()), ("seg_no", pa.int64())])))
     if loser_tbl.num_rows:
         drop_keys = (np.asarray(loser_tbl["doc_id"].to_pylist(),
                                 dtype=np.int64) * _SEG_CAP
@@ -272,9 +270,11 @@ def boilerplate_scrub(docs_ds, *, seg_tokens: int = 10, min_docs: int = 2):
     1. explode map-side to narrow ``(source, seg_md5, doc_id)`` rows,
        deduplicated per document IN-BATCH, so the shuffle carries at
        most one row per (doc, segment) — the text stays behind;
-    2. one ``groupby(source, seg_md5)`` counts distinct documents (group
-       size == the segment's doc frequency) and emits only segments at
-       or above ``min_docs`` — the boilerplate set, which is tiny by
+    2. one sort on ``seg_md5`` puts every occurrence of a segment in one
+       block, and one pass over each whole block counts distinct
+       documents per (source, segment) (run length == the segment's
+       doc frequency) and emits only segments at or above
+       ``min_docs`` — the boilerplate set, which is tiny by
        construction (it's the *repeated* mass);
     3. the boilerplate ``(source, seg_md5)`` set broadcasts (``ray.put``)
        and every document is rebuilt map-side.
@@ -282,10 +282,8 @@ def boilerplate_scrub(docs_ds, *, seg_tokens: int = 10, min_docs: int = 2):
     Output: (doc_id, text_clean nullable, n_segs, n_removed).
     """
 
-    n_buckets = 256
-
     def explode(batch: pa.Table) -> pa.Table:
-        srcs, md5s, bs = [], [], []
+        srcs, md5s = [], []
         for d, t, src in zip(batch["doc_id"].to_pylist(),
                              batch["text"].to_pylist(),
                              batch["source"].to_pylist()):
@@ -296,16 +294,14 @@ def boilerplate_scrub(docs_ds, *, seg_tokens: int = 10, min_docs: int = 2):
                     seen.add(h)
                     srcs.append(src)
                     md5s.append(h)
-                    bs.append(int.from_bytes(h[:8], "big") % n_buckets)
         return pa.table({
             "source": pa.array(srcs, pa.string()),
             "seg_md5": pa.array(md5s, pa.binary()),
-            "b": pa.array(bs, pa.int64()),
         })
 
     def frequent(group: pa.Table) -> pa.Table:
         """One row per (source, segment) occurring in >= min_docs docs,
-        folded over the whole digest-bucket group vectorized."""
+        folded over the whole sorted block vectorized."""
         import pyarrow.compute as pc
         scodes = pc.dictionary_encode(group["source"].combine_chunks()) \
                    .indices.to_numpy(zero_copy_only=False) \
@@ -326,12 +322,10 @@ def boilerplate_scrub(docs_ds, *, seg_tokens: int = 10, min_docs: int = 2):
         return group.take(pa.array(keep_first_rows, pa.int64())) \
             .select(["source", "seg_md5"])
 
-    from kgx.functions.collect import collect_arrow, shuffle_coalesce
-    boiler = collect_arrow(
-        shuffle_coalesce(docs_ds.map_batches(explode,
-                                             batch_format="pyarrow"))
-        .groupby("b")
-        .map_groups(frequent, batch_format="pyarrow"))
+    boiler = collect_arrow(map_sorted_blocks(
+        docs_ds.map_batches(explode, batch_format="pyarrow"), "seg_md5",
+        frequent,
+        pa.schema([("source", pa.string()), ("seg_md5", pa.binary())])))
     bset = frozenset(zip(boiler["source"].to_pylist(),
                          boiler["seg_md5"].to_pylist()))
     bref = ray.put(bset)

@@ -32,6 +32,8 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
+from kgx.functions.fold import map_sorted_blocks
+
 MEDIA_SCHEMA = pa.schema([
     ("media_id", pa.string()),
     ("media_type", pa.string()),
@@ -209,7 +211,7 @@ class FrameSampleStage:
         })
 
 
-def media_dedup_groups(media_ds, *, n_buckets: int = 256):
+def media_dedup_groups(media_ds):
     """Exact payload-identity groups over the media shape: one row per
     distinct checksum with its copy count and the keeper (smallest
     media_id) — singletons keep ``n_copies = 1``, the same all-groups
@@ -218,17 +220,16 @@ def media_dedup_groups(media_ds, *, n_buckets: int = 256):
     Scale shape — the PAYLOAD never rides the shuffle: each batch
     reduces map-side to narrow (checksum, media_id) rows (binary
     columns are the wide side of a media table; moving 16-byte digests
-    instead is the whole point), then one groupby over a 256-way
-    digest-bucket key folds every checksum group in a vectorized
-    lexsort + run-length pass (the same bucketed-fold idiom as
-    kgx/ops/dedup.py).  Output: (checksum, n_copies, keep_id).
+    instead is the whole point), then one sort on the checksum puts
+    every copy in one block, and a vectorized lexsort + run-length pass
+    folds each whole block (kgx.functions.fold.map_sorted_blocks, which
+    materializes and coalesces the narrow rows when the fold is built).
+    Output: (checksum, n_copies, keep_id).
     """
     def tag(batch: pa.Table) -> pa.Table:
         sums = [hashlib.md5(p).hexdigest()
                 for p in batch["payload"].to_pylist()]
         return pa.table({
-            "bkey": pa.array([int(s[:4], 16) % n_buckets for s in sums],
-                             pa.int64()),
             "checksum": pa.array(sums, pa.string()),
             "media_id": batch["media_id"].combine_chunks(),
         })
@@ -246,6 +247,7 @@ def media_dedup_groups(media_ds, *, n_buckets: int = 256):
             "keep_id": pa.array(i_s[starts], pa.string()),
         })
 
-    return (media_ds.map_batches(tag, batch_format="pyarrow")
-            .groupby("bkey")
-            .map_groups(fold, batch_format="pyarrow"))
+    return map_sorted_blocks(
+        media_ds.map_batches(tag, batch_format="pyarrow"), "checksum", fold,
+        pa.schema([("checksum", pa.string()), ("n_copies", pa.int64()),
+                   ("keep_id", pa.string())]))

@@ -20,6 +20,7 @@ import ray.data as rd
 from kgx.sources.pages import read_table
 
 from kgx.functions.collect import collect_arrow
+from kgx.functions.fold import map_sorted_blocks
 
 
 def _cents(col) -> pa.Array:
@@ -1769,7 +1770,7 @@ def pricing_cube(sf_dir: str):
 
 
 def waiting_suppliers(sf_dir: str, *, delay_days: int = 90,
-                      n: int = 100, n_buckets: int = 256):
+                      n: int = 100):
     """TPC-H Q21-shaped waiting-suppliers report: for finalized orders
     ('F'), count per supplier the late lineitems where at least one
     OTHER supplier contributed to the order (EXISTS) but no other
@@ -1783,17 +1784,19 @@ def waiting_suppliers(sf_dir: str, *, delay_days: int = 90,
     Plan for the 100 TB shape: orders filter map-side to status 'F'
     and project (o_orderkey, o_date_us); lineitem projects
     (l_orderkey, l_suppkey, l_shipdate); ONE fact-fact co-shuffle on
-    the order key (kgx/ops/joins.py:hash_equijoin), then the
-    exists/anti-exists logic folds per ORDER inside a 256-way
-    bucketed ``map_groups`` — lexsort by (order, supplier), segment
-    boundaries via flatnonzero, per-(order, supplier) late counts via
-    ``np.add.reduceat``, per-order distinct/late-supplier counts via a
-    second reduceat over the segment array — one vectorized pass per
-    bucket, no per-order Python.  Each bucket emits pre-aggregated
-    (suppkey, numwait) partials; the final groupby moves one row per
-    (supplier, bucket).  Supplier name + nation resolve from a
-    broadcast dim map on the tiny aggregated output before the global
-    sort + limit.  Output: (n_name, s_name, numwait).
+    the order key (kgx/ops/joins.py:hash_equijoin), then one sort on
+    the order key puts every order in one block and the
+    exists/anti-exists logic folds each whole sorted block
+    (kgx.functions.fold.map_sorted_blocks) — lexsort by (order,
+    supplier), segment boundaries via flatnonzero, per-(order,
+    supplier) late counts via ``np.add.reduceat``, per-order
+    distinct/late-supplier counts via a second reduceat over the
+    segment array — one vectorized pass per block, no per-order
+    Python.  Each block emits pre-aggregated (suppkey, numwait)
+    partials; the final groupby moves one row per (supplier, block).
+    Supplier name + nation resolve from a broadcast dim map on the tiny
+    aggregated output before the global sort + limit.
+    Output: (n_name, s_name, numwait).
     """
     import pyarrow.parquet as _pq
 
@@ -1822,7 +1825,7 @@ def waiting_suppliers(sf_dir: str, *, delay_days: int = 90,
     joined = hash_equijoin(orders, line, left_on="o_orderkey",
                            right_on="l_orderkey")
 
-    def bucketize(batch: pa.Table) -> pa.Table:
+    def late_rows(batch: pa.Table) -> pa.Table:
         okey = batch["o_orderkey"].combine_chunks().cast(pa.int64())
         late = pc.greater(
             pc.subtract(pc.cast(batch["l_shipdate"], pa.int64()),
@@ -1830,8 +1833,6 @@ def waiting_suppliers(sf_dir: str, *, delay_days: int = 90,
                              .cast(pa.int64())),
             pa.scalar(delay_us, pa.int64()))
         return pa.table({
-            "bkey": pc.bit_wise_and(okey, pa.scalar(n_buckets - 1,
-                                                    pa.int64())),
             "okey": okey,
             "skey": batch["l_suppkey"].combine_chunks().cast(pa.int64()),
             "late": pc.cast(late, pa.int64()),
@@ -1887,8 +1888,11 @@ def waiting_suppliers(sf_dir: str, *, delay_days: int = 90,
                             .cast(pa.int64()),
         })
 
-    return (joined.map_batches(bucketize, batch_format="pyarrow")
-            .groupby("bkey").map_groups(fold, batch_format="pyarrow")
+    return (map_sorted_blocks(
+                joined.map_batches(late_rows, batch_format="pyarrow"),
+                "okey", fold,
+                pa.schema([("skey", pa.int64()),
+                           ("numwait_part", pa.int64())]))
             .groupby("skey").aggregate(Sum("numwait_part"))
             .map_batches(attach, batch_format="pyarrow")
             .sort(["numwait", "s_name"], descending=[True, False])
@@ -2081,10 +2085,10 @@ def min_cost_supplier(sf_dir: str, *, size: int = 25,
     100 TB plan: the (size, type) part filter reduces to a broadcast
     int64 partkey set (selectivity ~1/300 here — at cluster scale swap
     to Bloom + co-shuffle, same note as rel_profit); surviving
-    (partkey, suppkey, cost) rows take ONE narrow shuffle grouped on
-    partkey%256 BUCKETS, and each bucket fold resolves every part's
-    min and its argmin rows in one vectorized lexsort pass (Python cost
-    per bucket, not per part); ties emit every minimal (part, supplier)
+    (partkey, suppkey, cost) rows take ONE narrow sort on partkey, and
+    one fold per sorted block resolves every part's min and its argmin
+    rows in one vectorized lexsort pass (Python cost per block, not per
+    part); ties emit every minimal (part, supplier)
     pair exactly once (DISTINCT), matching Q2's all-ties semantics.
     Supplier/nation attach from broadcast arrays on the tiny survivor
     set; global sort + limit last.
@@ -2105,7 +2109,6 @@ def min_cost_supplier(sf_dir: str, *, size: int = 25,
         pk = b["l_partkey"].combine_chunks().cast(pa.int64())
         return pa.table({
             "pkey": pk,
-            "bkey": pc.bit_wise_and(pk, 255),
             "skey": pc.cast(b["l_suppkey"].combine_chunks(), pa.int64()),
             "cost": _cents(b["l_extendedprice"]),
         })
@@ -2151,11 +2154,14 @@ def min_cost_supplier(sf_dir: str, *, size: int = 25,
             "cost_cents": batch["cost_cents"].combine_chunks(),
         })
 
-    return (read_table(
-                f"{sf_dir}/lineitem.parquet",
-                columns=["l_partkey", "l_suppkey", "l_extendedprice"])
-            .map_batches(line_side, batch_format="pyarrow")
-            .groupby("bkey").map_groups(fold, batch_format="pyarrow")
+    return (map_sorted_blocks(
+                read_table(
+                    f"{sf_dir}/lineitem.parquet",
+                    columns=["l_partkey", "l_suppkey", "l_extendedprice"])
+                .map_batches(line_side, batch_format="pyarrow"),
+                "pkey", fold,
+                pa.schema([("pkey", pa.int64()), ("skey", pa.int64()),
+                           ("cost_cents", pa.int64())]))
             .map_batches(attach, batch_format="pyarrow")
             .sort(["s_acctbal_cents", "n_name", "s_name", "p_partkey"],
                   descending=[True, False, False, False])
@@ -2243,8 +2249,8 @@ def dominant_suppliers(sf_dir: str, *, name_frag: str = "bolt",
 
     100 TB plan: the part-name filter broadcasts as an int64 keyset;
     surviving (partkey, suppkey, qty) rows fold map-side per pair, take
-    ONE narrow shuffle on partkey%256 buckets, and each bucket fold
-    computes every part's total and its per-supplier sums in one
+    ONE narrow sort on partkey, and one fold per sorted block computes
+    every part's total and its per-supplier sums in one
     vectorized pass, emitting suppkeys passing the exact integer test
     ``supp_qty * 100 > total_qty * share_pct``; the tiny survivor
     keyset dedups and attaches supplier name/balance from broadcast
@@ -2269,14 +2275,12 @@ def dominant_suppliers(sf_dir: str, *, name_frag: str = "bolt",
         pk = b["l_partkey"].combine_chunks().cast(pa.int64())
         t = pa.table({
             "pkey": pk,
-            "bkey": pc.bit_wise_and(pk, 255),
             "skey": pc.cast(b["l_suppkey"].combine_chunks(), pa.int64()),
             "qty": _cents(b["l_quantity"]),
         })
-        agg = t.group_by(["bkey", "pkey", "skey"]).aggregate(
-            [("qty", "sum")])
-        return pa.table({"bkey": agg["bkey"], "pkey": agg["pkey"],
-                         "skey": agg["skey"], "qty": agg["qty_sum"]})
+        agg = t.group_by(["pkey", "skey"]).aggregate([("qty", "sum")])
+        return pa.table({"pkey": agg["pkey"], "skey": agg["skey"],
+                         "qty": agg["qty_sum"]})
 
     def fold(group: pa.Table) -> pa.Table:
         pk = group["pkey"].to_numpy(zero_copy_only=False)
@@ -2312,12 +2316,13 @@ def dominant_suppliers(sf_dir: str, *, name_frag: str = "bolt",
         return pa.table({"s_name": sname.take(si),
                          "s_acctbal_cents": sbal.take(si)})
 
-    return (read_table(
-                f"{sf_dir}/lineitem.parquet",
-                columns=["l_partkey", "l_suppkey", "l_quantity",
-                         "l_shipdate"])
-            .map_batches(line_side, batch_format="pyarrow")
-            .groupby("bkey").map_groups(fold, batch_format="pyarrow")
+    return (map_sorted_blocks(
+                read_table(
+                    f"{sf_dir}/lineitem.parquet",
+                    columns=["l_partkey", "l_suppkey", "l_quantity",
+                             "l_shipdate"])
+                .map_batches(line_side, batch_format="pyarrow"),
+                "pkey", fold, pa.schema([("skey", pa.int64())]))
             .groupby("skey").map_groups(attach, batch_format="pyarrow")
             .sort("s_name"))
 

@@ -99,8 +99,9 @@ def curate_corpus(sf_dir: str, *, lang: str = "en", min_docs: int = 2,
 
         deduped = deduped.map_batches(drop_spanny, batch_format="pyarrow")
 
-    # exact doc dedup, keep-rows form: shuffle only (md5, doc_id), find
-    # each group's losers, broadcast the loser set, filter map-side
+    # exact doc dedup, keep-rows form: sort only (md5, doc_id) on the
+    # digest, find every digest's losers in one pass per sorted block,
+    # broadcast the loser set, filter map-side
     import hashlib
 
     def fp_rows(batch: pa.Table) -> pa.Table:
@@ -112,13 +113,12 @@ def curate_corpus(sf_dir: str, *, lang: str = "en", min_docs: int = 2,
         return pa.table({
             "h_hi": pa.array(his, pa.int64()),
             "h_lo": pa.array(los, pa.int64()),
-            "b": pa.array([h % 256 for h in his], pa.int64()),
             "doc_id": batch["doc_id"],
         })
 
     def losers(group: pa.Table) -> pa.Table:
-        """All-but-smallest doc of every distinct digest in the bucket,
-        vectorized (one call per bucket, not per distinct text)."""
+        """All-but-smallest doc of every distinct digest in the sorted
+        block, vectorized (one call per block, not per distinct text)."""
         import numpy as np
         hi = np.asarray(group["h_hi"].to_pylist(), dtype=np.int64)
         lo = np.asarray(group["h_lo"].to_pylist(), dtype=np.int64)
@@ -129,11 +129,10 @@ def curate_corpus(sf_dir: str, *, lang: str = "en", min_docs: int = 2,
         return pa.table({"doc_id": pa.array(ids[order[~first]],
                                             pa.int64())})
 
-    from kgx.functions.collect import shuffle_coalesce
-    loser_tbl = collect_arrow(
-        shuffle_coalesce(deduped.map_batches(fp_rows,
-                                             batch_format="pyarrow"))
-        .groupby("b").map_groups(losers, batch_format="pyarrow"))
+    from kgx.functions.fold import map_sorted_blocks
+    loser_tbl = collect_arrow(map_sorted_blocks(
+        deduped.map_batches(fp_rows, batch_format="pyarrow"),
+        ["h_hi", "h_lo"], losers, pa.schema([("doc_id", pa.int64())])))
     drop = ray.put(pa.array(sorted(loser_tbl["doc_id"].to_pylist()),
                             pa.int64()))
 

@@ -40,16 +40,18 @@ from kgx.functions.collect import collect_arrow
 from kgx.functions.fold import map_sorted_blocks
 from kgx.functions.html_text import EXTRACTOR_VERSION, extract_text
 from kgx.stages.edges import build_alias_map, resolve_and_dedup_claims
-from kgx.stages.extract import (GazetteerExtractor, LLMExtractor,
-                                TermExtractor, make_task_extractor)
+from kgx.stages.extract import (GazetteerExtractor, TermExtractor,
+                                make_task_extractor)
 from kgx.stages.states import (edges_from_states, make_combine_extracted_fn,
                                nodes_from_states)
 from kgx.state import manifest as mf
 
+# Extractors a KGConfig can name.  LLMExtractor is not one: it needs an
+# injected transport, which no KGConfig field carries (kgx.pipelines.docs_kg
+# and __ray_entry__ drive it with one).
 EXTRACTORS = {
     "gazetteer": GazetteerExtractor,
     "term": TermExtractor,
-    "llm": LLMExtractor,
 }
 
 
@@ -352,6 +354,26 @@ def _read_latest_pages(pages_path: str, cfg: KGConfig, *,
     return latest_crawl_per_url(ds)
 
 
+def _check_extractor(cfg: KGConfig) -> None:
+    """Refuse an unknown ``cfg.extractor`` before any Dataset runs."""
+    if cfg.extractor not in EXTRACTORS:
+        raise ValueError(f"unknown extractor {cfg.extractor!r}; "
+                         f"expected one of {sorted(EXTRACTORS)}")
+
+
+def _select_pages(ds, cfg: KGConfig):
+    """Pages -> the texts the KG is built from: html to text, then
+    ``lang_filter`` and ``dedup_pages``."""
+    ds = ds.map_batches(extract_text_batch, batch_format="pyarrow")
+    if cfg.lang_filter:
+        ds = ds.map_batches(
+            lambda t: t.filter(pc.equal(t["lang"], cfg.lang_filter)),
+            batch_format="pyarrow")
+    if cfg.dedup_pages:
+        ds = dedup_pages_by_text(ds)
+    return ds
+
+
 def kg_from_extracted(extracted, cfg: KGConfig) -> dict:
     """Tagged extraction Dataset -> ``{"nodes": Dataset, "edges":
     Dataset}``: the checkpoint-free KG tail of ``stream_kg`` and
@@ -387,6 +409,7 @@ def stream_kg(pages_path: str, cfg: KGConfig | None = None) -> dict:
     Returns ``{"nodes": Dataset, "edges": Dataset}``.
     """
     cfg = cfg or KGConfig()
+    _check_extractor(cfg)
     ncpu = _prepare_data_context()
     # Block count tracks the cluster: ~4 waves of fused
     # read->text->chunk->extract tasks.  The wave knee moved as the
@@ -397,14 +420,9 @@ def stream_kg(pages_path: str, cfg: KGConfig | None = None) -> dict:
     # 4 waves 8.9 s, 8 waves 10.5 s, 16 waves 10.4 s for the same
     # stage), so fewer, larger blocks win.  Straggler re-leveling still
     # has 4 tasks per core to work with.
-    ds = _read_latest_pages(pages_path, cfg, override_num_blocks=4 * ncpu)
-    ds = ds.map_batches(extract_text_batch, batch_format="pyarrow")
-    if cfg.lang_filter:
-        ds = ds.map_batches(
-            lambda t: t.filter(pc.equal(t["lang"], cfg.lang_filter)),
-            batch_format="pyarrow")
-    if cfg.dedup_pages:
-        ds = dedup_pages_by_text(ds)
+    ds = _select_pages(
+        _read_latest_pages(pages_path, cfg, override_num_blocks=4 * ncpu),
+        cfg)
     ds = ds.map_batches(make_chunk_batch_fn(cfg.chunk_size, cfg.chunk_overlap),
                         batch_format="pyarrow")
     # The per-block combine (combine_states, batch_size=None) fuses into
@@ -424,14 +442,6 @@ def _build_extraction(pages_path: str, dest_dir: str, cfg: "KGConfig",
     root) and ``update_pipeline`` (each ingested shard under
     ``shards/<fp12>``)."""
     ncpu = int(ray.cluster_resources().get("CPU", 4))
-    # Deterministic extractors/resolvers run as plain map_batches TASKS with
-    # per-worker cached state (no pool startup, work stealing everywhere);
-    # the LLM extractor — real per-actor state (model client) — runs on an
-    # actor pool starting at half the target width so ramp-up doesn't
-    # dominate (max leaves CPUs for the fused read tasks; a fixed pool ==
-    # CPU count deadlocks small hosts).
-    extract_conc = ((max(1, (ncpu - 2) // 2), max(1, ncpu - 2))
-                    if cfg.extractor == "llm" else None)
     input_fp = mf.fingerprint_input(pages_path)
     paths = {s: mf.stage_dir(dest_dir, s)
              for s in ("texts", "chunks", "extracted")}
@@ -456,13 +466,7 @@ def _build_extraction(pages_path: str, dest_dir: str, cfg: "KGConfig",
                     "url": b["url"],
                     "ts": pc.cast(b["warc_ts"], pa.int64())}),
                 batch_format="pyarrow").write_parquet(meta_dir)
-        ds = ds.map_batches(extract_text_batch, batch_format="pyarrow")
-        if cfg.lang_filter:
-            ds = ds.map_batches(
-                lambda t: t.filter(pc.equal(t["lang"], cfg.lang_filter)),
-                batch_format="pyarrow")
-        if cfg.dedup_pages:
-            ds = dedup_pages_by_text(ds)
+        ds = _select_pages(ds, cfg)
         if seen_filter is not None:
             ds = seen_filter(ds)
         ds.write_parquet(sdir)
@@ -491,15 +495,11 @@ def _build_extraction(pages_path: str, dest_dir: str, cfg: "KGConfig",
     #    resume).
     def build_extract_group(gdir, gfiles):
         ds = rd.read_parquet(gfiles, columns=["url", "chunk_id", "text"])
-        cls = EXTRACTORS[cfg.extractor]
-        if extract_conc is None:
-            ds = ds.map_batches(make_task_extractor(cls),
-                                batch_format="pyarrow",
-                                batch_size=cfg.extract_batch_size)
-        else:
-            ds = ds.map_batches(cls, batch_format="pyarrow",
-                                batch_size=cfg.extract_batch_size,
-                                concurrency=extract_conc)
+        # deterministic extractors run as plain map_batches TASKS with
+        # per-worker cached state (no pool startup, work stealing)
+        ds = ds.map_batches(make_task_extractor(EXTRACTORS[cfg.extractor]),
+                            batch_format="pyarrow",
+                            batch_size=cfg.extract_batch_size)
         ds.write_parquet(gdir)
 
     chunk_files = mf._parquet_files(paths["chunks"])
@@ -767,6 +767,7 @@ def run_pipeline(pages_path: str, out_dir: str,
     nodes/edges/claims finalization covers them too.
     """
     cfg = cfg or KGConfig()
+    _check_extractor(cfg)
     base_cfg = cfg.semantic_dict()
     base_cfg["extractor_version"] = EXTRACTOR_VERSION
     _prepare_data_context()
@@ -803,6 +804,7 @@ def update_pipeline(new_pages_path: str, out_dir: str,
     instances, exactly as re-feeding a page to the reference would).
     """
     cfg = cfg or KGConfig()
+    _check_extractor(cfg)
     base_cfg = cfg.semantic_dict()
     base_cfg["extractor_version"] = EXTRACTOR_VERSION
     ncpu = _prepare_data_context()

@@ -61,10 +61,17 @@ def test_winnow_deterministic_and_short():
 
 
 def test_exact_dedup_groups(ray_session):
-    ds = docs_ds(["same text", "same text", "other"])
+    base = ["same text", "same text", "other"]
+    ds = docs_ds(base)
     out = exact_dup_groups(ds).to_pandas().sort_values("rep_doc_id")
     assert out["n_docs"].tolist() == [2, 1]
     assert out["rep_doc_id"].tolist() == [0, 2]
+    # a hot key holding over half the rows, spread over many blocks,
+    # still folds to one row with the full count and the smallest id
+    ds = docs_ds(base + ["hot text"] * 40).repartition(17)
+    out = exact_dup_groups(ds).to_pandas().sort_values("rep_doc_id")
+    assert out["n_docs"].tolist() == [2, 1, 40]
+    assert out["rep_doc_id"].tolist() == [0, 2, 3]
 
 
 def test_jaccard_pairs_exact(ray_session):
@@ -272,20 +279,32 @@ class TestMultimodalStages:
         import pyarrow as pa
         import ray.data as rd
         from kgx.ops.multimodal import media_dedup_groups
-        media = rd.from_arrow(pa.table({
-            "media_id": pa.array(["m3", "m0", "m1", "m2"], pa.string()),
-            "media_type": pa.array(["image/png"] * 4, pa.string()),
-            "payload": pa.array([b"dup", b"dup", b"uniq", b"dup"],
-                                pa.binary()),
-        }))
-        out = media_dedup_groups(media).to_pandas()
-        assert len(out) == 2
-        by = out.set_index("checksum")
         import hashlib
-        dup = hashlib.md5(b"dup").hexdigest()
-        assert by.loc[dup, "n_copies"] == 3
-        assert by.loc[dup, "keep_id"] == "m0"
-        assert by.loc[hashlib.md5(b"uniq").hexdigest(), "n_copies"] == 1
+        ids = ["m3", "m0", "m1", "m2"]
+        payloads = [b"dup", b"dup", b"uniq", b"dup"]
+        # the same rows, then plus a hot payload holding over half the
+        # rows, spread over many blocks
+        hot_ids = [f"h{i:02d}" for i in range(40, 0, -1)]
+        for extra_ids, n_blocks in (([], 1), (hot_ids, 17)):
+            media = rd.from_arrow(pa.table({
+                "media_id": pa.array(ids + extra_ids, pa.string()),
+                "media_type": pa.array(
+                    ["image/png"] * (4 + len(extra_ids)), pa.string()),
+                "payload": pa.array(payloads + [b"hot"] * len(extra_ids),
+                                    pa.binary()),
+            })).repartition(n_blocks)
+            out = media_dedup_groups(media).to_pandas()
+            assert len(out) == 2 + bool(extra_ids)
+            by = out.set_index("checksum")
+            dup = hashlib.md5(b"dup").hexdigest()
+            assert by.loc[dup, "n_copies"] == 3
+            assert by.loc[dup, "keep_id"] == "m0"
+            assert by.loc[hashlib.md5(b"uniq").hexdigest(),
+                          "n_copies"] == 1
+            if extra_ids:
+                hot = hashlib.md5(b"hot").hexdigest()
+                assert by.loc[hot, "n_copies"] == 40
+                assert by.loc[hot, "keep_id"] == "h01"
 
     def test_real_paths_require_libs(self):
         import pytest as pt

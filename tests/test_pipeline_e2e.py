@@ -110,6 +110,22 @@ class TestResume:
             os.path.join(out, "chunks", "_MANIFEST.json")) != chunks_m
 
 
+def test_unknown_extractor_refused_up_front(smoke_corpus, tmp_path):
+    """No KGConfig field carries an LLM transport, so extractor="llm" is
+    an unknown extractor: every composition refuses it before a Dataset
+    runs, and run_pipeline writes no stage directory."""
+    from kgx.pipelines.kg import stream_kg, update_pipeline
+    cfg = KGConfig(extractor="llm")
+    with pytest.raises(ValueError, match="llm"):
+        stream_kg(smoke_corpus["pages"], cfg)
+    out = str(tmp_path / "kg")
+    with pytest.raises(ValueError, match="llm"):
+        run_pipeline(smoke_corpus["pages"], out, cfg)
+    assert not os.path.exists(out)
+    with pytest.raises(ValueError, match="llm"):
+        update_pipeline(smoke_corpus["pages"], out, cfg)
+
+
 class TestPartitionResume:
     """Block-level resume of the extraction stage (north_rule: a killed
     run resumes from the last completed block)."""

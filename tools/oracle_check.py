@@ -1,7 +1,9 @@
 """Local stand-in for the driver's correctness gate: run every queries()
 entry at a given sf dir, run its oracle_sql() in DuckDB over the same
 parquet tables, and compare row count, schema width and an
-order-insensitive value hash.  Usage:
+order-insensitive value hash.  Each line ends with the query's Ray
+wall time (building and collecting its result; the oracle is not
+timed).  Usage:
 
     python tools/oracle_check.py [sf_dir] [query ...]
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+import time
 
 import duckdb
 import pandas as pd
@@ -56,30 +59,33 @@ def main() -> int:
     for name, fn in qs.items():
         if only and name not in only:
             continue
+        t0 = time.perf_counter()
         try:
             mine = to_pandas(fn(sf_dir))
         except Exception as exc:  # noqa: BLE001
-            print(f"FAIL {name}: ray error {type(exc).__name__}: {exc}")
+            print(f"FAIL {name}: ray error {type(exc).__name__}: {exc} "
+                  f"[{time.perf_counter() - t0:.2f} s]")
             n_fail += 1
             continue
+        wall = f"[{time.perf_counter() - t0:.2f} s]"
         sql = oracles.get(name)
         if sql is None:
-            print(f"ok   {name}: rows-only ({len(mine)} rows)")
+            print(f"ok   {name}: rows-only ({len(mine)} rows) {wall}")
             continue
         try:
             ref = con.sql(sql).df()
         except Exception as exc:  # noqa: BLE001
-            print(f"FAIL {name}: sql error {exc}")
+            print(f"FAIL {name}: sql error {exc} {wall}")
             n_fail += 1
             continue
         nm, cm, hm = canon(mine)
         nr, cr, hr = canon(ref)
         if (nm, cm, hm) == (nr, cr, hr):
-            print(f"PASS {name}: {nm} rows")
+            print(f"PASS {name}: {nm} rows {wall}")
         else:
             n_fail += 1
             print(f"FAIL {name}: rows {nm} vs {nr}; cols {cm} vs {cr}; "
-                  f"hash {'==' if hm == hr else '!='}")
+                  f"hash {'==' if hm == hr else '!='} {wall}")
     ray.shutdown()
     return 1 if n_fail else 0
 
