@@ -46,17 +46,6 @@ def hash_embed(text: str, dim: int = EMBED_DIM) -> np.ndarray:
     return v / n if n > 0 else v
 
 
-def embed_chunks_batch(batch: pa.Table, dim: int = EMBED_DIM) -> pa.Table:
-    """(chunk_id, text) -> (chunk_id, text, embedding list<float>)."""
-    embs = [hash_embed(t or "", dim) for t in batch["text"].to_pylist()]
-    return pa.table({
-        "chunk_id": batch["chunk_id"],
-        "text": batch["text"],
-        "embedding": pa.array([e.tolist() for e in embs],
-                              pa.list_(pa.float32())),
-    })
-
-
 def retrieve_topk(chunks_ds, questions: list[str], *, k: int = 5,
                   dim: int = EMBED_DIM):
     """chunks Dataset -> (question_idx, chunk_id, text, score, rank) of the

@@ -28,12 +28,16 @@ never through a synthetic hash-bucket ``groupby``: the KG folds
 (kgx.stages.states, kgx.stages.edges, kgx.stages.neardup,
 kgx.pipelines.kg, kgx.sources.pages) and the corpus and relational ops,
 whose folds already take many keys per call —
-kgx.ops.dedup (``exact_dup_groups``, ``minhash_lsh_pairs``,
-``simhash_pairs``, ``prefix_hamming_pairs``),
-kgx.ops.multimodal.media_dedup_groups, kgx.ops.linededup
-(``duplicated_spans``, ``segment_dedup``, ``boilerplate_scrub``),
-kgx.pipelines.curate (exact-doc losers) and kgx.ops.relational
-(``waiting_suppliers``, ``min_cost_supplier``, ``dominant_suppliers``).
+kgx.ops.dedup (``exact_dup_groups``; the LSH pair passes of
+``minhash_lsh_pairs``, ``simhash_pairs``, ``prefix_hamming_pairs`` and
+``jaccard_pairs``, which share one segment-pair kernel, and the two
+per-doc verify sorts of ``jaccard_pairs``), kgx.ops.components (one
+sort per ``connected_components`` round, and the distinct-set pass of
+``neardup_components``), kgx.ops.multimodal.media_dedup_groups,
+kgx.ops.linededup (``duplicated_spans``, ``segment_dedup``,
+``boilerplate_scrub``), kgx.pipelines.curate (exact-doc losers) and
+kgx.ops.relational (``waiting_suppliers``, ``min_cost_supplier``,
+``dominant_suppliers``).
 """
 
 from __future__ import annotations

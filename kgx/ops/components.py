@@ -5,25 +5,30 @@ The missing last step of a dedup pipeline: pair emitters
 one canonical representative per duplicate CLUSTER requires the
 connected components of that pair graph.  Ray Data has no graph
 operator, so this implements distributed **min-label propagation**
-(hash-to-min) as groupby shuffles:
+(hash-to-min) with ONE sort per round:
 
-- state: a labels Dataset (node, label), initialized label = node;
-- per iteration, ONE co-shuffle ``groupby(node)`` over
-  [label rows ∪ edge-endpoint rows] lets every node's current label
-  flow to each neighbor as a message row, and a second ``groupby(node)``
-  takes the min of [old label ∪ incoming messages];
-- labels decrease monotonically, so the global label SUM strictly
-  decreases until the fixpoint — a cheap ``sum()`` aggregate per
-  iteration is an exact convergence test (no row-wise diff needed);
+- the round's input is label rows (node, label) plus the constant
+  edge-endpoint rows (node, other); round 1's label rows are each node's
+  own id and, on the endpoint rows, each neighbour's id, both emitted
+  map-side;
+- one :func:`kgx.functions.fold.map_sorted_blocks` on ``node`` takes
+  every node's minimum label over whole sorted blocks with numpy, and
+  emits it once as the node's own row (flagged ``own``) and once to
+  every neighbour: the label rows of the next round;
+- after round k a node's own label is the smallest id within k hops.
+  Labels decrease monotonically, so the sum of the own labels strictly
+  decreases until the fixpoint — equal sums in two rounds are an exact
+  convergence test (no row-wise diff needed), and the last round's own
+  rows are the result;
 - iteration count is bounded by the component diameter; near-dup
   clusters are clique-like (diameter 1-2), so a handful of rounds
   converges.  ``max_iters`` bounds the worst case; non-convergence
   raises rather than returning wrong labels.
 
-Partitioning assumption: shuffles move (node, label) and edge-endpoint
-rows — never document text; per-node group size is its degree + 1.
-A pathological hub node's group is its full neighbor list, which for
-near-dup semantics is the duplicate-cluster size.
+Partitioning assumption: the sorts move (node, label) and edge-endpoint
+rows — never document text; a node's rows are its degree + its
+incoming labels, so a pathological hub node's run is its full neighbour
+list, which for near-dup semantics is the duplicate-cluster size.
 
 The reference has no dedup at all; this is the training-data surface.
 DuckDB oracle: transitive closure via a recursive CTE (driver query
@@ -32,41 +37,79 @@ DuckDB oracle: transitive closure via a recursive CTE (driver query
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from kgx.functions.collect import collect_arrow
+from kgx.functions.fold import key_runs, map_sorted_blocks
+
+_ROUND_SCHEMA = pa.schema([("node", pa.int64()), ("other", pa.int64()),
+                           ("label", pa.int64()), ("own", pa.bool_())])
+
+
+def _round_rows(node, other, label, own: bool) -> pa.Table:
+    n = len(node)
+    return pa.table({
+        "node": node,
+        "other": pa.nulls(n, pa.int64()) if other is None else other,
+        "label": label,
+        "own": pa.array(np.full(n, own)),
+    }, schema=_ROUND_SCHEMA)
+
+
+def _node_rows(nodes: pa.Table) -> pa.Table:
+    """doc_id -> the node's round-1 label row: its own id."""
+    ids = nodes["doc_id"].combine_chunks().cast(pa.int64())
+    return _round_rows(ids, None, ids, False)
+
 
 def _edge_endpoint_rows(pairs: pa.Table) -> pa.Table:
-    """(doc_a, doc_b) pairs -> two endpoint rows each: (node, other)."""
+    """(doc_a, doc_b) pairs -> two endpoint rows each: (node, other),
+    labelled min(node, other), i.e. the node's and the neighbour's round-1
+    label at once.  Later rounds' labels never exceed it, so the rows can
+    stay in every round's input."""
     a = pairs["doc_a"].combine_chunks().cast(pa.int64())
     b = pairs["doc_b"].combine_chunks().cast(pa.int64())
-    return pa.table({
-        "node": pa.concat_arrays([a, b]),
-        "other": pa.concat_arrays([b, a]),
-        "label": pa.nulls(2 * pairs.num_rows, pa.int64()),
-    })
+    return _round_rows(pa.concat_arrays([a, b]), pa.concat_arrays([b, a]),
+                       pa.concat_arrays([pc.min_element_wise(a, b)] * 2),
+                       False)
 
 
-def _propagate_group(group: pa.Table) -> pa.Table:
-    """One node's [label row ∪ endpoint rows] -> message rows to every
-    neighbor plus the node's own label row."""
-    others = group["other"].to_pylist()
-    labels = [v for v in group["label"].to_pylist() if v is not None]
-    node = group["node"][0].as_py()
-    label = min(labels) if labels else node
-    out_node = [node] + [o for o in others if o is not None]
-    n = len(out_node)
-    return pa.table({
-        "node": pa.array(out_node, pa.int64()),
-        "label": pa.array([label] * n, pa.int64()),
-    })
+def _min_label_block(block: pa.Table) -> pa.Table:
+    """One node-sorted block -> each node's minimum label as its own row
+    (in node order), then that label sent to each of its neighbours."""
+    starts = key_runs(block, ["node"])[:-1]
+    label = np.minimum.reduceat(
+        block["label"].combine_chunks().to_numpy(zero_copy_only=False),
+        starts)
+    node = block["node"].combine_chunks()
+    other = block["other"].combine_chunks()
+    edge = pc.is_valid(other)
+    run = np.repeat(np.arange(len(starts)), np.diff(np.r_[starts,
+                                                          len(block)]))
+    return pa.concat_tables([
+        _round_rows(node.take(starts), None, label, True),
+        _round_rows(other.filter(edge), None,
+                    label[run[edge.to_numpy(zero_copy_only=False)]], False),
+    ])
 
 
-def _min_label_group(group: pa.Table) -> pa.Table:
-    return pa.table({
-        "node": pa.array([group["node"][0].as_py()], pa.int64()),
-        "label": pa.array([pc.min(group["label"]).as_py()], pa.int64()),
-    })
+def _own_rows(t: pa.Table) -> pa.Table:
+    """A round's own rows: each node's label -> (doc_id, component_id)."""
+    return t.filter(t["own"]).select(["node", "label"]).rename_columns(
+        ["doc_id", "component_id"])
+
+
+def _label_sum(own):
+    """Sum of a round's own labels (``None`` for no rows, as
+    ``Dataset.sum``): one partial per block, added up by the caller, so no
+    ``Aggregate`` exchange runs."""
+    part = collect_arrow(own.map_batches(
+        lambda t: pa.table({"s": pa.array([pc.sum(t["component_id"])
+                                           .as_py()], pa.int64())}),
+        batch_format="pyarrow", batch_size=None))
+    return pc.sum(part["s"]).as_py() if part.num_rows else None
 
 
 def connected_components(nodes_ds, pairs_ds, *, max_iters: int = 12):
@@ -74,36 +117,17 @@ def connected_components(nodes_ds, pairs_ds, *, max_iters: int = 12):
     where component_id is the smallest doc_id in the component;
     singletons map to themselves.  Returns a Dataset sorted by doc_id.
     """
-    from kgx.functions.collect import shuffle_coalesce
-
-    # Coalesce both sides once: every iteration runs two sort shuffles
-    # whose task counts track the BLOCK counts, so thousands of tiny
-    # blocks would make each round a scheduling storm.
-    labels = shuffle_coalesce(nodes_ds.map_batches(
-        lambda t: pa.table({
-            "node": t["doc_id"].combine_chunks().cast(pa.int64()),
-            "other": pa.nulls(t.num_rows, pa.int64()),
-            "label": t["doc_id"].combine_chunks().cast(pa.int64()),
-        }),
-        batch_format="pyarrow")).materialize()
-    edges = shuffle_coalesce(pairs_ds.map_batches(
-        _edge_endpoint_rows, batch_format="pyarrow")).materialize()
+    edges = pairs_ds.map_batches(_edge_endpoint_rows,
+                                 batch_format="pyarrow").materialize()
+    labels = nodes_ds.map_batches(_node_rows, batch_format="pyarrow")
 
     prev_sum = None
     for _ in range(max_iters):
-        messages = labels.union(edges).groupby("node").map_groups(
-            _propagate_group, batch_format="pyarrow")
-        new_labels = messages.groupby("node").map_groups(
-            _min_label_group, batch_format="pyarrow")
-        new_labels = new_labels.map_batches(
-            lambda t: pa.table({
-                "node": t["node"].combine_chunks(),
-                "other": pa.nulls(t.num_rows, pa.int64()),
-                "label": t["label"].combine_chunks(),
-            }),
-            batch_format="pyarrow").materialize()
-        cur_sum = new_labels.sum("label")
-        labels = new_labels
+        labels = map_sorted_blocks(labels.union(edges), "node",
+                                   _min_label_block,
+                                   _ROUND_SCHEMA).materialize()
+        own = labels.map_batches(_own_rows, batch_format="pyarrow")
+        cur_sum = _label_sum(own)
         if cur_sum == prev_sum:   # labels are monotone non-increasing:
             break                 # equal sums == exact fixpoint
         prev_sum = cur_sum
@@ -111,14 +135,7 @@ def connected_components(nodes_ds, pairs_ds, *, max_iters: int = 12):
         raise RuntimeError(
             f"label propagation did not converge in {max_iters} iterations"
             " — component diameter exceeds the bound")
-
-    out = labels.map_batches(
-        lambda t: pa.table({
-            "doc_id": t["node"].combine_chunks(),
-            "component_id": t["label"].combine_chunks(),
-        }),
-        batch_format="pyarrow")
-    return out.sort("doc_id")
+    return own.sort("doc_id")
 
 
 def neardup_components(docs_ds, *, threshold: float = 0.8,
@@ -158,28 +175,32 @@ def neardup_components(docs_ds, *, threshold: float = 0.8,
             "n_terms": pa.array(nts, pa.int32()),
         })
 
-    def group_rows(group: pa.Table) -> pa.Table:
-        """One distinct-set group -> tagged rows: one rep row plus star
-        edges rep->member (skipped for the empty set)."""
-        ids = sorted(group["doc_id"].to_pylist())
-        empty = group["n_terms"][0].as_py() == 0
-        kinds, a_c, b_c = ["r"], [ids[0]], [None]
-        if not empty:
-            for m in ids[1:]:
-                kinds.append("e")
-                a_c.append(ids[0])
-                b_c.append(m)
+    def set_groups(block: pa.Table) -> pa.Table:
+        """Every distinct-set run of one fp-sorted block -> tagged rows:
+        one rep row (its min doc_id) plus star edges rep->member (none
+        for the empty set), run by run in doc_id order."""
+        ids = block["doc_id"].combine_chunks().to_numpy(zero_copy_only=False)
+        starts = key_runs(block, ["fp"])
+        run = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+        order = np.lexsort((ids, run))
+        ids = ids[order]
+        rep = ids[starts[:-1]][run]
+        is_rep = np.zeros(len(ids), dtype=bool)
+        is_rep[starts[:-1]] = True
+        empty = block["n_terms"].combine_chunks().to_numpy(
+            zero_copy_only=False)[order] == 0
+        keep = is_rep | ~empty
         return pa.table({
-            "kind": pa.array(kinds, pa.string()),
-            "doc_a": pa.array(a_c, pa.int64()),
-            "doc_b": pa.array(b_c, pa.int64()),
+            "kind": pa.array(np.where(is_rep, "r", "e")[keep], pa.string()),
+            "doc_a": pa.array(rep[keep], pa.int64()),
+            "doc_b": pa.array(ids[keep], pa.int64(),
+                              mask=is_rep[keep]),
         })
 
-    from kgx.functions.collect import shuffle_coalesce
-    tagged = shuffle_coalesce(
-        docs_ds.map_batches(set_fp, batch_format="pyarrow")
-        .groupby("fp").map_groups(group_rows, batch_format="pyarrow")
-    ).materialize()
+    tagged = map_sorted_blocks(
+        docs_ds.map_batches(set_fp, batch_format="pyarrow"), "fp",
+        set_groups, pa.schema([("kind", pa.string()), ("doc_a", pa.int64()),
+                               ("doc_b", pa.int64())])).materialize()
     star = tagged.map_batches(
         lambda t: t.filter(pc.equal(t["kind"], "e")).select(
             ["doc_a", "doc_b"]),
@@ -187,7 +208,6 @@ def neardup_components(docs_ds, *, threshold: float = 0.8,
 
     # one representative doc per distinct set -> pair mining input
     import ray
-    from kgx.functions.collect import collect_arrow
     rep_tbl = collect_arrow(tagged.map_batches(
         lambda t: t.filter(pc.equal(t["kind"], "r")).select(["doc_a"]),
         batch_format="pyarrow"))

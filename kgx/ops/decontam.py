@@ -77,15 +77,3 @@ def contamination_flags(docs_ds, bench_ref, *, n: int = 8):
 
     return docs_ds.map_batches(flag, batch_format="pyarrow")
 
-
-def decontaminate(docs_ds, bench_ref, *, n: int = 8):
-    """Drop contaminated documents (the scrubbing counterpart of
-    :func:`contamination_flags`) — same streaming shape, keeps the full
-    row for surviving documents."""
-    def keep_clean(batch: pa.Table) -> pa.Table:
-        bench = ray.get(bench_ref)
-        mask = [not (_gram_set(t or "", n) & bench)
-                for t in batch["text"].to_pylist()]
-        return batch.filter(pa.array(mask, pa.bool_()))
-
-    return docs_ds.map_batches(keep_clean, batch_format="pyarrow")

@@ -8,8 +8,10 @@ Scale design notes (100 TB path):
 - **Exact Jaccard** (:func:`jaccard_pairs`) defaults to
   ``method="lsh_verify"``: MinHash-LSH banding over the term sets
   generates candidate pairs, and each candidate is verified with the
-  EXACT set Jaccard via two co-shuffle joins that attach the term sets —
-  nothing is materialized driver-side, nothing is broadcast.  With the
+  EXACT set Jaccard: two sorts on a doc key (doc_a, then doc_b) put a
+  doc's term set in the same block as its candidates, and one pass over
+  each sorted block looks it up — nothing is materialized driver-side,
+  nothing is broadcast.  With the
   default 32 bands x 2 rows the per-pair miss probability at J >= 0.8 is
   (1 - J^2)^32 <= 4e-15 — numerically exact in practice, and the DuckDB
   oracle gate checks exact equality.  ``method="matrix"`` keeps the
@@ -23,7 +25,10 @@ Scale design notes (100 TB path):
   bucket)) and **SimHash** (bit-sampling bands, sort on (band, value))
   never materialize a pairwise matrix: candidates come out of one pass
   over each sorted block (kgx.functions.fold.map_sorted_blocks), and
-  first-band ownership emits each pair once.  Both are deterministic
+  first-band ownership emits each pair once.  Their pair passes, the
+  prefix-Hamming one and the Jaccard candidate pass share one kernel,
+  :func:`_segment_pairs`; each caller adds only its owner matrix and its
+  score or predicate.  Both are deterministic
   (seeded permutations, content hashes) but approximate, so their driver
   checks are rows-only.  A skewed bucket (boilerplate-identical docs)
   would go quadratic, so in-bucket pair generation is CAPPED at
@@ -140,10 +145,10 @@ def jaccard_pairs(docs_ds, *, threshold: float = 0.8,
     (doc_a < doc_b, jaccard).
 
     ``method="lsh_verify"`` (default): LSH candidates + exact per-pair
-    verification via co-shuffle joins — the scale path (see module
-    docstring).  ``method="matrix"``: the broadcast incidence-matrix
-    baseline (driver-side materialization; fine as an oracle baseline,
-    weak at 100 TB).
+    verification over two sorts on a doc key, one pass per sorted block
+    each — the scale path (see module docstring).  ``method="matrix"``:
+    the broadcast incidence-matrix baseline (driver-side
+    materialization; fine as an oracle baseline, weak at 100 TB).
     """
     if method == "lsh_verify":
         return _jaccard_pairs_lsh_verified(docs_ds, threshold=threshold,
@@ -207,26 +212,81 @@ def _band_hashes(sig: np.ndarray, bands: int,
     return out
 
 
-def _owned_bucket_pairs(group: pa.Table) -> pa.Table:
-    """Emit (doc_a < doc_b) pairs of one (band, bucket) group ONLY when
-    this band is the pair's FIRST colliding band (emit-once ownership):
-    every band row carries the doc's full per-band bucket vector, so the
-    first-collision band is computed vectorized per pair, and no
-    deduplicating shuffle over the (bands x pairs) blowup is ever needed.
-    """
-    band = group["band"][0].as_py()
-    ids = np.asarray(group["doc_id"].to_pylist(), dtype=np.int64)
-    order = np.argsort(ids)
-    ids = ids[order]
-    B = np.asarray(group["bands"].to_pylist(), dtype=np.uint64)[order]
-    iu, ju = np.triu_indices(len(ids), k=1)
-    if len(iu) == 0:
-        return pa.table({"doc_a": pa.array([], pa.int64()),
-                         "doc_b": pa.array([], pa.int64())})
-    first = (B[iu] == B[ju]).argmax(axis=1)   # first colliding band
-    keep = np.flatnonzero(first == band)
-    return pa.table({"doc_a": pa.array(ids[iu[keep]], pa.int64()),
-                     "doc_b": pa.array(ids[ju[keep]], pa.int64())})
+_TERMS = pa.list_(pa.uint64())
+# one shape for the term-set rows and the candidate rows of the verify
+# sorts: a set row has a null doc_a and its set in ``terms``; a candidate
+# row carries (doc_a, doc_b) and, once its first side is attached, that
+# side's set in ``sa``
+_VERIFY_SCHEMA = pa.schema([("key", pa.int64()), ("doc_a", pa.int64()),
+                            ("doc_b", pa.int64()), ("sa", _TERMS),
+                            ("terms", _TERMS)])
+_JACCARD_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                             ("jaccard", pa.float64())])
+
+
+def _candidate_rows(key, doc_a, doc_b, sa=None) -> pa.Table:
+    n = len(key)
+    return pa.table({"key": key, "doc_a": doc_a, "doc_b": doc_b,
+                     "sa": pa.nulls(n, _TERMS) if sa is None else sa,
+                     "terms": pa.nulls(n, _TERMS)},
+                    schema=_VERIFY_SCHEMA)
+
+
+def _key_sets(block: pa.Table):
+    """One ``key``-sorted block -> (candidate rows, set rows, the index
+    of each candidate's set row).  Every row of a key is in the block,
+    so the set row is a hash lookup of the key; a candidate whose key
+    has no set row is dropped."""
+    is_set = pc.is_null(block["doc_a"])
+    sets = block.filter(is_set)
+    cand = block.filter(pc.invert(is_set))
+    idx = pc.index_in(cand["key"], value_set=sets["key"].combine_chunks())
+    found = pc.is_valid(idx)
+    return cand.filter(found), sets, idx.filter(found)
+
+
+def _attach_a(block: pa.Table) -> pa.Table:
+    """Candidates keyed on doc_a -> the same candidates keyed on doc_b,
+    carrying doc_a's set in ``sa``."""
+    cand, sets, idx = _key_sets(block)
+    return _candidate_rows(cand["doc_b"], cand["doc_a"], cand["doc_b"],
+                           pc.take(sets["terms"], idx))
+
+
+def _exact_jaccard(block: pa.Table, threshold: float) -> pa.Table:
+    """(doc_a, doc_b, jaccard >= threshold) of the candidates keyed on
+    doc_b, each carrying doc_a's unique hash set in ``sa``.  Every doc_a
+    hash is looked up in its doc_b's set with two binary searches over
+    the block's set rows, so doc_b's set is never copied per candidate:
+    a dense rank in the block's hash vocabulary, then the sorted
+    (set row, rank) keys."""
+    cand, sets, idx = _key_sets(block)
+    sb = sets["terms"].combine_chunks()
+    sv = pc.list_flatten(sb).to_numpy(zero_copy_only=False)
+    # a max-value sentinel ends both sorted arrays, so every search
+    # lands on a valid index
+    vocab = np.unique(np.r_[sv, np.iinfo(np.uint64).max].astype(np.uint64))
+    skey = np.r_[pc.list_parent_indices(sb).to_numpy(zero_copy_only=False)
+                 * len(vocab) + np.searchsorted(vocab, sv),
+                 np.iinfo(np.int64).max]
+    set_row = idx.to_numpy(zero_copy_only=False).astype(np.int64)
+    sa = cand["sa"].combine_chunks()
+    av = pc.list_flatten(sa).to_numpy(zero_copy_only=False)
+    arow = pc.list_parent_indices(sa).to_numpy(zero_copy_only=False)
+    rank = np.searchsorted(vocab, av)
+    akey = set_row[arow] * len(vocab) + rank
+    hit = (vocab[rank] == av) & (skey[np.searchsorted(skey, akey)] == akey)
+    inter = np.bincount(arow[hit], minlength=cand.num_rows)
+    na = pc.list_value_length(sa).to_numpy(zero_copy_only=False)
+    nb = pc.list_value_length(sb).to_numpy(zero_copy_only=False)[set_row]
+    union = na + nb - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        j = np.where(union > 0, inter / union, 0.0)
+    keep = pa.array(j >= threshold)
+    return pa.table({"doc_a": cand["doc_a"].filter(keep),
+                     "doc_b": cand["doc_b"].filter(keep),
+                     "jaccard": pa.array(j, pa.float64()).filter(keep)},
+                    schema=_JACCARD_SCHEMA)
 
 
 def _jaccard_pairs_lsh_verified(docs_ds, *, threshold: float, pattern: str,
@@ -237,16 +297,20 @@ def _jaccard_pairs_lsh_verified(docs_ds, *, threshold: float, pattern: str,
     1. minhash the term SET of each doc (one hash per term, ``num_perm``
        permutations) and emit band-bucket rows carrying the doc's full
        per-band bucket vector;
-    2. candidate (doc_a < doc_b) pairs per bucket with FIRST-band
-       ownership (:func:`_owned_bucket_pairs`) — each band-coincident
-       pair is emitted by exactly one band, so there is no
-       bands-x-pairs candidate blowup and no dedup shuffle; candidates
-       are NOT filtered by the signature estimate, every one is
-       verified exactly;
-    3. two co-shuffle joins on doc id attach both term sets and compute
-       the exact Jaccard; filter >= threshold.
+    2. one sort on (band, bucket) and the shared pair kernel
+       (:func:`_segment_pairs`) over each sorted block give the candidate
+       (doc_a < doc_b) pairs with FIRST-band ownership — each
+       band-coincident pair is emitted by exactly one band, so there is
+       no bands-x-pairs candidate blowup and no dedup shuffle;
+       candidates are NOT filtered by the signature estimate, and no
+       bucket is capped: every candidate is verified exactly;
+    3. two sorts on a doc key, over the term-set rows plus the
+       candidates keyed on doc_a, then on doc_b, find each candidate's
+       set row in its sorted block (:func:`_key_sets`): the first
+       attaches doc_a's set, the second computes the exact Jaccard
+       against doc_b's set; filter >= threshold.
 
-    No driver materialization, no broadcast; shuffles move band rows,
+    No driver materialization, no broadcast; the sorts move band rows,
     candidate pairs, and each candidate's two term lists.  Miss
     probability per true pair is (1 - J^rows_per_band)^bands — at the
     default 32x2 and J >= 0.8 that is <= 4e-15.
@@ -255,40 +319,40 @@ def _jaccard_pairs_lsh_verified(docs_ds, *, threshold: float, pattern: str,
     rows_per_band = num_perm // bands
     a, b = _perm_params(num_perm, seed)
 
-    from kgx.functions.collect import shuffle_coalesce
-
-    def term_hash_rows(batch: pa.Table) -> pa.Table:
-        """(doc_id, thash): unique uint64 term hashes per doc — the
-        verify payload AND the minhash input, computed once.  Jaccard
-        over the hash sets equals Jaccard over the distinct term strings
-        up to 64-bit collisions (~C(|terms|,2) * 2^-64 per doc — far
-        below the gate's resolution, and deterministic)."""
+    def set_rows(batch: pa.Table) -> pa.Table:
+        """Term-set rows keyed on doc_id: the unique uint64 term hashes
+        per doc, the verify payload AND the minhash input, computed
+        once.  Jaccard over the hash sets equals Jaccard over the
+        distinct term strings up to 64-bit collisions (~C(|terms|,2) *
+        2^-64 per doc — far below the gate's resolution, and
+        deterministic)."""
         import re
         rx = re.compile(pattern)
-        ids, hs = [], []
-        for doc_id, text in zip(batch["doc_id"].to_pylist(),
-                                batch["text"].to_pylist()):
+        hs = []
+        for text in batch["text"].to_pylist():
             terms = set(rx.findall(text or ""))
-            ids.append(doc_id)
             hs.append(np.unique(np.asarray(
                 [int.from_bytes(hashlib.blake2b(
                     t.encode(), digest_size=8).digest(), "big")
                  for t in terms], dtype=np.uint64)).tolist()
                 if terms else [])
+        n = batch.num_rows
         return pa.table({
-            "doc_id": pa.array(ids, pa.int64()),
-            "thash": pa.array(hs, pa.list_(pa.uint64())),
+            "key": batch["doc_id"].combine_chunks().cast(pa.int64()),
+            "doc_a": pa.nulls(n, pa.int64()),
+            "doc_b": pa.nulls(n, pa.int64()),
+            "sa": pa.nulls(n, _TERMS),
+            "terms": pa.array(hs, _TERMS),
         })
 
-    # materialized once (feeds banding + both verify joins) and coalesced:
-    # the four downstream shuffles' task counts track the block count
-    sets_ds = shuffle_coalesce(docs_ds.map_batches(
-        term_hash_rows, batch_format="pyarrow")).materialize()
+    # materialized once: feeds the banding and both verify sorts
+    sets_ds = docs_ds.map_batches(set_rows, batch_format="pyarrow") \
+        .materialize()
 
     def band_rows(batch: pa.Table) -> pa.Table:
         band_c, bucket_c, doc_c, bands_c = [], [], [], []
-        for doc_id, hashes in zip(batch["doc_id"].to_pylist(),
-                                  batch["thash"].to_pylist()):
+        for doc_id, hashes in zip(batch["key"].to_pylist(),
+                                  batch["terms"].to_pylist()):
             sig = minhash_signature(
                 np.asarray(hashes, dtype=np.uint64), a, b)
             bh = _band_hashes(sig, bands, rows_per_band)
@@ -305,104 +369,24 @@ def _jaccard_pairs_lsh_verified(docs_ds, *, threshold: float, pattern: str,
             "bands": pa.array(bands_c, pa.list_(pa.uint64())),
         })
 
-    cand = sets_ds.map_batches(band_rows, batch_format="pyarrow") \
-        .groupby(["band", "bucket"]).map_groups(_owned_bucket_pairs,
-                                                batch_format="pyarrow")
+    def candidates(block: pa.Table) -> pa.Table:
+        """Owned pairs of one (band, bucket) block as candidate rows
+        keyed on doc_a."""
+        ids = _np(block["doc_id"])
+        ia, ib = _segment_pairs("jaccard_pairs", _np(block["band"]),
+                                _np(block["bucket"]), ids,
+                                _list_mat(block["bands"]))
+        doc_a = pa.array(ids[ia], pa.int64())
+        return _candidate_rows(doc_a, doc_a, pa.array(ids[ib], pa.int64()))
 
-    # verify join phase A: attach doc_a's term-hash set (key = doc_a)
-    TERMS = pa.list_(pa.uint64())
-
-    def sets_as_join_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "key": batch["doc_id"].combine_chunks().cast(pa.int64()),
-            "kind": pa.array(["s"] * n, pa.string()),
-            "doc_a": pa.array([None] * n, pa.int64()),
-            "doc_b": pa.array([None] * n, pa.int64()),
-            "terms": batch["thash"].combine_chunks().cast(TERMS),
-            "terms_a": pa.array([None] * n, TERMS),
-        })
-
-    def cand_as_join_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "key": batch["doc_a"].combine_chunks().cast(pa.int64()),
-            "kind": pa.array(["p"] * n, pa.string()),
-            "doc_a": batch["doc_a"].combine_chunks().cast(pa.int64()),
-            "doc_b": batch["doc_b"].combine_chunks().cast(pa.int64()),
-            "terms": pa.array([None] * n, TERMS),
-            "terms_a": pa.array([None] * n, TERMS),
-        })
-
-    def attach_a(group: pa.Table) -> pa.Table:
-        kinds = group["kind"].to_pylist()
-        try:
-            s_row = kinds.index("s")
-            terms = np.asarray(group["terms"][s_row].as_py(),
-                               dtype=np.uint64)
-        except ValueError:
-            terms = None
-        out = group.filter(pc.equal(group["kind"], "p"))
-        if terms is None:
-            return out.slice(0, 0)
-        n = out.num_rows
-        # replicate the term-hash set per candidate via one numpy tile
-        # + ListArray offsets — no per-row Python list construction
-        rep = pa.ListArray.from_arrays(
-            pa.array(np.arange(n + 1, dtype=np.int32) * len(terms)),
-            pa.array(np.tile(terms, n), pa.uint64()))
-        return pa.table({
-            "key": out["doc_b"].combine_chunks(),   # next join key
-            "kind": out["kind"].combine_chunks(),
-            "doc_a": out["doc_a"].combine_chunks(),
-            "doc_b": out["doc_b"].combine_chunks(),
-            "terms": pa.array([None] * n, TERMS),
-            "terms_a": rep.cast(TERMS),
-        })
-
-    def verify_b(group: pa.Table) -> pa.Table:
-        kinds = np.asarray(group["kind"].to_pylist())
-        s_rows = np.flatnonzero(kinds == "s")
-        a_c, b_c, j_c = [], [], []
-        if len(s_rows):
-            terms_b = np.asarray(group["terms"][int(s_rows[0])].as_py(),
-                                 dtype=np.uint64)
-            nb = len(terms_b)
-            p_rows = np.flatnonzero(kinds == "p")
-            da_all = np.asarray(group["doc_a"].to_pylist())
-            db_all = np.asarray(group["doc_b"].to_pylist())
-            # zero-copy candidate term sets: flatten + offset slicing,
-            # no per-row Python list materialization
-            ta_col = group["terms_a"].combine_chunks()
-            # .values (not .flatten()) stays offset-aligned when null
-            # rows ("s" side) are present
-            flat = ta_col.values.to_numpy(zero_copy_only=False) \
-                .astype(np.uint64, copy=False)
-            offs = ta_col.offsets.to_numpy(zero_copy_only=False)
-            for i in p_rows:
-                sa = flat[offs[i]:offs[i + 1]]
-                # both sides are unique-sorted uint64 hash sets
-                inter = np.intersect1d(sa, terms_b,
-                                       assume_unique=True).size
-                union = len(sa) + nb - inter
-                j = inter / union if union else 0.0
-                if j >= threshold:
-                    a_c.append(da_all[i])
-                    b_c.append(db_all[i])
-                    j_c.append(j)
-        return pa.table({
-            "doc_a": pa.array(a_c, pa.int64()),
-            "doc_b": pa.array(b_c, pa.int64()),
-            "jaccard": pa.array(j_c, pa.float64()),
-        })
-
-    sets_rows = sets_ds.map_batches(sets_as_join_rows,
-                                    batch_format="pyarrow")
-    phase_a = sets_rows.union(
-        cand.map_batches(cand_as_join_rows, batch_format="pyarrow")) \
-        .groupby("key").map_groups(attach_a, batch_format="pyarrow")
-    return sets_rows.union(phase_a).groupby("key").map_groups(
-        verify_b, batch_format="pyarrow")
+    cand = map_sorted_blocks(
+        sets_ds.map_batches(band_rows, batch_format="pyarrow"),
+        ["band", "bucket"], candidates, _VERIFY_SCHEMA)
+    side_b = map_sorted_blocks(sets_ds.union(cand), "key", _attach_a,
+                               _VERIFY_SCHEMA)
+    return map_sorted_blocks(
+        sets_ds.union(side_b), "key",
+        lambda blk: _exact_jaccard(blk, threshold), _JACCARD_SCHEMA)
 
 
 # ----------------------------------------------------------------------
@@ -498,66 +482,111 @@ def _log_bucket_drop(op: str, n_members: int, n_emitted: int,
         "dropped %d", op, n_members, n_emitted, n_dropped)
 
 
-def _band_group_pairs(group: pa.Table,
-                      max_pairs: int = DEFAULT_MAX_BUCKET_PAIRS) -> pa.Table:
-    """Owned pairs across EVERY (band, bucket) segment in one block
-    of the (band, bucket) sort, with signature-estimated Jaccard.
+def _list_mat(col) -> np.ndarray:
+    """Fixed-length list column -> (rows, width) numpy matrix, without a
+    Python round-trip (same flatten device as simsearch.emb_matrix)."""
+    arr = col.combine_chunks()
+    flat = arr.flatten().to_numpy(zero_copy_only=False)
+    return flat.reshape(len(arr), flat.size // max(len(arr), 1))
 
-    One block holds many whole LSH buckets (see
-    :func:`minhash_lsh_pairs`): rows lexsort by (band, bucket, doc_id),
-    each segment runs the vectorized triu pair pass (numpy-only — the
-    Python/Arrow overhead is paid once per block, not once per LSH
-    bucket), and one Arrow table leaves per block.
 
-    First-band ownership (see :func:`_owned_bucket_pairs`) means a pair
-    is emitted by exactly one band — no dedup shuffle downstream.  A
-    degenerate bucket (boilerplate-identical corpus) is quadratic in its
-    member count, so emission is capped at ``max_pairs`` pairs per
-    bucket (in deterministic sorted-id order) and the drop count is
-    logged."""
-    def _list_mat(col) -> np.ndarray:
-        # fixed-length uint64 lists -> (rows, width) without a Python
-        # round-trip (same flatten device as simsearch.emb_matrix)
-        arr = col.combine_chunks()
-        flat = arr.flatten().to_numpy(zero_copy_only=False)
-        return flat.reshape(len(arr), flat.size // max(len(arr), 1))
+def _np(col) -> np.ndarray:
+    return col.combine_chunks().to_numpy(zero_copy_only=False)
 
-    bands_col = np.asarray(group["band"].to_pylist(), dtype=np.int64)
-    buckets = np.asarray(group["bucket"].to_pylist(), dtype=np.uint64)
-    ids = np.asarray(group["doc_id"].to_pylist(), dtype=np.int64)
-    B = _list_mat(group["bands"]).astype(np.uint64, copy=False)
-    S = _list_mat(group["sig"]).astype(np.uint64, copy=False)
-    order = np.lexsort((ids, buckets, bands_col))
-    b_s, k_s = bands_col[order], buckets[order]
-    starts = np.flatnonzero(np.r_[True, (b_s[1:] != b_s[:-1]) |
-                                  (k_s[1:] != k_s[:-1])])
+
+def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(s, e)`` for every (s, e)."""
+    lens = ends - starts
+    return np.repeat(starts - np.r_[0, np.cumsum(lens)[:-1]], lens) + \
+        np.arange(lens.sum())
+
+
+# candidate pairs built per numpy pass: bounds the pass's peak memory to
+# this plus the largest single run's pairs
+_PAIR_CHUNK = 1 << 20
+
+
+def _segment_pairs(op: str, band: np.ndarray, key: np.ndarray,
+                   ids: np.ndarray, owners: np.ndarray, *, pred=None,
+                   max_pairs: int | None = None):
+    """The LSH pair kernel: owned pairs inside every run of equal
+    (band, key) of one block, as block row indices ``(ia, ib)``.
+
+    Rows lexsort by (band, key, id), and each run's pairs come out in
+    ``np.triu_indices`` order, so ``ids[ia] <= ids[ib]``.  First-owner
+    ownership emits a pair once across all bands, with no dedup shuffle:
+    ``owners`` has one column per band (column ``band`` of a row is its
+    key in that band), and a pair is kept only by the run of the first
+    band in which the two rows agree.  Then ``pred(ia, ib)`` filters, and
+    a run keeps its first ``max_pairs`` pairs, logging the drop
+    (``None``: no cap).  Every run's pairs are built with a few numpy
+    calls per block, not per run."""
+    cols = np.ascontiguousarray(owners.T)
+    order = np.lexsort((ids, key, band))
+    b, k = band[order], key[order]
+    starts = np.flatnonzero(np.r_[True, (b[1:] != b[:-1]) |
+                                  (k[1:] != k[:-1])])
     ends = np.r_[starts[1:], len(order)]
-    a_c, b_c, e_c = [], [], []
-    for s, e in zip(starts, ends):
-        if e - s < 2:
-            continue
-        seg = order[s:e]                  # already doc_id-ascending
-        band = int(b_s[s])
-        sid, sB, sS = ids[seg], B[seg], S[seg]
-        iu, ju = np.triu_indices(e - s, k=1)
-        first = (sB[iu] == sB[ju]).argmax(axis=1)
-        keep = np.flatnonzero(first == band)
-        if len(keep) > max_pairs:
-            _log_bucket_drop("minhash_lsh_pairs", e - s, max_pairs,
-                             len(keep) - max_pairs)
-            keep = keep[:max_pairs]
-        if len(keep):
-            a_c.append(sid[iu[keep]])
-            b_c.append(sid[ju[keep]])
-            e_c.append((sS[iu[keep]] == sS[ju[keep]]).mean(axis=1))
-    if not a_c:
-        return pa.table({"doc_a": pa.array([], pa.int64()),
-                         "doc_b": pa.array([], pa.int64()),
-                         "est_jaccard": pa.array([], pa.float64())})
+    multi = ends - starts > 1
+    starts, ends = starts[multi], ends[multi]
+    npairs = (ends - starts) * (ends - starts - 1) // 2
+    chunk = (np.cumsum(npairs) - npairs) // _PAIR_CHUNK
+    cuts = np.r_[np.flatnonzero(np.r_[True, chunk[1:] != chunk[:-1]]),
+                 len(chunk)]
+    out_a, out_b = [], []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        s, e = starts[lo:hi], ends[lo:hi]
+        pos = _ranges(s, e)
+        run_end = np.repeat(e, e - s)
+        n_after = run_end - pos - 1
+        run = np.repeat(np.repeat(np.arange(hi - lo), e - s), n_after)
+        ia = order[np.repeat(pos, n_after)]
+        ib = order[_ranges(pos + 1, run_end)]
+        # drop the pairs that agree in an earlier band, one band column
+        # at a time; near-dups mostly agree early, so few pairs stay
+        pair_band = band[ia]
+        keep = np.ones(len(ia), dtype=bool)
+        open_ = np.flatnonzero(pair_band > 0)
+        for j, col in enumerate(cols):
+            if not len(open_):
+                break
+            hit = col[ia[open_]] == col[ib[open_]]
+            keep[open_[hit]] = False
+            open_ = open_[~hit]
+            open_ = open_[pair_band[open_] > j + 1]
+        if pred is not None:
+            keep[keep] = pred(ia[keep], ib[keep])
+        ia, ib, run = ia[keep], ib[keep], run[keep]
+        if max_pairs is not None and len(run):
+            n_run = np.bincount(run, minlength=hi - lo)
+            for r in np.flatnonzero(n_run > max_pairs):
+                _log_bucket_drop(op, int(e[r] - s[r]), max_pairs,
+                                 int(n_run[r]) - max_pairs)
+            rank = np.arange(len(run)) - np.searchsorted(run, run)
+            ia, ib = ia[rank < max_pairs], ib[rank < max_pairs]
+        out_a.append(ia)
+        out_b.append(ib)
+    if not out_a:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    return np.concatenate(out_a), np.concatenate(out_b)
+
+
+def _band_group_pairs(block: pa.Table,
+                      max_pairs: int = DEFAULT_MAX_BUCKET_PAIRS) -> pa.Table:
+    """Owned pairs of every (band, bucket) run of one block of the
+    (band, bucket) sort (:func:`_segment_pairs`, the doc's per-band
+    bucket vector as owner matrix, capped at ``max_pairs`` per bucket),
+    with the signature-estimated Jaccard."""
+    ids = _np(block["doc_id"])
+    S = _list_mat(block["sig"])
+    ia, ib = _segment_pairs(
+        "minhash_lsh_pairs", _np(block["band"]), _np(block["bucket"]), ids,
+        _list_mat(block["bands"]), max_pairs=max_pairs)
     return pa.table({
-        "doc_a": pa.array(np.concatenate(a_c), pa.int64()),
-        "doc_b": pa.array(np.concatenate(b_c), pa.int64()),
-        "est_jaccard": pa.array(np.concatenate(e_c), pa.float64()),
+        "doc_a": pa.array(ids[ia], pa.int64()),
+        "doc_b": pa.array(ids[ib], pa.int64()),
+        "est_jaccard": pa.array((S[ia] == S[ib]).mean(axis=1),
+                                pa.float64()),
     })
 
 
@@ -665,52 +694,24 @@ def simhash_pairs(docs_ds, *, bands: int = 4, max_hamming: int = 3,
     banded = sh.map_batches(
         lambda b: _simhash_band_rows(b, bands), batch_format="pyarrow")
 
-    def bucket_pairs(group: pa.Table) -> pa.Table:
-        """Owned pairs across every (band, val) segment of one block of
-        the (band, val) sort (the same amortization as the MinHash pair
-        stage):
-        band chunks derive straight from the carried simhash, so
-        first-band ownership (emit-once, see _owned_bucket_pairs) needs
-        no extra columns; hamming via 64-bit popcount in numpy."""
-        bands_c = np.asarray(group["band"].to_pylist(), dtype=np.int64)
-        vals = np.asarray(group["val"].to_pylist(), dtype=np.uint64)
-        ids = np.asarray(group["doc_id"].to_pylist(), dtype=np.int64)
-        hs = np.asarray(group["simhash"].to_pylist(), dtype=np.uint64)
-        order = np.lexsort((ids, vals, bands_c))
-        b_s, v_s = bands_c[order], vals[order]
-        starts = np.flatnonzero(np.r_[True, (b_s[1:] != b_s[:-1]) |
-                                      (v_s[1:] != v_s[:-1])])
-        ends = np.r_[starts[1:], len(order)]
-        a_c, b_c, h_c = [], [], []
-        for s, e in zip(starts, ends):
-            if e - s < 2:
-                continue
-            seg = order[s:e]              # already doc_id-ascending
-            band = int(b_s[s])
-            sid, shs = ids[seg], hs[seg]
-            iu, ju = np.triu_indices(e - s, k=1)
-            chunks = (shs[:, None] >> shifts[None, :]) & mask
-            first = (chunks[iu] == chunks[ju]).argmax(axis=1)
-            xor = shs[iu] ^ shs[ju]
-            ham = np.unpackbits(xor.view(np.uint8).reshape(-1, 8),
-                                axis=1).sum(axis=1)
-            keep = np.flatnonzero((first == band) & (ham <= max_hamming))
-            if len(keep) > max_bucket_pairs:
-                _log_bucket_drop("simhash_pairs", e - s, max_bucket_pairs,
-                                 len(keep) - max_bucket_pairs)
-                keep = keep[:max_bucket_pairs]
-            if len(keep):
-                a_c.append(sid[iu[keep]])
-                b_c.append(sid[ju[keep]])
-                h_c.append(ham[keep].astype(np.int32))
-        if not a_c:
-            return pa.table({"doc_a": pa.array([], pa.int64()),
-                             "doc_b": pa.array([], pa.int64()),
-                             "hamming": pa.array([], pa.int32())})
+    def popcount(x: np.ndarray) -> np.ndarray:
+        return np.unpackbits(x.view(np.uint8).reshape(-1, 8),
+                             axis=1).sum(axis=1)
+
+    def bucket_pairs(block: pa.Table) -> pa.Table:
+        """Owned pairs of every (band, val) run of one block: the band
+        chunks of the carried simhash are the owner matrix, and hamming
+        is a 64-bit popcount in numpy."""
+        ids, hs = _np(block["doc_id"]), _np(block["simhash"])
+        ia, ib = _segment_pairs(
+            "simhash_pairs", _np(block["band"]), _np(block["val"]), ids,
+            (hs[:, None] >> shifts[None, :]) & mask,
+            pred=lambda a, b: popcount(hs[a] ^ hs[b]) <= max_hamming,
+            max_pairs=max_bucket_pairs)
         return pa.table({
-            "doc_a": pa.array(np.concatenate(a_c), pa.int64()),
-            "doc_b": pa.array(np.concatenate(b_c), pa.int64()),
-            "hamming": pa.array(np.concatenate(h_c), pa.int32()),
+            "doc_a": pa.array(ids[ia], pa.int64()),
+            "doc_b": pa.array(ids[ib], pa.int64()),
+            "hamming": pa.array(popcount(hs[ia] ^ hs[ib]), pa.int32()),
         })
 
     # first-band ownership already emits each pair exactly once
@@ -960,51 +961,27 @@ def prefix_hamming_pairs(docs_ds, *, prefix_chars: int = 24,
             "pre": pa.array(out_p, pa.string()),
         })
 
-    def bucket_pairs(group: pa.Table) -> pa.Table:
-        ids = np.asarray(group["doc_id"].to_pylist(), dtype=np.int64)
-        cis = np.asarray(group["ci"].to_pylist(), dtype=np.int64)
-        pres = group["pre"].to_pylist()
-        P = np.array(pres, dtype=f"U{prefix_chars}") \
-            .view("U1").reshape(len(pres), prefix_chars)
-        chunk_vals = np.array(group["val"].to_pylist(), dtype=f"U{width}")
-        order = np.lexsort((ids, chunk_vals, cis))
-        c_s, v_s = cis[order], chunk_vals[order]
-        starts = np.flatnonzero(np.r_[True, (c_s[1:] != c_s[:-1]) |
-                                      (v_s[1:] != v_s[:-1])])
-        ends = np.r_[starts[1:], len(order)]
-        a_c, b_c, d_c = [], [], []
-        for s, e in zip(starts, ends):
-            if e - s < 2:
-                continue
-            seg = order[s:e]
-            ci = int(c_s[s])
-            sid, sP = ids[seg], P[seg]
-            iu, ju = np.triu_indices(e - s, k=1)
-            eq = sP[iu] == sP[ju]                      # (pairs, P) bool
-            dist = prefix_chars - eq.sum(axis=1)
-            chunk_eq = eq.reshape(len(iu), n_chunks, width).all(axis=2)
-            first = chunk_eq.argmax(axis=1)
-            keep = np.flatnonzero((dist <= max_dist) & (first == ci)
-                                  & (sid[iu] != sid[ju]))
-            if len(keep) > max_pairs:
-                _log_bucket_drop("prefix_hamming_pairs", e - s, max_pairs,
-                                 len(keep) - max_pairs)
-                keep = keep[:max_pairs]
-            if len(keep):
-                lo = np.minimum(sid[iu[keep]], sid[ju[keep]])
-                hi = np.maximum(sid[iu[keep]], sid[ju[keep]])
-                a_c.append(lo)
-                b_c.append(hi)
-                d_c.append(dist[keep])
-        if not a_c:
-            return pa.table({"doc_a": pa.array([], pa.int64()),
-                             "doc_b": pa.array([], pa.int64()),
-                             "dist": pa.array([], pa.int64())})
+    def bucket_pairs(block: pa.Table) -> pa.Table:
+        """Owned pairs of every (chunk index, chunk value) run of one
+        block: the prefix's chunks are the owner matrix, and the distance
+        counts unequal characters."""
+        ids = _np(block["doc_id"])
+        P = np.array(block["pre"].to_pylist(), dtype=f"U{prefix_chars}")
+        chars = P.view("U1").reshape(len(P), prefix_chars)
+
+        def dist(a, b):
+            return prefix_chars - (chars[a] == chars[b]).sum(axis=1)
+
+        ia, ib = _segment_pairs(
+            "prefix_hamming_pairs", _np(block["ci"]),
+            np.array(block["val"].to_pylist(), dtype=f"U{width}"), ids,
+            P.view(f"U{width}").reshape(len(P), n_chunks),
+            pred=lambda a, b: (dist(a, b) <= max_dist) & (ids[a] != ids[b]),
+            max_pairs=max_pairs)
         return pa.table({
-            "doc_a": pa.array(np.concatenate(a_c), pa.int64()),
-            "doc_b": pa.array(np.concatenate(b_c), pa.int64()),
-            "dist": pa.array(np.concatenate(d_c).astype(np.int64),
-                             pa.int64()),
+            "doc_a": pa.array(ids[ia], pa.int64()),
+            "doc_b": pa.array(ids[ib], pa.int64()),
+            "dist": pa.array(dist(ia, ib), pa.int64()),
         })
 
     return map_sorted_blocks(

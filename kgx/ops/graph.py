@@ -615,21 +615,24 @@ def weakly_connected_components(edges_ds, *, src_col: str = "subj_name",
     """(name, component) per vertex, component = lexicographically
     smallest vertex name in the weakly connected component.
 
-    ``max_iters`` bounds the one-hop min-label propagation rounds; the
+    ``max_iters`` bounds the one-hop min-label propagation rounds, one
+    sort each over (node, label) and edge-endpoint rows; the
     convergence test is exact (label-sum fixpoint), so extra budget
-    costs nothing once converged and each round shuffles only
-    (node, label) rows — the default is sized for diameter <= 50, far
-    beyond canonicalized term graphs (KG graphs are hub-dense, diameter
-    single digits).  A path-like graph with diameter > 50 raises loudly
-    rather than returning wrong labels; raise ``max_iters`` for those.
+    costs nothing once converged.  A component of diameter d settles in
+    at most d rounds and is seen unchanged in the next, so the default
+    converges for every diameter below 50, far beyond canonicalized term
+    graphs (KG graphs are hub-dense, diameter single digits).  A
+    path-like graph past the bound raises loudly rather than returning
+    wrong labels; raise ``max_iters`` for those.
 
     Vertices are ranked into dense int64 ids by SORTED name (one O(|V|)
     broadcast, same vertex-set assumption as ``pagerank``), so the
     existing distributed min-label propagation
-    (kgx/ops/components.py:connected_components — shuffles only
-    (node, label) rows, converges in diameter-bounded rounds with an
-    exact sum-fixpoint test) applies unchanged: the minimum RANK is the
-    minimum NAME.  The edge stream itself is never collected.
+    (kgx/ops/components.py:connected_components — one sort per round,
+    moving only (node, label) and edge-endpoint rows, converging in
+    diameter-bounded rounds with an exact sum-fixpoint test) applies
+    unchanged: the minimum RANK is the minimum NAME.  The edge stream
+    itself is never collected.
     """
     from kgx.functions.collect import collect_arrow
     from kgx.ops.components import connected_components

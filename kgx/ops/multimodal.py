@@ -34,12 +34,6 @@ import ray.data as rd
 
 from kgx.functions.fold import map_sorted_blocks
 
-MEDIA_SCHEMA = pa.schema([
-    ("media_id", pa.string()),
-    ("media_type", pa.string()),
-    ("payload", pa.binary()),
-])
-
 try:  # pragma: no cover - not installed in this container
     from PIL import Image  # noqa: F401
     _HAVE_PIL = True

@@ -178,22 +178,18 @@ def _fp_url_key(t: pa.Table):
     return pc.binary_join_element_wise(t["fp"], t["url"], "")
 
 
-# Per-worker cache of broadcast loser-key value sets, keyed by object ref —
-# ray.get once per worker process, reused by every filter task on it.
-_WORKER_DROPSET_CACHE: dict[str, pa.Array] = {}
+class _LoserFilter:
+    """Drop the rows whose own (fp, url) key is in the broadcast loser
+    set; run through ``make_task_extractor``, so the set is ``ray.get``
+    once per worker."""
 
+    def __init__(self, drop_ref):
+        self.vs = pa.array(ray.get(drop_ref), pa.string())
 
-def _make_loser_filter(drop_ref):
-    def drop_losers(batch: pa.Table) -> pa.Table:
-        key = drop_ref.hex()
-        vs = _WORKER_DROPSET_CACHE.get(key)
-        if vs is None:
-            vs = _WORKER_DROPSET_CACHE[key] = pa.array(
-                ray.get(drop_ref), pa.string())
+    def __call__(self, batch: pa.Table) -> pa.Table:
         # a null key (empty text) is never in the set
-        drop = pc.is_in(_fp_url_key(batch), value_set=vs)
+        drop = pc.is_in(_fp_url_key(batch), value_set=self.vs)
         return batch.filter(pc.invert(drop)).drop_columns(["fp"])
-    return drop_losers
 
 
 def dedup_pages_by_text(texts_ds):
@@ -223,8 +219,9 @@ def dedup_pages_by_text(texts_ds):
                                   batch_format="pyarrow").materialize()
     loser_tbl = collect_arrow(_page_dup_losers(tagged))
     drop_ref = ray.put(sorted(_fp_url_key(loser_tbl).to_pylist()))
-    return tagged.map_batches(_make_loser_filter(drop_ref),
-                              batch_format="pyarrow")
+    return tagged.map_batches(
+        make_task_extractor(_LoserFilter, drop_ref=drop_ref),
+        batch_format="pyarrow")
 
 
 def make_chunk_batch_fn(size: int, overlap: int):

@@ -9,8 +9,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-PAGES_COLUMNS = ["url", "warc_ts", "html", "text", "lang"]
-
 # Below this compressed size a table's read is dominated by Ray's
 # per-task/per-block fixed costs, not bytes: Ray's default parallelism
 # splits even a 600 KB file into ~2*ncpu blocks, and every downstream
@@ -44,11 +42,6 @@ def read_table(path: str, *, columns: list[str] | None = None):
     except OSError:
         pass
     return rd.read_parquet(path, columns=columns, override_num_blocks=nb)
-
-
-def read_pages(path: str, *, columns: list[str] | None = None):
-    """Read the sharded pages Parquet; prune to the columns a stage needs."""
-    return rd.read_parquet(path, columns=columns or ["url", "html", "text", "lang"])
 
 
 def pages_from_documents(documents_path: str):

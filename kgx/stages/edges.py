@@ -91,25 +91,6 @@ def build_alias_map(nodes_table: pa.Table) -> dict[str, tuple[str, str]]:
     return alias
 
 
-# Per-worker resolver cache for task-based execution: the broadcast alias
-# dict is ray.get once per worker process (zero-copy plasma read) and
-# reused by every task on that worker — never re-shipped per batch.
-_WORKER_RESOLVER_CACHE: dict[tuple, object] = {}
-
-
-def make_task_resolver(cls, alias_ref, **kwargs):
-    key = (cls.__qualname__, getattr(alias_ref, "hex", lambda: id(alias_ref))(),
-           tuple(sorted(kwargs.items())))
-
-    def resolve_batch(batch: pa.Table) -> pa.Table:
-        r = _WORKER_RESOLVER_CACHE.get(key)
-        if r is None:
-            r = _WORKER_RESOLVER_CACHE[key] = cls(alias_ref, **kwargs)
-        return r(batch)
-
-    return resolve_batch
-
-
 def _finalize_edge_group(group: pa.Table, cap: int) -> dict:
     subj_id = group["subj_id"][0].as_py()
     pred = group["pred"][0].as_py()
@@ -282,11 +263,12 @@ def resolve_and_dedup_claims(claims_ds, alias_ref, *,
                              cap: int = DEFAULT_INSTANCE_CAP):
     """claims_raw Dataset -> canonical claims Dataset sorted by claim_id.
 
-    Task-based with the per-worker cached broadcast alias map
-    (:func:`make_task_resolver`).
+    Task-based with the broadcast alias map read once per worker
+    (:func:`kgx.stages.extract.make_task_extractor`).
     """
+    from kgx.stages.extract import make_task_extractor
     combined = claims_ds.map_batches(
-        make_task_resolver(ResolveClaims, alias_ref, cap=cap),
+        make_task_extractor(ResolveClaims, alias_ref=alias_ref, cap=cap),
         batch_format="pyarrow", batch_size=32768)
     # Folding on claim_id (1:1 with content_key) delivers the output
     # already in claim_id order.

@@ -143,9 +143,9 @@ def edges_from_states(states_ds, alias_ref, *,
                       cap: int = DEFAULT_INSTANCE_CAP):
     """Triple states -> canonical edges sorted by (subj_id, pred,
     obj_id): broadcast alias resolve, then one sort and one fold."""
-    from kgx.stages.edges import make_task_resolver
+    from kgx.stages.extract import make_task_extractor
     resolved = states_ds.map_batches(
-        make_task_resolver(_ResolveTripleStates, alias_ref),
+        make_task_extractor(_ResolveTripleStates, alias_ref=alias_ref),
         batch_format="pyarrow")
     return fold_sorted(resolved, ["subj_id", "pred", "obj_id"],
                        lambda g: _finalize_edge_group(g, cap), EDGES_SCHEMA)

@@ -256,13 +256,6 @@ def _truth_table(truth: dict[tuple[str, str, str], set[str]]) -> pa.Table:
     })
 
 
-def generate_pages(n_pages: int, seed: int = 42,
-                   filler_scale: int = 1) -> tuple[pa.Table, pa.Table]:
-    """Build the full pages table and the truth_triples sidecar."""
-    pages, truth = generate_rows(0, n_pages, seed, filler_scale)
-    return pages, _truth_table(truth)
-
-
 def write_pages(out_dir: str, n_pages: int, seed: int = 42,
                 n_shards: int = 8, filler_scale: int = 1,
                 hard: bool = False) -> str:

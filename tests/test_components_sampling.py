@@ -24,12 +24,15 @@ def _pairs(pairs):
 
 class TestConnectedComponents:
     def test_chain_and_singletons(self, ray_session):
-        # 0-1-2-3 chain (diameter 3), pair {5,6}, singletons 4 and 7
-        out = connected_components(
-            _nodes(range(8)), _pairs([(0, 1), (1, 2), (2, 3), (5, 6)]))
-        got = dict(zip(out.to_pandas()["doc_id"],
-                       out.to_pandas()["component_id"]))
-        assert got == {0: 0, 1: 0, 2: 0, 3: 0, 4: 4, 5: 5, 6: 5, 7: 7}
+        # 0-1-2-3 chain (diameter 3), pair {5,6}, singletons 4 and 7;
+        # again over many small blocks, so a node's rows start apart
+        pairs = [(0, 1), (1, 2), (2, 3), (5, 6)]
+        for nodes, edges in ((_nodes(range(8)), _pairs(pairs)),
+                             (_nodes(range(8)).repartition(17),
+                              _pairs(pairs).repartition(17))):
+            df = connected_components(nodes, edges).to_pandas()
+            assert df["doc_id"].tolist() == list(range(8))
+            assert df["component_id"].tolist() == [0, 0, 0, 0, 4, 5, 5, 7]
 
     def test_no_pairs_all_singletons(self, ray_session):
         out = connected_components(_nodes([3, 1, 2]), _pairs([]))
@@ -42,6 +45,15 @@ class TestConnectedComponents:
         with pytest.raises(RuntimeError):
             connected_components(_nodes(range(6)), _pairs(chain),
                                  max_iters=2)
+        # exact bound: a chain of diameter d reaches its fixpoint in
+        # round d and sees it unchanged in round d + 1
+        d = len(chain)
+        with pytest.raises(RuntimeError):
+            connected_components(_nodes(range(6)), _pairs(chain),
+                                 max_iters=d)
+        out = connected_components(_nodes(range(6)), _pairs(chain),
+                                   max_iters=d + 1).to_pandas()
+        assert out["component_id"].tolist() == [0] * 6
 
     def test_neardup_components_on_docs(self, ray_session):
         docs = rd.from_arrow(pa.table({

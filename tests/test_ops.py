@@ -99,10 +99,11 @@ def test_jaccard_lsh_verify_equals_matrix(ray_session):
                       zip(df["doc_a"], df["doc_b"], df["jaccard"]))
 
     for thr in (0.5, 0.8):
-        lsh = jaccard_pairs(docs_ds(texts), threshold=thr).to_pandas()
         mat = jaccard_pairs(docs_ds(texts), threshold=thr,
                             method="matrix").to_pandas()
-        assert rows(lsh) == rows(mat), thr
+        for ds in (docs_ds(texts), docs_ds(texts).repartition(5)):
+            lsh = jaccard_pairs(ds, threshold=thr).to_pandas()
+            assert rows(lsh) == rows(mat), thr
 
 
 def test_lsh_bucket_pair_cap_on_degenerate_corpus(ray_session):
@@ -120,6 +121,45 @@ def test_lsh_bucket_pair_cap_on_degenerate_corpus(ray_session):
     sh = simhash_pairs(docs_ds(texts), max_hamming=3,
                        max_bucket_pairs=5).to_pandas()
     assert len(sh) == 5
+    assert set(zip(sh["doc_a"], sh["doc_b"])) == {
+        (0, 1), (0, 2), (0, 3), (0, 4), (0, 5)}
+
+
+def test_segment_pair_kernel_matches_per_run_loop(monkeypatch):
+    """The LSH pair kernel against a plain per-run triu loop with
+    argmax first-band ownership, a predicate and a cap, over a block of
+    many runs walked in small chunks."""
+    import kgx.ops.dedup as dedup
+
+    monkeypatch.setattr(dedup, "_PAIR_CHUNK", 7)
+    rng = np.random.default_rng(3)
+    n, n_bands = 400, 4
+    owners = rng.integers(0, 3, size=(n // n_bands, n_bands))
+    rows = np.repeat(np.arange(n // n_bands), n_bands)
+    band = np.tile(np.arange(n_bands), n // n_bands)
+    ids = rng.permutation(n // n_bands)[rows]
+    owners = owners[rows]
+    key = owners[np.arange(n), band]
+
+    def pred(a, b):
+        return (ids[a] + ids[b]) % 3 != 0
+
+    def per_run_loop(max_pairs):
+        out = []
+        order = np.lexsort((ids, key, band))
+        for bk in sorted(set(zip(band.tolist(), key.tolist()))):
+            seg = order[(band[order] == bk[0]) & (key[order] == bk[1])]
+            iu, ju = np.triu_indices(len(seg), k=1)
+            a, b = seg[iu], seg[ju]
+            first = (owners[a] == owners[b]).argmax(axis=1)
+            keep = (first == bk[0]) & pred(a, b)
+            out += list(zip(a[keep], b[keep]))[:max_pairs]
+        return out
+
+    for cap in (None, 5):
+        ia, ib = dedup._segment_pairs("test", band, key, ids, owners,
+                                      pred=pred, max_pairs=cap)
+        assert list(zip(ia, ib)) == per_run_loop(cap or n * n)
 
 
 def test_minhash_signature_properties():

@@ -96,3 +96,36 @@ def test_task_instance_cache_is_bounded():
     # LRU keeps the most recent keys
     assert any(f"'tag', {3 * _WORKER_EXTRACTOR_CACHE_MAX - 1}" in k
                for k in _WORKER_EXTRACTOR_CACHE)
+
+
+def test_broadcast_resolvers_share_the_bounded_cache():
+    # the alias resolvers and the page-dedup loser filter are cached per
+    # worker in the one bounded LRU, keyed by their broadcast ref: twenty
+    # distinct alias maps leave at most the cap behind, and no resolver
+    # answers with another map's aliases
+    import kgx.pipelines.kg as kg
+    import kgx.stages.edges as edges
+    import kgx.stages.extract as extract
+    from kgx.stages.states import _ResolveTripleStates
+
+    extract._WORKER_EXTRACTOR_CACHE.clear()
+    triples = pa.table({"kind": ["t"], "key": ["acme"], "no": ["globex"],
+                        "p": ["acquired"], "state": ["{}"]})
+    claims = pa.table({"url": ["u"], "chunk_id": ["c"],
+                       "content": ["Acme grew."], "entities": [["Acme"]]})
+    pages = pa.table({"url": ["u0", "u1"], "fp": ["f" * 32] * 2})
+    for i in range(20):
+        ref = ray.put({"acme": (f"e{i}", "Acme"), "globex": ("g", "Globex")})
+        t = extract.make_task_extractor(_ResolveTripleStates,
+                                        alias_ref=ref)(triples)
+        assert t["subj_id"].to_pylist() == [f"e{i}"]
+        c = extract.make_task_extractor(edges.ResolveClaims, alias_ref=ref,
+                                        cap=4)(claims)
+        assert f'"ids": ["e{i}"]' in c["state"][0].as_py()
+        drop = ray.put(["f" * 32 + f"u{i % 2}"])
+        kept = extract.make_task_extractor(kg._LoserFilter,
+                                           drop_ref=drop)(pages)
+        assert kept["url"].to_pylist() == [f"u{1 - i % 2}"]
+    caches = [v for m in (kg, edges, extract) for k, v in vars(m).items()
+              if k.startswith("_WORKER_") and isinstance(v, dict)]
+    assert sum(map(len, caches)) <= extract._WORKER_EXTRACTOR_CACHE_MAX
