@@ -26,8 +26,10 @@ Parquet write of the result gets one row group per block, not per key.
 Every pass that must see all rows of a key together goes through here,
 never through a synthetic hash-bucket ``groupby``: the KG folds
 (kgx.stages.states, kgx.stages.edges, kgx.stages.neardup,
-kgx.pipelines.kg, kgx.sources.pages) and the corpus and relational ops,
-whose folds already take many keys per call —
+kgx.pipelines.kg, kgx.sources.pages), the KG edges
+(``edges_from_states`` in kgx.stages.states, one vectorized finalize
+per sorted block) and the corpus and relational ops, whose folds
+already take many keys per call —
 kgx.ops.dedup (``exact_dup_groups``; the LSH pair passes of
 ``minhash_lsh_pairs``, ``simhash_pairs``, ``prefix_hamming_pairs`` and
 ``jaccard_pairs``, which share one segment-pair kernel, and the two

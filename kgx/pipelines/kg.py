@@ -381,8 +381,9 @@ def kg_from_extracted(extracted, cfg: KGConfig) -> dict:
     lazy."""
     states = combine_states(extracted, cfg)
     nodes = finalize_nodes(states, cfg).materialize()
-    nodes_tbl = collect_arrow(
-        nodes.select_columns(["entity_id", "name", "aliases"]))
+    # the nodes are materialized: project the Arrow table, not the
+    # Dataset, which would run one more Ray execution
+    nodes_tbl = collect_arrow(nodes).select(["entity_id", "name", "aliases"])
     alias_ref = ray.put(build_alias_map(nodes_tbl))
     edges = edges_from_states(states, alias_ref, cap=cfg.instance_cap)
     return {"nodes": nodes, "edges": edges}

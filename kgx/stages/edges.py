@@ -20,19 +20,25 @@ is order-dependent.  Claim dedup follows ``add_claim``
 (/root/reference/models/knowledge_graph.py:70-101): key ``lower(content)``,
 union entity_ids and instances.
 
-Every dedup is one sort on its key plus one whole-block fold
-(:func:`kgx.functions.fold.fold_sorted`) over per-batch pre-combined
-state rows; the reducers here return one row per key.  Triples are
-pre-combined UNRESOLVED (:func:`_combine_triples_unresolved`, the
-triple half of the fused state rows in ``kgx.stages.states``) and
-resolved per state by ``kgx.stages.states.edges_from_states``; claims are
-resolved and combined per batch by :class:`ResolveClaims`.
+Every dedup is one sort on its key plus one pass over each whole sorted
+block (:mod:`kgx.functions.fold`) over per-batch pre-combined state rows.
+Triples are pre-combined UNRESOLVED into typed (sum, n, inst) columns
+(:func:`_combine_triples_unresolved`, the triple half of the fused state
+rows in ``kgx.stages.states``), resolved per state by
+``kgx.stages.states.edges_from_states`` and merged by
+:func:`_finalize_edges_block`, one vectorized call per sorted block with
+no JSON and no per-key table.  Claims are resolved and combined per
+batch into JSON states by :class:`ResolveClaims` and folded per key by
+:func:`_finalize_claim_group`.
 """
 
 from __future__ import annotations
 
 import json
+from functools import reduce
+from operator import add
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -43,6 +49,11 @@ from kgx.stages.canonicalize import _cap_instances, DEFAULT_INSTANCE_CAP
 
 DEFAULT_MIN_STRENGTH = 0.5  # /root/reference/config.py:37
 
+# (url, chunk_id) provenance pairs: edge and claim instances, and the
+# ``inst`` column of the triple states
+INSTANCES_TYPE = pa.list_(pa.struct([("url", pa.string()),
+                                     ("chunk_id", pa.string())]))
+
 EDGES_SCHEMA = pa.schema([
     ("edge_id", pa.string()),
     ("subj_id", pa.string()),
@@ -52,8 +63,7 @@ EDGES_SCHEMA = pa.schema([
     ("pred", pa.string()),
     ("strength", pa.float64()),
     ("n_instances", pa.int64()),
-    ("instances", pa.list_(pa.struct([("url", pa.string()),
-                                      ("chunk_id", pa.string())]))),
+    ("instances", INSTANCES_TYPE),
 ])
 
 CLAIMS_SCHEMA = pa.schema([
@@ -61,8 +71,7 @@ CLAIMS_SCHEMA = pa.schema([
     ("content", pa.string()),
     ("entity_ids", pa.list_(pa.string())),
     ("n_instances", pa.int64()),
-    ("instances", pa.list_(pa.struct([("url", pa.string()),
-                                      ("chunk_id", pa.string())]))),
+    ("instances", INSTANCES_TYPE),
 ])
 
 
@@ -91,107 +100,107 @@ def build_alias_map(nodes_table: pa.Table) -> dict[str, tuple[str, str]]:
     return alias
 
 
-def _finalize_edge_group(group: pa.Table, cap: int) -> dict:
-    subj_id = group["subj_id"][0].as_py()
-    pred = group["pred"][0].as_py()
-    obj_id = group["obj_id"][0].as_py()
-    # the vectorized resolver carries the canonical names as COLUMNS
-    # (constant within a group — the group key fixes both entity ids)
-    # and leaves the pre-combined state json untouched
-    sn = group["sn"][0].as_py()
-    on = group["on"][0].as_py()
-    total, n = 0.0, 0
-    seen: set = set()
-    for s in group["state"].to_pylist():
-        st = json.loads(s)
-        total += st["sum"]
-        n += st["n"]
-        # capped min-K is associative under union, so ONE set union per
-        # state + one final sort replaces the old per-state
-        # sort(set(...))[:cap] re-cap (O(states * cap log cap) -> was
-        # the dominant cost of the whole edges stage at 200k states)
-        seen.update(map(tuple, st["inst"]))
-    inst = sorted(seen)[:cap]
-    return {
-        "edge_id": edge_id(subj_id, pred, obj_id),
-        "subj_id": subj_id, "obj_id": obj_id,
-        "subj_name": sn, "obj_name": on, "pred": pred,
+def _left_fold_sums(vals: list, runs: np.ndarray) -> list:
+    """Per run of ``runs`` (:func:`key_runs` offsets): the SEQUENTIAL left
+    fold ``0.0 + v0 + v1 + ...`` of ``vals``.  ``np.add.reduceat`` sums
+    pairwise, which is not bit-identical to a per-row ``+=`` (measured:
+    4.140000000000001 vs 4.14); one C-level ``reduce`` per run is, and
+    stays O(rows) however the rows split into runs."""
+    b = runs.tolist()
+    return [reduce(add, vals[s:e], 0.0) for s, e in zip(b[:-1], b[1:])]
+
+
+def _capped_distinct(run: np.ndarray, n_runs: int, url, chunk_id,
+                     cap: int) -> pa.ListArray:
+    """``_cap_instances`` for many runs at once: run ``r`` gets the first
+    ``cap`` distinct (url, chunk_id) pairs of the rows with ``run == r``,
+    in sorted order.  One Arrow sort on (run, url, chunk_id), adjacent
+    duplicates dropped, the first ``cap`` of each run kept; returns one
+    ``INSTANCES_TYPE`` list per run.  Arrow's bytewise UTF-8 string order
+    is Python's code-point order, so the lists equal the per-key
+    ``sorted(set(pairs))[:cap]``."""
+    t = pa.table({"r": run, "u": url, "c": chunk_id}).sort_by(
+        [("r", "ascending"), ("u", "ascending"), ("c", "ascending")])
+    t = t.take(key_runs(t, ["r", "u", "c"])[:-1])
+    r = t["r"].to_numpy()
+    keep = np.arange(len(r)) - np.searchsorted(r, r) < cap
+    t = t.filter(pa.array(keep))
+    offsets = np.zeros(n_runs + 1, np.int32)
+    np.cumsum(np.bincount(r[keep], minlength=n_runs), out=offsets[1:])
+    return pa.ListArray.from_arrays(
+        pa.array(offsets), pa.StructArray.from_arrays(
+            [t["u"].combine_chunks(), t["c"].combine_chunks()],
+            fields=list(INSTANCES_TYPE.value_type)), type=INSTANCES_TYPE)
+
+
+def _finalize_edges_block(block: pa.Table, cap: int) -> pa.Table:
+    """One key-sorted block of resolved triple states -> one edge per run
+    of (subj_id, pred, obj_id): the strength is the run's summed ``sum``
+    over its total ``n`` (both folded in block order), the instances the
+    capped distinct union of its ``inst`` lists, and the canonical names
+    come from the run's first row (the key fixes both entity ids)."""
+    keys = ["subj_id", "pred", "obj_id"]
+    runs = key_runs(block, keys)
+    starts = runs[:-1]
+    n_runs = len(starts)
+    head = block.take(starts)
+    n = np.add.reduceat(block["n"].to_numpy(), starts)
+    total = np.asarray(_left_fold_sums(block["sum"].to_pylist(), runs))
+    inst = block["inst"].combine_chunks()
+    run = np.repeat(np.repeat(np.arange(n_runs), np.diff(runs)),
+                    pc.list_value_length(inst).to_numpy())
+    url, chunk_id = inst.flatten().flatten()
+    sid, pred, oid = (head[k].to_pylist() for k in keys)
+    return pa.table({
+        "edge_id": [edge_id(*k) for k in zip(sid, pred, oid)],
+        "subj_id": head["subj_id"], "obj_id": head["obj_id"],
+        "subj_name": head["sn"], "obj_name": head["on"],
+        "pred": head["pred"],
         "strength": total / n,
         "n_instances": n,
-        "instances": [{"url": u, "chunk_id": c} for u, c in inst],
-    }
+        "instances": _capped_distinct(run, n_runs, url, chunk_id, cap),
+    }, schema=EDGES_SCHEMA)
 
 
 def _combine_triples_unresolved(batch: pa.Table, *, min_strength: float,
                                 cap: int) -> pa.Table:
     """Pre-combine raw triples per batch on the RAW (subj, pred, obj) key
-    so the shuffle moves one state row per key per batch; the state
-    carries the multiplicity (sum, n, instances), so duplicate triples
-    survive until the resolved-key merge.  Emits (norm = normalize(subj),
-    state, no = normalize(obj), p = pred).
+    so the shuffle moves one state row per key per batch.  Triples below
+    ``min_strength`` or without a strength are dropped first.  Emits one
+    typed row per raw key, in key order: ``norm`` = normalize(subj),
+    ``no`` = normalize(obj), ``p`` = pred, and the multiplicity that
+    survives until the resolved-key merge: ``sum`` (float64) and ``n``
+    (int64) of the strengths, and ``inst``, the key's capped distinct
+    instances (``INSTANCES_TYPE``).
 
-    Vectorized: one STABLE Arrow sort on the key columns co-locates each
-    key's rows in original order and segment boundaries come from
-    :func:`kgx.functions.fold.key_runs`; strengths fold with a
-    per-segment SEQUENTIAL left fold so the float sums are bit-identical
-    to the old per-row ``+=`` loop (pairwise reducers are not).  Stable
-    sort preserves within-key row order, and UTF-8 bytewise sort order
-    equals Python's code-point tuple sort, so the emitted key order
-    matches the old ``sorted(states)``."""
-    import numpy as np
-    mask = pc.fill_null(
-        pc.greater_equal(batch["strength"], min_strength), False)
-    b = batch.filter(mask)
-    states: dict[tuple, dict] = {}
-    keys: list = []
-    if b.num_rows:
-        b = pa.table({
-            "subj": b["subj"], "pred": b["pred"], "obj": b["obj"],
-            "url": b["url"], "chunk_id": b["chunk_id"],
-            "strength": b["strength"],
-        }).sort_by([("subj", "ascending"), ("pred", "ascending"),
-                    ("obj", "ascending")])
-        runs = key_runs(b, ["subj", "pred", "obj"])
-        starts, counts = runs[:-1], np.diff(runs)
-        # per-segment SEQUENTIAL float fold: np.add.reduceat sums
-        # pairwise, which is not bit-identical to the old per-row +=
-        # (measured: 4.140000000000001 vs 4.14) — a plain left fold is
-        vals = b["strength"].to_numpy(zero_copy_only=False) \
-            .astype(np.float64).tolist()
-
-        def seg_sum(s0: int, cnt: int) -> float:
-            tot = 0.0
-            for v in vals[s0:s0 + cnt]:
-                tot += v
-            return tot
-
-        sums = [seg_sum(int(s0), int(c))
-                for s0, c in zip(starts, counts)]
-        subj_l = b["subj"].to_pylist()
-        pred_l = b["pred"].to_pylist()
-        obj_l = b["obj"].to_pylist()
-        urls = b["url"].to_pylist()
-        chunks = b["chunk_id"].to_pylist()
-        for s0, cnt, tot in zip(starts.tolist(), counts.tolist(), sums):
-            s_, p_, o_ = subj_l[s0], pred_l[s0], obj_l[s0]
-            key = (s_, p_, o_)
-            keys.append(key)
-            states[key] = {
-                "s": s_, "p": p_, "o": o_, "no": normalize(o_),
-                "sum": float(tot), "n": int(cnt),
-                "inst": _cap_instances(
-                    list(zip(urls[s0:s0 + cnt], chunks[s0:s0 + cnt])),
-                    cap),
-            }
-    # "no"/"p" ride along as COLUMNS (duplicating two json fields) so the
-    # broadcast resolver can rewrite keys fully vectorized (index_in)
-    # without parsing the state json per row.
+    No per-key dict or JSON: one STABLE Arrow sort on the key columns
+    co-locates each key's rows in batch order, and :func:`key_runs`
+    gives the runs; ``n`` is the run length, ``sum`` a per-run
+    sequential left fold (bit-identical to a per-row ``+=``, see
+    :func:`_left_fold_sums`), ``inst`` one :func:`_capped_distinct` pass,
+    and ``normalize`` runs once per distinct surface."""
+    keys = ["subj", "pred", "obj"]
+    b = batch.filter(pc.fill_null(
+        pc.greater_equal(batch["strength"], min_strength), False))
+    b = b.select(keys + ["url", "chunk_id", "strength"]).sort_by(
+        [(k, "ascending") for k in keys])
+    runs = key_runs(b, keys)
+    starts = runs[:-1]
+    head = b.take(starts)
+    subj, obj = head["subj"].combine_chunks(), head["obj"].combine_chunks()
+    surf = pc.unique(pa.concat_arrays([subj, obj]))
+    norms = pa.array([normalize(x) for x in surf.to_pylist()], pa.string())
+    counts = np.diff(runs)
     return pa.table({
-        "norm": pa.array([normalize(k[0]) for k in keys], pa.string()),
-        "state": pa.array([json.dumps(states[k], sort_keys=True)
-                           for k in keys], pa.string()),
-        "no": pa.array([states[k]["no"] for k in keys], pa.string()),
-        "p": pa.array([k[1] for k in keys], pa.string()),
+        "norm": norms.take(pc.index_in(subj, value_set=surf)),
+        "no": norms.take(pc.index_in(obj, value_set=surf)),
+        "p": head["pred"],
+        "sum": pa.array(_left_fold_sums(
+            b["strength"].cast(pa.float64()).to_pylist(), runs),
+            pa.float64()),
+        "n": pa.array(counts, pa.int64()),
+        "inst": _capped_distinct(np.repeat(np.arange(len(starts)), counts),
+                                 len(starts), b["url"], b["chunk_id"], cap),
     })
 
 

@@ -10,48 +10,68 @@ takes its nodes from them too:
       -> materialize                      (tiny)
     nodes = states[kind=m] -> + entity_id -> fold_sorted(entity_id)
     edges = states[kind=t] -> broadcast resolve
-                           -> fold_sorted(subj_id, pred, obj_id)
+                           -> map_sorted_blocks(subj_id, pred, obj_id)
 
 On the streaming paths the combiner runs INSIDE the fused
 read->text->chunk->extract task chain, so only states leave the map phase;
 the checkpointed path runs it over the tagged ``extracted`` checkpoints,
 which it keeps for partition-level resume and for the claims consumer.
-Each output is one sort on its key plus one whole-block fold
-(:func:`kgx.functions.fold.fold_sorted`).  Head-entity skew needs no
+Each output is one sort on its key plus one pass over each whole sorted
+block (:mod:`kgx.functions.fold`).  Head-entity skew needs no
 salting: the combiner leaves any key at most one state row per combine
 batch, so even a key in every page is a few KB of states in one block.
 
-Unified state row: (kind: "m"|"t", key, state-json, no, p).  Mention
-states are :func:`kgx.stages.canonicalize.combine_mentions_batch` output;
-triple states are :func:`kgx.stages.edges._combine_triples_unresolved`
-output (key = normalized subject, state carries raw s/p/o +
-sum/n/instances).  Every merge is associative, so the result does not
-depend on how rows were batched — asserted by the stream-vs-checkpointed
-parity tests.
+Unified state row (``STATES_SCHEMA``): kind "m" or "t", key, state,
+no, p, sum, n, inst.
+  - "m" rows are :func:`kgx.stages.canonicalize.combine_mentions_batch`
+    output: key = norm_mention and a JSON merge ``state``; the triple
+    columns are null.
+  - "t" rows are :func:`kgx.stages.edges._combine_triples_unresolved`
+    output and carry no JSON (``state`` is null): key = normalized
+    subject, no = normalized object, p = predicate, and the typed
+    ``sum``/``n``/``inst`` multiplicity of one raw (s, p, o) key.  The
+    edge finalize merges them one sorted block at a time
+    (:func:`kgx.stages.edges._finalize_edges_block`), with no JSON and
+    no per-key table.
+Every merge is associative, so the result does not depend on how rows
+were batched — asserted by the stream-vs-checkpointed parity tests;
+strengths are sequential left folds in row order, so they are
+bit-identical for the same batching.
 """
 
 from __future__ import annotations
-
 
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from kgx.functions.fold import fold_sorted
+from kgx.functions.fold import fold_sorted, map_sorted_blocks
 from kgx.functions.normalize import entity_id
 from kgx.stages.canonicalize import (DEFAULT_INSTANCE_CAP, NODES_SCHEMA,
                                      combine_mentions_batch, finalize_group)
 from kgx.stages.edges import (DEFAULT_MIN_STRENGTH, EDGES_SCHEMA,
-                              _combine_triples_unresolved,
-                              _finalize_edge_group)
+                              INSTANCES_TYPE, _combine_triples_unresolved,
+                              _finalize_edges_block)
 
 STATES_SCHEMA = pa.schema([
     ("kind", pa.string()),       # "m" mention-state | "t" triple-state
     ("key", pa.string()),        # m: norm_mention; t: normalize(subj)
-    ("state", pa.string()),      # json merge state
+    ("state", pa.string()),      # m only: json merge state
     ("no", pa.string()),         # t only: normalize(obj) — resolver key
     ("p", pa.string()),          # t only: predicate
+    ("sum", pa.float64()),       # t only: summed strength
+    ("n", pa.int64()),           # t only: triple count
+    ("inst", INSTANCES_TYPE),    # t only: capped distinct instances
 ])
+
+
+def _state_rows(kind: str, num_rows: int, **cols) -> pa.Table:
+    """``num_rows`` STATES_SCHEMA rows of ``kind``; the columns not given
+    are null."""
+    cols["kind"] = pa.array([kind] * num_rows, pa.string())
+    return pa.table([cols[f.name] if f.name in cols else
+                     pa.nulls(num_rows, f.type) for f in STATES_SCHEMA],
+                    schema=STATES_SCHEMA)
 
 
 def make_combine_extracted_fn(*, n_salts: int | None = None,
@@ -68,18 +88,12 @@ def make_combine_extracted_fn(*, n_salts: int | None = None,
         t_in = tagged.filter(pc.equal(tagged["kind"], "triple"))
         t = _combine_triples_unresolved(t_in, min_strength=min_strength,
                                         cap=cap)
-        nm, nt = m.num_rows, t.num_rows
-        return pa.Table.from_arrays([
-            pa.array(["m"] * nm + ["t"] * nt, pa.string()),
-            pa.concat_arrays([m["norm_mention"].combine_chunks(),
-                              t["norm"].combine_chunks()]),
-            pa.concat_arrays([m["state"].combine_chunks(),
-                              t["state"].combine_chunks()]),
-            pa.concat_arrays([pa.nulls(nm, pa.string()),
-                              t["no"].combine_chunks()]),
-            pa.concat_arrays([pa.nulls(nm, pa.string()),
-                              t["p"].combine_chunks()]),
-        ], schema=STATES_SCHEMA)
+        return pa.concat_tables([
+            _state_rows("m", m.num_rows, key=m["norm_mention"],
+                        state=m["state"]),
+            _state_rows("t", t.num_rows, key=t["norm"], no=t["no"],
+                        p=t["p"], sum=t["sum"], n=t["n"], inst=t["inst"]),
+        ]).combine_chunks()
     return combine
 
 
@@ -107,9 +121,9 @@ class _ResolveTripleStates:
 
     Fully vectorized: the subject/object norms are COLUMNS ("key"/"no"),
     so resolution is two ``pc.index_in`` passes against the broadcast
-    alias arrays and the state json passes through untouched — no
-    per-row parse/re-dump (that loop was ~5 core-s on 200k states).  The
-    canonical names ride as "sn"/"on" columns for the finalize."""
+    alias arrays and the typed ``sum``/``n``/``inst`` columns pass
+    through untouched.  The canonical names ride as "sn"/"on" columns
+    for the finalize."""
 
     def __init__(self, alias_ref):
         alias = ray.get(alias_ref) if isinstance(
@@ -135,17 +149,21 @@ class _ResolveTripleStates:
             "obj_id": pc.take(self._ids, o_idx),
             "sn": pc.take(self._names, s_idx),
             "on": pc.take(self._names, o_idx),
-            "state": t["state"],
+            "sum": t["sum"],
+            "n": t["n"],
+            "inst": t["inst"],
         })
 
 
 def edges_from_states(states_ds, alias_ref, *,
                       cap: int = DEFAULT_INSTANCE_CAP):
     """Triple states -> canonical edges sorted by (subj_id, pred,
-    obj_id): broadcast alias resolve, then one sort and one fold."""
+    obj_id): broadcast alias resolve, then one sort and one vectorized
+    finalize per sorted block (:func:`_finalize_edges_block`)."""
     from kgx.stages.extract import make_task_extractor
     resolved = states_ds.map_batches(
         make_task_extractor(_ResolveTripleStates, alias_ref=alias_ref),
         batch_format="pyarrow")
-    return fold_sorted(resolved, ["subj_id", "pred", "obj_id"],
-                       lambda g: _finalize_edge_group(g, cap), EDGES_SCHEMA)
+    return map_sorted_blocks(resolved, ["subj_id", "pred", "obj_id"],
+                             lambda b: _finalize_edges_block(b, cap),
+                             EDGES_SCHEMA)

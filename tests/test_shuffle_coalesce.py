@@ -106,11 +106,13 @@ def test_broadcast_resolvers_share_the_bounded_cache():
     import kgx.pipelines.kg as kg
     import kgx.stages.edges as edges
     import kgx.stages.extract as extract
-    from kgx.stages.states import _ResolveTripleStates
+    from kgx.stages.states import STATES_SCHEMA, _ResolveTripleStates
 
     extract._WORKER_EXTRACTOR_CACHE.clear()
-    triples = pa.table({"kind": ["t"], "key": ["acme"], "no": ["globex"],
-                        "p": ["acquired"], "state": ["{}"]})
+    triples = pa.Table.from_pylist(
+        [{"kind": "t", "key": "acme", "no": "globex", "p": "acquired",
+          "sum": 0.7, "n": 1, "inst": [{"url": "u", "chunk_id": "c"}]}],
+        schema=STATES_SCHEMA)
     claims = pa.table({"url": ["u"], "chunk_id": ["c"],
                        "content": ["Acme grew."], "entities": [["Acme"]]})
     pages = pa.table({"url": ["u0", "u1"], "fp": ["f" * 32] * 2})

@@ -235,3 +235,131 @@ def test_stream_kg_parquet_one_row_group_per_file(smoke_corpus, ray_session,
         assert files and sum(pq.ParquetFile(f).metadata.num_rows
                              for f in files) > 1
         assert n_groups <= len(files), name
+
+
+# Tagged triple rows for the typed triple-state tests.  "Acme", "ACME"
+# and "acme!" all normalize to "acme", so several raw keys fold into one
+# edge; "Nowhere" has no alias and its triples are dropped.
+_ALIAS = {"acme": ("e-acme", "Acme"), "globex": ("e-globex", "Globex"),
+          "initech": ("e-initech", "Initech")}
+_HOT = ("Acme", "acquired", "Globex")
+
+
+def _tagged(rows: list, mentions: int = 0) -> pa.Table:
+    """``rows`` of (subj, pred, obj, url, chunk_id, strength) plus
+    ``mentions`` mention rows, as a tagged extraction batch.  Strengths
+    are float64, not the extractors' float32: sums of float32 values are
+    exact in float64 at these sizes, so only float64 ones show the
+    summation order."""
+    from kgx.stages.extract import EXTRACTED_SCHEMA
+
+    schema = EXTRACTED_SCHEMA.set(
+        EXTRACTED_SCHEMA.get_field_index("strength"),
+        pa.field("strength", pa.float64()))
+    recs = [{"kind": "triple", "subj": s, "pred": p, "obj": o, "url": u,
+             "chunk_id": c, "strength": w} for s, p, o, u, c, w in rows]
+    recs += [{"kind": "mention", "url": "u0", "chunk_id": f"c{i}",
+              "mention": "Acme", "norm_mention": "acme", "type": "ORG",
+              "description": ""} for i in range(mentions)]
+    return pa.Table.from_pylist(recs, schema=schema)
+
+
+def _triple_rows(n: int, seed: int) -> list:
+    import random
+
+    rng = random.Random(seed)
+    subjects = ["Acme", "ACME", "acme!", "Globex", "Initech", "Nowhere"]
+    rows = []
+    for _ in range(n):
+        if rng.random() < 0.6:
+            s, p, o = _HOT
+        else:
+            s, o = rng.sample(subjects, 2)
+            p = rng.choice(["acquired", "owns"])
+        w = rng.choice([0.1, 0.2, 0.7, 0.7, 0.05, None])
+        rows.append((s, p, o, f"u{rng.randrange(6)}",
+                     f"c{rng.randrange(4)}", w))
+    return rows
+
+
+def _reference_edges(batches: list, *, min_strength: float,
+                     cap: int) -> list:
+    """Pure-Python edges: ``+=`` per raw key per batch in row order, then
+    per resolved key over the batches' state rows in order (each batch's
+    raw keys sorted)."""
+    from kgx.functions.normalize import edge_id, normalize
+
+    out: dict = {}
+    for rows in batches:
+        per: dict = {}
+        for s, p, o, u, c, w in rows:
+            if w is None or w < min_strength:
+                continue
+            st = per.setdefault((s, p, o), [0.0, 0, set()])
+            st[0] += w
+            st[1] += 1
+            st[2].add((u, c))
+        for (s, p, o), (tot, n, inst) in sorted(per.items()):
+            if normalize(s) not in _ALIAS or normalize(o) not in _ALIAS:
+                continue
+            (sid, sn), (oid, on) = _ALIAS[normalize(s)], _ALIAS[normalize(o)]
+            e = out.setdefault((sid, p, oid), [0.0, 0, set(), sn, on])
+            e[0] += tot
+            e[1] += n
+            e[2] |= set(sorted(inst)[:cap])
+    return [{"edge_id": edge_id(*k), "subj_id": k[0], "obj_id": k[2],
+             "subj_name": sn, "obj_name": on, "pred": k[1],
+             "strength": tot / n, "n_instances": n,
+             "instances": [{"url": u, "chunk_id": c}
+                           for u, c in sorted(inst)[:cap]]}
+            for k, (tot, n, inst, sn, on) in sorted(out.items())]
+
+
+@pytest.mark.parametrize("n_batches", [1, 3, 7])
+def test_typed_triple_states_fold_like_python(ray_session, n_batches):
+    """Triple states carry typed sum/n/inst columns and the edges fold
+    them one sorted block at a time; the result equals a per-row Python
+    fold bit for bit.  The 0.1/0.2/0.7 strengths make the float sums
+    depend on order, one raw key holds over half the rows, and a
+    mention-only batch, an all-below-min_strength batch and a
+    null-strength batch ride along."""
+    import ray
+
+    from kgx.stages.states import edges_from_states, make_combine_extracted_fn
+
+    rows = _triple_rows(600, seed=n_batches)
+    assert sum(r[:3] == _HOT for r in rows) > len(rows) // 2
+    per = -(-len(rows) // n_batches)
+    batches = [rows[i:i + per] for i in range(0, len(rows), per)]
+    batches += [[], [("Acme", "owns", "Globex", "u9", "c9", 0.05)],
+                [("Acme", "owns", "Globex", "u9", "c9", None)]]
+    combine = make_combine_extracted_fn(cap=3, min_strength=0.1)
+    states = [combine(_tagged(b, mentions=2)) for b in batches]
+    ds = rd.from_arrow(states).repartition(5)
+    got = _concat(edges_from_states(ds, ray.put(_ALIAS), cap=3))
+    want = _reference_edges(batches, min_strength=0.1, cap=3)
+    assert got.to_pylist() == want
+    assert any(len(e["instances"]) == 3 for e in want)
+
+
+@pytest.mark.parametrize("rows, mentions", [
+    pytest.param([], 3, id="mention_only"),
+    pytest.param([("Acme", "owns", "Globex", "u", "c", 0.2)] * 2, 1,
+                 id="all_below_min_strength"),
+    pytest.param([("Acme", "owns", "Globex", "u", "c", None)], 0,
+                 id="null_strength"),
+])
+def test_empty_triple_states_are_typed(rows, mentions):
+    from kgx.stages.edges import INSTANCES_TYPE, _combine_triples_unresolved
+    from kgx.stages.states import STATES_SCHEMA, make_combine_extracted_fn
+
+    tagged = _tagged(rows, mentions)
+    t = _combine_triples_unresolved(tagged, min_strength=0.5, cap=3)
+    assert t.num_rows == 0
+    assert t.schema == pa.schema([
+        ("norm", pa.string()), ("no", pa.string()), ("p", pa.string()),
+        ("sum", pa.float64()), ("n", pa.int64()), ("inst", INSTANCES_TYPE)])
+    states = make_combine_extracted_fn(cap=3, min_strength=0.5)(tagged)
+    assert states.schema == STATES_SCHEMA
+    assert states["kind"].to_pylist() == ["m"] * (mentions > 0)
+    assert states["sum"].null_count == states.num_rows
