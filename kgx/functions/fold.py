@@ -23,13 +23,14 @@ run's rows in block order (the order ``map_groups`` gives a group), and
 builds one table per block: no per-group UDF call or Arrow table, and a
 Parquet write of the result gets one row group per block, not per key.
 
+:func:`merge_runs` is the vectorized per-run merge (one ``run_*`` kernel
+per merged column, every run at once) that the KG state merges use.
+
 Every pass that must see all rows of a key together goes through here,
-never through a synthetic hash-bucket ``groupby``: the KG folds
-(kgx.stages.states, kgx.stages.edges, kgx.stages.neardup,
-kgx.pipelines.kg, kgx.sources.pages), the KG edges
-(``edges_from_states`` in kgx.stages.states, one vectorized finalize
-per sorted block) and the corpus and relational ops, whose folds
-already take many keys per call —
+never through a synthetic hash-bucket ``groupby``: the KG nodes, edges
+and claims (one vectorized merge per sorted block), the KG folds of
+kgx.stages.neardup, kgx.pipelines.kg and kgx.sources.pages, and the
+corpus and relational ops, whose folds already take many keys per call —
 kgx.ops.dedup (``exact_dup_groups``; the LSH pair passes of
 ``minhash_lsh_pairs``, ``simhash_pairs``, ``prefix_hamming_pairs`` and
 ``jaccard_pairs``, which share one segment-pair kernel, and the two
@@ -43,6 +44,9 @@ kgx.ops.relational (``waiting_suppliers``, ``min_cost_supplier``,
 """
 
 from __future__ import annotations
+
+from functools import reduce as _reduce
+from operator import add
 
 import numpy as np
 import pyarrow as pa
@@ -66,6 +70,98 @@ def key_runs(t: pa.Table, keys: list) -> np.ndarray:
             pc.xor(pc.is_null(cur), pc.is_null(prev))).to_numpy(
                 zero_copy_only=False)
     return np.r_[np.flatnonzero(new), n]
+
+
+def merge_runs(block: pa.Table, keys: list, merges: dict) -> pa.Table:
+    """One row per run of ``keys`` in a key-sorted table: the run's first
+    row, with ``merges[col](block[col], runs)`` for each merged column."""
+    runs = key_runs(block, keys)
+    out = block.drop_columns(list(merges)).take(runs[:-1])
+    for col, fn in merges.items():
+        out = out.append_column(block.schema.field(col), fn(block[col], runs))
+    return out
+
+
+def run_sum(col, runs: np.ndarray) -> pa.Array:
+    return pa.array(np.add.reduceat(col.to_numpy(), runs[:-1]), col.type)
+
+
+def run_left_fold(col, runs: np.ndarray) -> pa.Array:
+    """``0.0 + v0 + v1 + ...`` per run, in row order: bit-identical to a
+    per-row ``+=``; ``np.add.reduceat`` sums pairwise, which is not."""
+    vals, b = col.to_pylist(), runs.tolist()
+    return pa.array([_reduce(add, vals[s:e], 0.0)
+                     for s, e in zip(b[:-1], b[1:])], pa.float64())
+
+
+def _first_by(runs: np.ndarray, value, order: list) -> pa.Array:
+    """``value`` of each run's first row under ``order`` ((array, "ascending"
+    | "descending") pairs); strings order by code point, as in Python."""
+    t = pa.table([np.repeat(np.arange(len(runs) - 1), np.diff(runs)), value]
+                 + [a for a, _ in order],
+                 names=["r", "v"] + [f"o{i}" for i in range(len(order))])
+    return t.sort_by([("r", "ascending")] + [
+        (f"o{i}", d) for i, (_, d) in enumerate(order)])["v"].take(
+            runs[:-1]).combine_chunks()
+
+
+def run_min(col, runs: np.ndarray, longest: bool = False) -> pa.Array:
+    """Smallest string; with ``longest``, the longest (in code points),
+    ties to the smallest."""
+    order = [(pc.utf8_length(col), "descending")] if longest else []
+    return _first_by(runs, col, order + [(col, "ascending")])
+
+
+def run_argmax(counts: pa.ListArray) -> pa.Array:
+    """The ``s`` of each ``list<struct<s, c>>``'s largest ``c``, ties to
+    the smallest ``s``."""
+    s, c = counts.flatten().flatten()
+    return _first_by(np.r_[0, np.cumsum(pc.list_value_length(counts))], s,
+                     [(c, "descending"), (s, "ascending")])
+
+
+def run_lists(run: np.ndarray, n_runs: int, fields: list, list_type):
+    """A ``list_type`` list per run of the run-sorted ``fields`` values."""
+    fields = [f.combine_chunks() if isinstance(f, pa.ChunkedArray) else f
+              for f in fields]
+    offsets = np.zeros(n_runs + 1, np.int32)
+    np.cumsum(np.bincount(run, minlength=n_runs), out=offsets[1:])
+    vt = list_type.value_type
+    values = pa.StructArray.from_arrays(fields, fields=list(vt)) \
+        if pa.types.is_struct(vt) else fields[0]
+    return pa.ListArray.from_arrays(pa.array(offsets), values,
+                                    type=list_type)
+
+
+def _explode(col, runs: np.ndarray) -> pa.Table:
+    """A list column's values (a column per struct field) and the run
+    ``r`` of each, sorted by ``r``, then by the values."""
+    lists = pa.chunked_array(col).combine_chunks()
+    v = lists.flatten()
+    fields = v.flatten() if pa.types.is_struct(v.type) else [v]
+    t = pa.table([np.repeat(np.arange(len(runs) - 1), np.diff(runs)).repeat(
+        pc.list_value_length(lists))] + fields,
+        names=["r"] + [f"f{i}" for i in range(len(fields))])
+    return t.sort_by([(c, "ascending") for c in t.column_names])
+
+
+def run_distinct(col, runs: np.ndarray, cap: int | None = None):
+    """``sorted(set(values))[:cap]`` of each run's lists."""
+    t = _explode(col, runs)
+    t = t.take(key_runs(t, t.column_names)[:-1])
+    r = t["r"].to_numpy()
+    if cap is not None:
+        keep = np.arange(len(r)) - np.searchsorted(r, r) < cap
+        t, r = t.filter(pa.array(keep)), r[keep]
+    return run_lists(r, len(runs) - 1, t.columns[1:], col.type)
+
+
+def run_counts(col, runs: np.ndarray) -> pa.ListArray:
+    """Each run's ``list<struct<s, c>>`` counts, summed per ``s``."""
+    t = _explode(col, runs)
+    b = key_runs(t, ["r", "f0"])[:-1]
+    return run_lists(t["r"].to_numpy()[b], len(runs) - 1, [
+        t["f0"].take(b), np.add.reduceat(t["f1"].to_numpy(), b)], col.type)
 
 
 def map_sorted_blocks(ds, key, fn, schema: pa.Schema):

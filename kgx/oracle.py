@@ -103,6 +103,21 @@ def run_oracle(pages: pa.Table, *, chunk_size=200, chunk_overlap=50,
         })
 
     # claims
+    claim_rows = oracle_claims(rows, alias, instance_cap)
+
+    def tbl(rows_, schema):
+        if not rows_:
+            return schema.empty_table()
+        return pa.Table.from_pylist(rows_, schema=schema)
+
+    return {"nodes": tbl(node_rows, NODES_SCHEMA),
+            "edges": tbl(edge_rows, EDGES_SCHEMA),
+            "claims": tbl(claim_rows, CLAIMS_SCHEMA)}
+
+
+def oracle_claims(rows: list, alias: dict, instance_cap: int = 200) -> list:
+    """Claim rows sorted by claim_id: the per-row fold of the tagged
+    ``rows`` under the alias map ``norm -> (entity_id, name)``."""
     claim_states: dict[str, dict] = {}
     for r in rows:
         if r["kind"] != "claim" or not r["content"]:
@@ -119,23 +134,11 @@ def run_oracle(pages: pa.Table, *, chunk_size=200, chunk_overlap=50,
         st["n"] += 1
         st["inst"] = _cap_instances(st["inst"] + [(r["url"], r["chunk_id"])],
                                     instance_cap)
-    claim_rows = []
-    for key in sorted(claim_states, key=lambda k: claim_id(k)):
-        st = claim_states[key]
-        claim_rows.append({
-            "claim_id": claim_id(key), "content": st["c"],
-            "entity_ids": st["ids"], "n_instances": st["n"],
-            "instances": [{"url": u, "chunk_id": c} for u, c in st["inst"]],
-        })
-
-    def tbl(rows_, schema):
-        if not rows_:
-            return schema.empty_table()
-        return pa.Table.from_pylist(rows_, schema=schema)
-
-    return {"nodes": tbl(node_rows, NODES_SCHEMA),
-            "edges": tbl(edge_rows, EDGES_SCHEMA),
-            "claims": tbl(claim_rows, CLAIMS_SCHEMA)}
+    return [{"claim_id": claim_id(key), "content": st["c"],
+             "entity_ids": st["ids"], "n_instances": st["n"],
+             "instances": [{"url": u, "chunk_id": c} for u, c in st["inst"]]}
+            for key, st in sorted(claim_states.items(),
+                                  key=lambda kv: claim_id(kv[0]))]
 
 
 def triple_pr(edges: pa.Table, nodes: pa.Table,

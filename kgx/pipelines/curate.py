@@ -28,7 +28,6 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-import ray.data as rd
 from kgx.sources.pages import read_table
 
 
@@ -57,6 +56,8 @@ def curate_corpus(sf_dir: str, *, lang: str = "en", min_docs: int = 2,
     from kgx.ops.linededup import boilerplate_scrub, segment_dedup
     from kgx.ops.packing import pack_offsets
     from kgx.ops.text import quality_gate
+    from kgx.pipelines.kg import _LoserFilter
+    from kgx.stages.extract import make_task_extractor
 
     docs = read_table(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text", "lang", "source"])
@@ -90,14 +91,9 @@ def curate_corpus(sf_dir: str, *, lang: str = "en", min_docs: int = 2,
         bad = [d for d, ppm in zip(rep["doc_id"].to_pylist(),
                                    rep["dup_ppm"].to_pylist())
                if ppm > span_dup_ppm_max]
-        bad_ref = ray.put(pa.array(sorted(bad), pa.int64()))
-
-        def drop_spanny(batch: pa.Table) -> pa.Table:
-            bd = ray.get(bad_ref)
-            return batch.filter(
-                pc.invert(pc.is_in(batch["doc_id"], value_set=bd)))
-
-        deduped = deduped.map_batches(drop_spanny, batch_format="pyarrow")
+        deduped = deduped.map_batches(make_task_extractor(
+            _LoserFilter, drop_ref=ray.put(pa.array(sorted(bad), pa.int64())),
+            column="doc_id"), batch_format="pyarrow")
 
     # exact doc dedup, keep-rows form: sort only (md5, doc_id) on the
     # digest, find every digest's losers in one pass per sorted block,
@@ -105,7 +101,6 @@ def curate_corpus(sf_dir: str, *, lang: str = "en", min_docs: int = 2,
     import hashlib
 
     def fp_rows(batch: pa.Table) -> pa.Table:
-        import numpy as np
         dgs = [hashlib.md5(t.encode("utf-8")).digest()
                for t in batch["text"].to_pylist()]
         his = [int.from_bytes(d[:8], "big", signed=True) for d in dgs]
@@ -135,11 +130,7 @@ def curate_corpus(sf_dir: str, *, lang: str = "en", min_docs: int = 2,
         ["h_hi", "h_lo"], losers, pa.schema([("doc_id", pa.int64())])))
     drop = ray.put(pa.array(sorted(loser_tbl["doc_id"].to_pylist()),
                             pa.int64()))
-
-    def drop_losers(batch: pa.Table) -> pa.Table:
-        ds_ = ray.get(drop)
-        return batch.filter(
-            pc.invert(pc.is_in(batch["doc_id"], value_set=ds_)))
-
-    uniq = deduped.map_batches(drop_losers, batch_format="pyarrow")
+    uniq = deduped.map_batches(
+        make_task_extractor(_LoserFilter, drop_ref=drop, column="doc_id"),
+        batch_format="pyarrow")
     return pack_offsets(uniq, seq_len=seq_len)

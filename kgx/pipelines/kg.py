@@ -37,7 +37,7 @@ import ray.data as rd
 from ray.data.context import ShuffleStrategy
 
 from kgx.functions.collect import collect_arrow
-from kgx.functions.fold import map_sorted_blocks
+from kgx.functions.fold import key_runs, map_sorted_blocks
 from kgx.functions.html_text import EXTRACTOR_VERSION, extract_text
 from kgx.stages.edges import build_alias_map, resolve_and_dedup_claims
 from kgx.stages.extract import (GazetteerExtractor, TermExtractor,
@@ -179,17 +179,21 @@ def _fp_url_key(t: pa.Table):
 
 
 class _LoserFilter:
-    """Drop the rows whose own (fp, url) key is in the broadcast loser
-    set; run through ``make_task_extractor``, so the set is ``ray.get``
-    once per worker."""
+    """Drop the rows whose key is in the broadcast loser set (a list of
+    strings or an Arrow array): their ``column``, or by default their own
+    (fp, url) key (and then the ``fp`` column).  Run through
+    ``make_task_extractor``, so the set is ``ray.get`` once per worker."""
 
-    def __init__(self, drop_ref):
-        self.vs = pa.array(ray.get(drop_ref), pa.string())
+    def __init__(self, drop_ref, column: str | None = None):
+        vs = ray.get(drop_ref)
+        self.vs = vs if isinstance(vs, pa.Array) else pa.array(vs, pa.string())
+        self.column = column
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        # a null key (empty text) is never in the set
-        drop = pc.is_in(_fp_url_key(batch), value_set=self.vs)
-        return batch.filter(pc.invert(drop)).drop_columns(["fp"])
+        # a null key (empty text, no url) is never in the set
+        key = batch[self.column] if self.column else _fp_url_key(batch)
+        kept = batch.filter(pc.invert(pc.is_in(key, value_set=self.vs)))
+        return kept if self.column else kept.drop_columns(["fp"])
 
 
 def dedup_pages_by_text(texts_ds):
@@ -553,29 +557,16 @@ def _supersede_losers(extracted_paths: list) -> list:
              for i, mdir in enumerate(meta_dirs)]
     union = parts[0].union(*parts[1:])
 
-    def fold(group: pa.Table) -> pa.Table:
-        """All (url, source) pairs in this block whose source is NOT
-        the url's winner — vectorized over the whole block."""
-        denc = pc.dictionary_encode(group["url"].combine_chunks())
-        codes = denc.indices.to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        combo = group["combo"].to_numpy(zero_copy_only=False)
+    def fold(block: pa.Table) -> pa.Table:
+        """All distinct (url, source) pairs in this url-sorted block whose
+        source is NOT the url's winner."""
+        runs = key_runs(block, ["url"])
+        combo = block["combo"].to_numpy()
+        win = np.maximum.reduceat(combo, runs[:-1]) % n_src
         src = combo % n_src
-        order = np.lexsort((combo, codes))
-        c_s = codes[order]
-        starts = np.flatnonzero(np.r_[True, c_s[1:] != c_s[:-1]])
-        ends = np.r_[starts[1:], len(c_s)] - 1
-        # dictionary codes are 0..k-1 by first appearance, so the sorted
-        # group max at position `ends` indexes win_src by code directly
-        win_src = combo[order][ends] % n_src
-        upair = np.unique(codes * n_src + src)
-        u_code, u_src = upair // n_src, upair % n_src
-        lose = u_src != win_src[u_code]
-        return pa.table({
-            "url": pc.take(denc.dictionary,
-                           pa.array(u_code[lose], pa.int64())),
-            "src": pa.array(u_src[lose], pa.int64()),
-        })
+        lose = src != np.repeat(win, np.diff(runs))
+        return pa.table({"url": block["url"], "src": src}).filter(
+            pa.array(lose)).group_by(["url", "src"]).aggregate([])
 
     out = [set() for _ in range(n_src)]
     for r in map_sorted_blocks(union, "url", fold, pa.schema(
@@ -605,7 +596,9 @@ def _finalize_graph(out_dir: str, extracted_paths: list, cfg: "KGConfig",
 
     losers = None
     if cfg.supersede_recrawls:
-        losers = _supersede_losers(extracted_paths)
+        # one broadcast loser set per source, put once per finalize
+        losers = [ray.put(sorted(urls)) if urls else None
+                  for urls in _supersede_losers(extracted_paths)]
         fp_ext += "".join(
             mf.fingerprint_input(os.path.join(os.path.dirname(p),
                                               "crawlmeta"))
@@ -625,12 +618,10 @@ def _finalize_graph(out_dir: str, extracted_paths: list, cfg: "KGConfig",
             if not files:
                 continue
             d = rd.read_parquet(files, columns=columns, filter=kind_filter)
-            if losers[i]:
-                ref = ray.put(pa.array(sorted(losers[i]), pa.string()))
+            if losers[i] is not None:
                 d = d.map_batches(
-                    lambda b, _r=ref: b.filter(pc.invert(pc.is_in(
-                        b["url"].combine_chunks(),
-                        value_set=ray.get(_r)))),
+                    make_task_extractor(_LoserFilter, drop_ref=losers[i],
+                                        column="url"),
                     batch_format="pyarrow")
             parts.append(d)
         out = parts[0]
@@ -796,10 +787,12 @@ def update_pipeline(new_pages_path: str, out_dir: str,
     manifests, so re-ingesting the same shard is a no-op and a killed
     ingest resumes at partition granularity like the base run.
 
-    Scope note: ``cfg.dedup_pages`` dedups WITHIN each ingested shard
-    (exact cross-shard page dedup would need a shared fingerprint index;
-    duplicate pages across shards contribute duplicate mention
-    instances, exactly as re-feeding a page to the reference would).
+    Scope note: ``cfg.dedup_pages`` dedups WITHIN each ingested shard;
+    ``cfg.cross_shard_dedup`` screens the new shard against every prior
+    corpus through the shared fingerprint index (kgx.state.dedup_index).
+    Without it, duplicate pages across shards contribute duplicate
+    mention instances, exactly as re-feeding a page to the reference
+    would.
     """
     cfg = cfg or KGConfig()
     _check_extractor(cfg)

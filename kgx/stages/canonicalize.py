@@ -6,36 +6,49 @@ Replaces the reference's order-dependent O(n²) greedy resolver
 /root/reference/extraction/entity_resolver.py:25-56) and the global mutable
 dedup store (``KnowledgeGraph.add_entity``,
 /root/reference/models/knowledge_graph.py:25-45) with an order-independent,
-associative merge over the normalized-mention key.  This module holds the
-merge state and its reducers; the Dataset composition is
-``kgx.stages.states.nodes_from_states``:
+associative merge over the normalized-mention key: typed state columns
+(``names``/``types`` counts, ``desc``, ``n``, ``inst``) and their one
+merge, :func:`merge_mention_states`, run in two places (the Dataset
+composition is ``kgx.stages.states.nodes_from_states``):
 
 1. **in-batch combine** (:func:`combine_mentions_batch`, run inside the
-   fused extraction chain): partial-aggregate each Arrow batch of mentions
-   to one state row per norm_mention, so the shuffle moves one row per key
-   per batch instead of every mention.  This is also what handles
+   fused extraction chain): each mention row lifted to a one-row state,
+   merged per norm_mention, so the shuffle moves one row per key per
+   batch instead of every mention.  This is also what handles
    head-entity skew: "United States" in ~20% of pages is still at most
    one state row per combine batch;
-2. **one fold** sorted on ``entity_id`` (the 1:1 hash of norm_mention)
-   with :func:`finalize_group`: merge every state row of a key and emit
-   its nodes row.
+2. **one fold** sorted on ``entity_id`` (the 1:1 hash of norm_mention),
+   one :func:`finalize_nodes_block` call per sorted block: merge every
+   state row of a key and emit its nodes row.
 
 Merge semantics preserve the reference's ``Entity.merge``
 (/root/reference/models/entity.py:40-64) made order-independent:
 longest description wins (tie -> lexicographically smallest); canonical
 name/type are the most frequent raw surface/type (tie -> smallest);
-instances are the distinct min-K ``(url, chunk_id)`` pairs (min-K of a union
-is associative) with the exact occurrence count kept separately in
-``n_instances``.  All of this is property-tested: arbitrary batching then
-one fold == a single batch.
+aliases are every raw surface; instances are the distinct min-K
+``(url, chunk_id)`` pairs (min-K of a union is associative) with the
+exact occurrence count kept separately in ``n_instances``.  All of this
+is property-tested: arbitrary batching then one fold == a single batch
+== the dict reference :func:`merge_states` (the oracle's).
 """
 
 from __future__ import annotations
 
-import json
+from functools import partial
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from kgx.functions.fold import (merge_runs, run_argmax, run_counts,
+                                run_distinct, run_lists, run_min,
+                                run_sum)
+
+# (url, chunk_id) pairs: node/edge/claim instances and every state's inst
+INSTANCES_TYPE = pa.list_(pa.struct([("url", pa.string()),
+                                     ("chunk_id", pa.string())]))
+# surface -> count, sorted by surface: the ``names``/``types`` columns
+COUNTS_TYPE = pa.list_(pa.struct([("s", pa.string()), ("c", pa.int64())]))
 
 NODES_SCHEMA = pa.schema([
     ("entity_id", pa.string()),
@@ -44,8 +57,7 @@ NODES_SCHEMA = pa.schema([
     ("description", pa.string()),
     ("aliases", pa.list_(pa.string())),
     ("n_instances", pa.int64()),
-    ("instances", pa.list_(pa.struct([("url", pa.string()),
-                                      ("chunk_id", pa.string())]))),
+    ("instances", INSTANCES_TYPE),
 ])
 
 DEFAULT_INSTANCE_CAP = 200
@@ -87,107 +99,55 @@ def _argmax_count(counts: dict) -> str:
     return min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
 
 
+def lifted_states(n: int, url, chunk_id) -> dict:
+    """``n = 1`` and the one-pair ``inst`` of ``n`` raw rows lifted to
+    one-row states."""
+    return {"n": pa.array(np.ones(n, np.int64)),
+            "inst": run_lists(np.arange(n), n, [url, chunk_id],
+                              INSTANCES_TYPE)}
+
+
+def merge_mention_states(block: pa.Table, keys: list,
+                         cap: int) -> pa.Table:
+    """The one mention merge, per run of ``keys`` in a key-sorted table:
+    counts summed per surface, the longest ``desc`` (ties to the
+    smallest), ``n`` summed, ``inst`` the capped distinct union."""
+    return merge_runs(block, keys, {
+        "names": run_counts, "types": run_counts,
+        "desc": partial(run_min, longest=True), "n": run_sum,
+        "inst": partial(run_distinct, cap=cap)})
+
+
 def combine_mentions_batch(batch: pa.Table, *,
                            cap: int = DEFAULT_INSTANCE_CAP) -> pa.Table:
-    """In-batch combiner: mentions batch -> one (norm, state) row per key.
+    """In-batch combiner: mentions batch -> one state row per
+    norm_mention, sorted by it: each mention with a non-empty norm lifted
+    to a one-row state, merged by :func:`merge_mention_states`."""
+    b = batch.filter(pc.fill_null(pc.not_equal(batch["norm_mention"], ""),
+                                  False)).sort_by("norm_mention")
+    n = b.num_rows
+    one, st = np.arange(n), lifted_states(n, b["url"], b["chunk_id"])
+    return merge_mention_states(pa.table({
+        "norm_mention": b["norm_mention"],
+        "names": run_lists(one, n, [b["mention"], st["n"]], COUNTS_TYPE),
+        "types": run_lists(one, n, [b["type"], st["n"]], COUNTS_TYPE),
+        "desc": pc.fill_null(b["description"], ""),
+        **st,
+    }), ["norm_mention"], cap)
 
-    Vectorized: the per-row work runs as Arrow ``group_by`` counts over
-    (norm, mention) / (norm, type) / distinct (norm, desc) / distinct
-    (norm, url, chunk) — Python touches only DISTINCT combinations.
-    Every fold is order-free — counts, the longest-ties-lex-min
-    description max, distinct-sorted-capped instances — so the output is
-    byte-identical to the old per-row loop (pinned by the oracle/e2e
-    parity tests).
-    """
-    norm_arr = batch["norm_mention"].combine_chunks()
-    ok = pc.fill_null(
-        pc.and_(pc.is_valid(norm_arr), pc.not_equal(norm_arr, "")), False)
-    b = batch.filter(ok)
-    if b.num_rows == 0:
-        return pa.table({
-            "norm_mention": pa.array([], pa.string()),
-            "state": pa.array([], pa.string()),
-        })
-    states: dict[str, dict] = {}
 
-    def st_of(norm: str) -> dict:
-        s = states.get(norm)
-        if s is None:
-            s = states[norm] = _new_state()
-        return s
-
-    norm_col = b["norm_mention"].combine_chunks()
-    # nc: counts per (norm, raw mention); n: row count per norm
-    nc = pa.table({"k": norm_col, "m": b["mention"].combine_chunks()}) \
-        .group_by(["k", "m"]).aggregate([("m", "count")])
-    for k, m, c in zip(nc["k"].to_pylist(), nc["m"].to_pylist(),
-                       nc["m_count"].to_pylist()):
-        s = st_of(k)
-        s["nc"][m] = c
-        s["n"] += c
-    # tc: counts per (norm, type)
-    tc = pa.table({"k": norm_col, "t": b["type"].combine_chunks()}) \
-        .group_by(["k", "t"]).aggregate([("t", "count")])
-    for k, t, c in zip(tc["k"].to_pylist(), tc["t"].to_pylist(),
-                       tc["t_count"].to_pylist()):
-        st_of(k)["tc"][t] = c
-    # d: fold _better_desc over the DISTINCT descs of each norm
-    # (order-free: longest wins, ties to the lexicographic minimum)
-    dd = pa.table({"k": norm_col, "d": b["description"].combine_chunks()}) \
-        .group_by(["k", "d"]).aggregate([])
-    for k, d in zip(dd["k"].to_pylist(), dd["d"].to_pylist()):
-        s = st_of(k)
-        s["d"] = _better_desc(s["d"], d or "")
-    # inst: distinct (url, chunk_id) per norm, sorted + capped at emit
-    ii = pa.table({"k": norm_col, "u": b["url"].combine_chunks(),
-                   "c": b["chunk_id"].combine_chunks()}) \
-        .group_by(["k", "u", "c"]).aggregate([])
-    for k, u, c in zip(ii["k"].to_pylist(), ii["u"].to_pylist(),
-                       ii["c"].to_pylist()):
-        st_of(k)["inst"].append((u, c))
-    keys = sorted(states)
-    for k in keys:
-        st = states[k]
-        st["inst"] = sorted(st["inst"])[:cap]   # already distinct tuples
-        st["al"] = sorted(st["nc"])
+def finalize_nodes_block(block: pa.Table, cap: int) -> pa.Table:
+    """Mention states sorted by entity_id -> one node per entity_id: the
+    most frequent surface and type, every surface as an alias."""
+    m = merge_mention_states(block, ["entity_id"], cap)
+    names = m["names"].combine_chunks()
     return pa.table({
-        "norm_mention": pa.array(keys, pa.string()),
-        "state": pa.array([json.dumps(states[k], sort_keys=True) for k in keys],
-                          pa.string()),
-    })
-
-
-def _fold_state_rows(jsons, cap: int) -> dict:
-    """Fold a group's state rows with ONE final dedupe/sort/cap instead of
-    per-merge ``sorted(set(...))`` maintenance (capped min-K and sorted
-    union are associative, so the result is byte-identical to the pairwise
-    :func:`merge_states` fold — asserted by the parity tests)."""
-    acc = _new_state()
-    inst: set = set()
-    al: set = set()
-    for s in jsons:
-        b = json.loads(s)
-        _merge_counts(acc["nc"], b["nc"])
-        _merge_counts(acc["tc"], b["tc"])
-        acc["d"] = _better_desc(acc["d"], b["d"])
-        acc["n"] += b["n"]
-        inst.update(map(tuple, b["inst"]))
-        al.update(b["al"])
-    acc["inst"] = sorted(inst)[:cap]
-    acc["al"] = sorted(al)
-    return acc
-
-
-def finalize_group(group: pa.Table, *,
-                   cap: int = DEFAULT_INSTANCE_CAP) -> dict:
-    """Merge every state row of one entity_id into its nodes row."""
-    acc = _fold_state_rows(group["state"].to_pylist(), cap)
-    return {
-        "entity_id": group["entity_id"][0].as_py(),
-        "name": _argmax_count(acc["nc"]),
-        "type": _argmax_count(acc["tc"]),
-        "description": acc["d"],
-        "aliases": acc["al"],
-        "n_instances": acc["n"],
-        "instances": [{"url": u, "chunk_id": c} for u, c in acc["inst"]],
-    }
+        "entity_id": m["entity_id"],
+        "name": run_argmax(names),
+        "type": run_argmax(m["types"].combine_chunks()),
+        "description": m["desc"],
+        "aliases": pa.ListArray.from_arrays(
+            names.offsets, names.flatten().flatten()[0]),
+        "n_instances": m["n"],
+        "instances": m["inst"],
+    }, schema=NODES_SCHEMA)

@@ -21,38 +21,35 @@ is order-dependent.  Claim dedup follows ``add_claim``
 union entity_ids and instances.
 
 Every dedup is one sort on its key plus one pass over each whole sorted
-block (:mod:`kgx.functions.fold`) over per-batch pre-combined state rows.
-Triples are pre-combined UNRESOLVED into typed (sum, n, inst) columns
-(:func:`_combine_triples_unresolved`, the triple half of the fused state
-rows in ``kgx.stages.states``), resolved per state by
-``kgx.stages.states.edges_from_states`` and merged by
-:func:`_finalize_edges_block`, one vectorized call per sorted block with
-no JSON and no per-key table.  Claims are resolved and combined per
-batch into JSON states by :class:`ResolveClaims` and folded per key by
-:func:`_finalize_claim_group`.
+block (:mod:`kgx.functions.fold`) over per-batch pre-combined typed state
+rows, and each kind has one merge that its per-batch combine (on raw
+rows lifted to one-row states) and its fold both call.  Triples
+(:func:`merge_triple_states`) combine UNRESOLVED on the raw (subj, pred,
+obj) (:func:`_combine_triples_unresolved`, the triple half of the fused
+states in ``kgx.stages.states``), are resolved per state and merged per
+resolved key (:func:`_finalize_edges_block`).  Claims
+(:func:`merge_claim_states`) are resolved and combined per batch by
+:class:`ResolveClaims` and merged per claim_id
+(:func:`_finalize_claims_block`).
 """
 
 from __future__ import annotations
 
-import json
-from functools import reduce
-from operator import add
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from kgx.functions.fold import fold_sorted, key_runs
+from kgx.functions.fold import (map_sorted_blocks, merge_runs,
+                                run_distinct, run_left_fold, run_lists,
+                                run_min, run_sum)
 from kgx.functions.normalize import claim_id, edge_id, normalize
-from kgx.stages.canonicalize import _cap_instances, DEFAULT_INSTANCE_CAP
+from kgx.stages.canonicalize import (DEFAULT_INSTANCE_CAP, INSTANCES_TYPE,
+                                     lifted_states)
 
 DEFAULT_MIN_STRENGTH = 0.5  # /root/reference/config.py:37
-
-# (url, chunk_id) provenance pairs: edge and claim instances, and the
-# ``inst`` column of the triple states
-INSTANCES_TYPE = pa.list_(pa.struct([("url", pa.string()),
-                                     ("chunk_id", pa.string())]))
 
 EDGES_SCHEMA = pa.schema([
     ("edge_id", pa.string()),
@@ -100,65 +97,41 @@ def build_alias_map(nodes_table: pa.Table) -> dict[str, tuple[str, str]]:
     return alias
 
 
-def _left_fold_sums(vals: list, runs: np.ndarray) -> list:
-    """Per run of ``runs`` (:func:`key_runs` offsets): the SEQUENTIAL left
-    fold ``0.0 + v0 + v1 + ...`` of ``vals``.  ``np.add.reduceat`` sums
-    pairwise, which is not bit-identical to a per-row ``+=`` (measured:
-    4.140000000000001 vs 4.14); one C-level ``reduce`` per run is, and
-    stays O(rows) however the rows split into runs."""
-    b = runs.tolist()
-    return [reduce(add, vals[s:e], 0.0) for s, e in zip(b[:-1], b[1:])]
+def alias_arrays(alias_ref) -> tuple:
+    """The broadcast alias map as sorted arrays (norms, entity ids,
+    canonical names): resolving norms is one ``pc.index_in``."""
+    alias = ray.get(alias_ref) if isinstance(
+        alias_ref, ray.ObjectRef) else alias_ref
+    keys = sorted(alias)
+    return (pa.array(keys, pa.string()),
+            pa.array([alias[k][0] for k in keys], pa.string()),
+            pa.array([alias[k][1] for k in keys], pa.string()))
 
 
-def _capped_distinct(run: np.ndarray, n_runs: int, url, chunk_id,
-                     cap: int) -> pa.ListArray:
-    """``_cap_instances`` for many runs at once: run ``r`` gets the first
-    ``cap`` distinct (url, chunk_id) pairs of the rows with ``run == r``,
-    in sorted order.  One Arrow sort on (run, url, chunk_id), adjacent
-    duplicates dropped, the first ``cap`` of each run kept; returns one
-    ``INSTANCES_TYPE`` list per run.  Arrow's bytewise UTF-8 string order
-    is Python's code-point order, so the lists equal the per-key
-    ``sorted(set(pairs))[:cap]``."""
-    t = pa.table({"r": run, "u": url, "c": chunk_id}).sort_by(
-        [("r", "ascending"), ("u", "ascending"), ("c", "ascending")])
-    t = t.take(key_runs(t, ["r", "u", "c"])[:-1])
-    r = t["r"].to_numpy()
-    keep = np.arange(len(r)) - np.searchsorted(r, r) < cap
-    t = t.filter(pa.array(keep))
-    offsets = np.zeros(n_runs + 1, np.int32)
-    np.cumsum(np.bincount(r[keep], minlength=n_runs), out=offsets[1:])
-    return pa.ListArray.from_arrays(
-        pa.array(offsets), pa.StructArray.from_arrays(
-            [t["u"].combine_chunks(), t["c"].combine_chunks()],
-            fields=list(INSTANCES_TYPE.value_type)), type=INSTANCES_TYPE)
+def merge_triple_states(block: pa.Table, keys: list, cap: int) -> pa.Table:
+    """The one triple merge, per run of ``keys`` in a key-sorted table:
+    ``sum`` left-folded in row order, ``n`` summed, ``inst`` the capped
+    distinct union, the first row's other columns."""
+    return merge_runs(block, keys, {
+        "sum": run_left_fold, "n": run_sum,
+        "inst": partial(run_distinct, cap=cap)})
 
 
 def _finalize_edges_block(block: pa.Table, cap: int) -> pa.Table:
-    """One key-sorted block of resolved triple states -> one edge per run
-    of (subj_id, pred, obj_id): the strength is the run's summed ``sum``
-    over its total ``n`` (both folded in block order), the instances the
-    capped distinct union of its ``inst`` lists, and the canonical names
-    come from the run's first row (the key fixes both entity ids)."""
+    """Resolved triple states sorted by (subj_id, pred, obj_id) -> one
+    edge per key: strength = merged ``sum`` / ``n``; the canonical names
+    come from the first row (the key fixes both entity ids)."""
     keys = ["subj_id", "pred", "obj_id"]
-    runs = key_runs(block, keys)
-    starts = runs[:-1]
-    n_runs = len(starts)
-    head = block.take(starts)
-    n = np.add.reduceat(block["n"].to_numpy(), starts)
-    total = np.asarray(_left_fold_sums(block["sum"].to_pylist(), runs))
-    inst = block["inst"].combine_chunks()
-    run = np.repeat(np.repeat(np.arange(n_runs), np.diff(runs)),
-                    pc.list_value_length(inst).to_numpy())
-    url, chunk_id = inst.flatten().flatten()
-    sid, pred, oid = (head[k].to_pylist() for k in keys)
+    m = merge_triple_states(block, keys, cap)
+    sid, pred, oid = (m[k].to_pylist() for k in keys)
     return pa.table({
         "edge_id": [edge_id(*k) for k in zip(sid, pred, oid)],
-        "subj_id": head["subj_id"], "obj_id": head["obj_id"],
-        "subj_name": head["sn"], "obj_name": head["on"],
-        "pred": head["pred"],
-        "strength": total / n,
-        "n_instances": n,
-        "instances": _capped_distinct(run, n_runs, url, chunk_id, cap),
+        "subj_id": m["subj_id"], "obj_id": m["obj_id"],
+        "subj_name": m["sn"], "obj_name": m["on"],
+        "pred": m["pred"],
+        "strength": m["sum"].to_numpy() / m["n"].to_numpy(),
+        "n_instances": m["n"],
+        "instances": m["inst"],
     }, schema=EDGES_SCHEMA)
 
 
@@ -168,104 +141,88 @@ def _combine_triples_unresolved(batch: pa.Table, *, min_strength: float,
     so the shuffle moves one state row per key per batch.  Triples below
     ``min_strength`` or without a strength are dropped first.  Emits one
     typed row per raw key, in key order: ``norm`` = normalize(subj),
-    ``no`` = normalize(obj), ``p`` = pred, and the multiplicity that
-    survives until the resolved-key merge: ``sum`` (float64) and ``n``
-    (int64) of the strengths, and ``inst``, the key's capped distinct
-    instances (``INSTANCES_TYPE``).
-
-    No per-key dict or JSON: one STABLE Arrow sort on the key columns
-    co-locates each key's rows in batch order, and :func:`key_runs`
-    gives the runs; ``n`` is the run length, ``sum`` a per-run
-    sequential left fold (bit-identical to a per-row ``+=``, see
-    :func:`_left_fold_sums`), ``inst`` one :func:`_capped_distinct` pass,
-    and ``normalize`` runs once per distinct surface."""
+    ``no`` = normalize(obj), ``p`` = pred, and the merged ``sum``, ``n``
+    and ``inst`` of the key's rows.  The Arrow sort is STABLE, so
+    :func:`merge_triple_states` left-folds the strengths in batch order,
+    as a per-row ``+=`` would; ``normalize`` runs once per surface."""
     keys = ["subj", "pred", "obj"]
     b = batch.filter(pc.fill_null(
         pc.greater_equal(batch["strength"], min_strength), False))
-    b = b.select(keys + ["url", "chunk_id", "strength"]).sort_by(
-        [(k, "ascending") for k in keys])
-    runs = key_runs(b, keys)
-    starts = runs[:-1]
-    head = b.take(starts)
-    subj, obj = head["subj"].combine_chunks(), head["obj"].combine_chunks()
+    b = b.sort_by([(k, "ascending") for k in keys])
+    m = merge_triple_states(pa.table({
+        **{k: b[k] for k in keys},
+        "sum": b["strength"].cast(pa.float64()),
+        **lifted_states(b.num_rows, b["url"], b["chunk_id"]),
+    }), keys, cap)
+    subj, obj = m["subj"].combine_chunks(), m["obj"].combine_chunks()
     surf = pc.unique(pa.concat_arrays([subj, obj]))
     norms = pa.array([normalize(x) for x in surf.to_pylist()], pa.string())
-    counts = np.diff(runs)
     return pa.table({
         "norm": norms.take(pc.index_in(subj, value_set=surf)),
         "no": norms.take(pc.index_in(obj, value_set=surf)),
-        "p": head["pred"],
-        "sum": pa.array(_left_fold_sums(
-            b["strength"].cast(pa.float64()).to_pylist(), runs),
-            pa.float64()),
-        "n": pa.array(counts, pa.int64()),
-        "inst": _capped_distinct(np.repeat(np.arange(len(starts)), counts),
-                                 len(starts), b["url"], b["chunk_id"], cap),
+        "p": m["pred"], "sum": m["sum"], "n": m["n"], "inst": m["inst"],
     })
 
 
+def merge_claim_states(block: pa.Table, keys: list, cap: int) -> pa.Table:
+    """The one claim merge, per run of ``keys`` in a key-sorted table:
+    the smallest raw ``content`` (of the key's case variants), the sorted
+    distinct ``ids``, ``n`` summed and ``inst`` the capped union."""
+    return merge_runs(block, keys, {
+        "content": run_min, "ids": run_distinct, "n": run_sum,
+        "inst": partial(run_distinct, cap=cap)})
+
+
 class ResolveClaims:
-    """Per-batch resolver: raw claims -> pre-combined claim state rows keyed
-    by lower(content).  Claims with zero resolved entities are dropped
-    (/root/reference/indexing/simple_graph_builder.py:136-138)."""
+    """Per-batch resolver: raw claims -> claim state rows (claim_id,
+    content, ids, n, inst) merged per claim_id, the hash of
+    ``content.lower()``.  Claims with zero resolved entities are dropped
+    (/root/reference/indexing/simple_graph_builder.py:136-138).  Entities
+    resolve through :func:`alias_arrays`; ``normalize``, ``str.lower``
+    and ``claim_id`` run once per distinct value."""
 
     def __init__(self, alias_ref, *, cap: int = DEFAULT_INSTANCE_CAP):
-        self.alias = ray.get(alias_ref) if isinstance(
-            alias_ref, ray.ObjectRef) else alias_ref
+        self._keys, self._ids, _ = alias_arrays(alias_ref)
         self.cap = cap
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        states: dict[str, dict] = {}
-        for url, chunk_id, content, entities in zip(
-                batch["url"].to_pylist(), batch["chunk_id"].to_pylist(),
-                batch["content"].to_pylist(), batch["entities"].to_pylist()):
-            if not content:
-                continue
-            ids = sorted({self.alias[normalize(e)][0] for e in (entities or [])
-                          if normalize(e) in self.alias})
-            if not ids:
-                continue
-            key = content.lower()
-            st = states.get(key)
-            if st is None:
-                st = states[key] = {"c": content, "ids": [], "n": 0, "inst": []}
-            st["c"] = min(st["c"], content)  # deterministic raw-content pick
-            st["ids"].extend(ids)
-            st["n"] += 1
-            st["inst"].append((url, chunk_id))
-        keys = sorted(states)
-        for k in keys:
-            states[k]["ids"] = sorted(set(states[k]["ids"]))
-            states[k]["inst"] = _cap_instances(states[k]["inst"], self.cap)
-        # claim_id is the deterministic 1:1 hash of content_key: emitting
-        # it here lets the dedup fold sort on it directly, so claims
-        # arrive already in claim_id order.
-        return pa.table({
-            "content_key": pa.array(keys, pa.string()),
-            "claim_id": pa.array([claim_id(k) for k in keys], pa.string()),
-            "state": pa.array([json.dumps(states[k], sort_keys=True)
-                               for k in keys], pa.string()),
-        })
+        b = batch.filter(pc.fill_null(
+            pc.not_equal(batch["content"], ""), False))
+        ents = b["entities"].combine_chunks()
+        row = np.repeat(np.arange(b.num_rows), pc.fill_null(
+            pc.list_value_length(ents), 0).to_numpy())
+        surf = ents.flatten()
+        uniq = pc.unique(surf)
+        norms = pa.array([normalize(e) for e in uniq.to_pylist()],
+                         pa.string())
+        idx = pc.index_in(norms.take(pc.index_in(surf, value_set=uniq)),
+                          value_set=self._keys)
+        ok = pc.is_valid(idx)
+        row = row[ok.to_numpy(zero_copy_only=False)]
+        ids = run_lists(row, b.num_rows, [self._ids.take(idx.filter(ok))],
+                        pa.list_(pa.string()))
+        content = b["content"].combine_chunks()
+        uniq = pc.unique(content)
+        cids = pa.array([claim_id(c.lower()) for c in uniq.to_pylist()],
+                        pa.string())
+        lifted = pa.table({
+            "claim_id": cids.take(pc.index_in(content, value_set=uniq)),
+            "content": content,
+            "ids": ids,
+            **lifted_states(b.num_rows, b["url"], b["chunk_id"]),
+        }).filter(pa.array(np.bincount(row, minlength=b.num_rows) > 0))
+        return merge_claim_states(lifted.sort_by("claim_id"), ["claim_id"],
+                                  self.cap)
 
 
-def _finalize_claim_group(group: pa.Table, cap: int) -> dict:
-    key = group["content_key"][0].as_py()
-    content, ids, n = None, set(), 0
-    seen: set = set()
-    for s in group["state"].to_pylist():
-        st = json.loads(s)
-        content = st["c"] if content is None else min(content, st["c"])
-        ids |= set(st["ids"])
-        n += st["n"]
-        seen.update(map(tuple, st["inst"]))   # cap once below (associative)
-    inst = sorted(seen)[:cap]
-    return {
-        "claim_id": claim_id(key),
-        "content": content,
-        "entity_ids": sorted(ids),
-        "n_instances": n,
-        "instances": [{"url": u, "chunk_id": c} for u, c in inst],
-    }
+def _finalize_claims_block(block: pa.Table, cap: int) -> pa.Table:
+    """Claim states sorted by claim_id -> one claim per claim_id."""
+    m = merge_claim_states(block, ["claim_id"], cap)
+    return pa.table({
+        "claim_id": m["claim_id"], "content": m["content"],
+        "entity_ids": m["ids"], "n_instances": m["n"],
+        "instances": m["inst"],
+    }, schema=CLAIMS_SCHEMA)
 
 
 def resolve_and_dedup_claims(claims_ds, alias_ref, *,
@@ -279,7 +236,6 @@ def resolve_and_dedup_claims(claims_ds, alias_ref, *,
     combined = claims_ds.map_batches(
         make_task_extractor(ResolveClaims, alias_ref=alias_ref, cap=cap),
         batch_format="pyarrow", batch_size=32768)
-    # Folding on claim_id (1:1 with content_key) delivers the output
-    # already in claim_id order.
-    return fold_sorted(combined, "claim_id",
-                       lambda g: _finalize_claim_group(g, cap), CLAIMS_SCHEMA)
+    return map_sorted_blocks(combined, "claim_id",
+                             lambda b: _finalize_claims_block(b, cap),
+                             CLAIMS_SCHEMA)

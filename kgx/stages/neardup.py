@@ -18,9 +18,9 @@ construction:
    highest-``n_instances`` node, ties to the smallest ``entity_id``
    (deterministic, unlike the reference's insertion-order winner);
 4. a broadcast remap dict rewrites ids in ``map_batches`` and one sort
-   on entity_id plus a whole-block fold merges member rows (longest
-   description, alias and instance union, summed counts), leaving the
-   output sorted by entity_id.
+   on entity_id plus one vectorized merge per sorted block merges member
+   rows (longest description, alias and instance union, summed counts),
+   leaving the output sorted by entity_id.
 
 The merged node keeps the canonical member's ``entity_id`` (a content
 hash of its normalized name), so downstream alias maps resolve every
@@ -30,14 +30,17 @@ surface form of every member.
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from kgx.functions.fold import fold_sorted, key_runs, map_sorted_blocks
+from kgx.functions.fold import (key_runs, map_sorted_blocks, merge_runs,
+                                run_distinct, run_lists, run_min,
+                                run_sum)
 from kgx.functions.normalize import normalize
-from kgx.stages.canonicalize import (NODES_SCHEMA, _better_desc,
-                                     _cap_instances, DEFAULT_INSTANCE_CAP)
+from kgx.stages.canonicalize import NODES_SCHEMA, DEFAULT_INSTANCE_CAP
 
 
 def _char_shingles(norm: str, k: int) -> np.ndarray:
@@ -180,33 +183,32 @@ def build_remap(pairs_tbl: pa.Table) -> dict[str, str]:
     return remap
 
 
-def _merge_member_group(group: pa.Table,
-                        cap: int = DEFAULT_INSTANCE_CAP) -> dict:
-    rows = group.to_pylist()
-    if len(rows) == 1:
-        return rows[0]
-    canon_id = rows[0]["entity_id"]  # all rows share the remapped id
-    canon = next(r for r in rows if r["_orig_id"] == canon_id)
-    desc = ""
-    aliases: set[str] = set()
-    insts: list[tuple] = []
-    n = 0
-    for r in rows:
-        desc = _better_desc(desc, r["description"] or "")
-        aliases.update(r["aliases"] or [])
-        aliases.add(r["name"])
-        insts.extend((i["url"], i["chunk_id"]) for i in r["instances"])
-        n += r["n_instances"]
-    inst = _cap_instances(insts, cap)
-    return {
-        "entity_id": canon_id,
-        "name": canon["name"],
-        "type": canon["type"],
-        "description": desc,
-        "aliases": sorted(aliases),
-        "n_instances": n,
-        "instances": [{"url": u, "chunk_id": c} for u, c in inst],
-    }
+def _merge_members_block(block: pa.Table, cap: int) -> pa.Table:
+    """One entity_id-sorted block of remapped nodes -> one node per
+    entity_id: the name and type of the member whose own id it is, the
+    longest description, every member's name and aliases, the summed
+    ``n_instances`` and the capped distinct instances."""
+    n = block.num_rows
+    al = block["aliases"].combine_chunks()
+    row = np.r_[np.repeat(np.arange(n), pc.list_value_length(al).fill_null(
+        0)), np.arange(n)]
+    order = np.argsort(row, kind="stable")
+    names = pa.concat_arrays([al.flatten(), block["name"].combine_chunks()])
+    block = block.set_column(
+        block.schema.get_field_index("aliases"), "aliases",
+        run_lists(row[order], n, [names.take(order)], al.type))
+    block = block.set_column(
+        block.schema.get_field_index("description"), "description",
+        pc.fill_null(block["description"], ""))
+    # the canonical member first in its run, so the merge keeps its row
+    block = block.append_column("_alt", pc.not_equal(
+        block["_orig_id"], block["entity_id"])).sort_by(
+            [("entity_id", "ascending"), ("_alt", "ascending")])
+    return merge_runs(block, ["entity_id"], {
+        "description": partial(run_min, longest=True),
+        "aliases": run_distinct, "n_instances": run_sum,
+        "instances": partial(run_distinct, cap=cap),
+    }).select(NODES_SCHEMA.names)
 
 
 def _name_embed(norm: str, dim: int) -> np.ndarray:
@@ -322,9 +324,9 @@ def _apply_remap(nodes_ds, pairs_ds, cap: int):
             batch.schema.get_field_index("entity_id"), "entity_id",
             pa.array([m.get(i, i) for i in ids], pa.string()))
 
-    return fold_sorted(nodes_ds.map_batches(rewrite, batch_format="pyarrow"),
-                       "entity_id", lambda g: _merge_member_group(g, cap),
-                       NODES_SCHEMA)
+    return map_sorted_blocks(
+        nodes_ds.map_batches(rewrite, batch_format="pyarrow"), "entity_id",
+        lambda b: _merge_members_block(b, cap), NODES_SCHEMA)
 
 
 def neardup_merge_nodes(nodes_ds, *, threshold: float = 0.7,

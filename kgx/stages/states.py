@@ -8,7 +8,8 @@ takes its nodes from them too:
 
     tagged extraction -> combine          (one state row per key per batch)
       -> materialize                      (tiny)
-    nodes = states[kind=m] -> + entity_id -> fold_sorted(entity_id)
+    nodes = states[kind=m] -> + entity_id
+                           -> map_sorted_blocks(entity_id)
     edges = states[kind=t] -> broadcast resolve
                            -> map_sorted_blocks(subj_id, pred, obj_id)
 
@@ -21,48 +22,47 @@ block (:mod:`kgx.functions.fold`).  Head-entity skew needs no
 salting: the combiner leaves any key at most one state row per combine
 batch, so even a key in every page is a few KB of states in one block.
 
-Unified state row (``STATES_SCHEMA``): kind "m" or "t", key, state,
-no, p, sum, n, inst.
-  - "m" rows are :func:`kgx.stages.canonicalize.combine_mentions_batch`
-    output: key = norm_mention and a JSON merge ``state``; the triple
-    columns are null.
-  - "t" rows are :func:`kgx.stages.edges._combine_triples_unresolved`
-    output and carry no JSON (``state`` is null): key = normalized
-    subject, no = normalized object, p = predicate, and the typed
-    ``sum``/``n``/``inst`` multiplicity of one raw (s, p, o) key.  The
-    edge finalize merges them one sorted block at a time
-    (:func:`kgx.stages.edges._finalize_edges_block`), with no JSON and
-    no per-key table.
-Every merge is associative, so the result does not depend on how rows
-were batched — asserted by the stream-vs-checkpointed parity tests;
-strengths are sequential left folds in row order, so they are
-bit-identical for the same batching.
+Unified state row (``STATES_SCHEMA``), typed columns only: "m" rows
+(:func:`kgx.stages.canonicalize.combine_mentions_batch`: key =
+norm_mention, ``names``/``types`` counts, ``desc``) and "t" rows
+(:func:`kgx.stages.edges._combine_triples_unresolved`: key / no = the
+normalized subject / object, p = predicate, ``sum`` of the strengths of
+one raw (s, p, o) key) share ``n`` and ``inst``; the other kind's
+columns are null.  Each kind's one merge (``merge_mention_states``,
+``merge_triple_states``) runs in its combine and again, once per sorted
+block, in its finalize.  Every merge is associative, so the result does
+not depend on how rows were batched (parity-tested); strengths are left
+folds in row order, bit-identical for the same batching.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 
-from kgx.functions.fold import fold_sorted, map_sorted_blocks
+from kgx.functions.fold import map_sorted_blocks
 from kgx.functions.normalize import entity_id
-from kgx.stages.canonicalize import (DEFAULT_INSTANCE_CAP, NODES_SCHEMA,
-                                     combine_mentions_batch, finalize_group)
+from kgx.stages.canonicalize import (COUNTS_TYPE, DEFAULT_INSTANCE_CAP,
+                                     INSTANCES_TYPE, NODES_SCHEMA,
+                                     combine_mentions_batch,
+                                     finalize_nodes_block)
 from kgx.stages.edges import (DEFAULT_MIN_STRENGTH, EDGES_SCHEMA,
-                              INSTANCES_TYPE, _combine_triples_unresolved,
-                              _finalize_edges_block)
+                              _combine_triples_unresolved,
+                              _finalize_edges_block, alias_arrays)
 
 STATES_SCHEMA = pa.schema([
     ("kind", pa.string()),       # "m" mention-state | "t" triple-state
     ("key", pa.string()),        # m: norm_mention; t: normalize(subj)
-    ("state", pa.string()),      # m only: json merge state
     ("no", pa.string()),         # t only: normalize(obj) — resolver key
     ("p", pa.string()),          # t only: predicate
     ("sum", pa.float64()),       # t only: summed strength
-    ("n", pa.int64()),           # t only: triple count
-    ("inst", INSTANCES_TYPE),    # t only: capped distinct instances
+    ("n", pa.int64()),           # mention / triple count
+    ("inst", INSTANCES_TYPE),    # capped distinct instances
+    ("names", COUNTS_TYPE),      # m only: raw surface counts
+    ("types", COUNTS_TYPE),      # m only: type counts
+    ("desc", pa.string()),       # m only: best description
 ])
+_MENTION_COLS = ["names", "types", "desc", "n", "inst"]
 
 
 def _state_rows(kind: str, num_rows: int, **cols) -> pa.Table:
@@ -90,7 +90,7 @@ def make_combine_extracted_fn(*, n_salts: int | None = None,
                                         cap=cap)
         return pa.concat_tables([
             _state_rows("m", m.num_rows, key=m["norm_mention"],
-                        state=m["state"]),
+                        **{c: m[c] for c in _MENTION_COLS}),
             _state_rows("t", t.num_rows, key=t["norm"], no=t["no"],
                         p=t["p"], sum=t["sum"], n=t["n"], inst=t["inst"]),
         ]).combine_chunks()
@@ -99,18 +99,19 @@ def make_combine_extracted_fn(*, n_salts: int | None = None,
 
 def nodes_from_states(states_ds, *, cap: int = DEFAULT_INSTANCE_CAP):
     """Mention states -> canonical nodes sorted by entity_id: entity_id is
-    added map-side, then one sort and one fold merge each key's states."""
+    added map-side, then one sort and one vectorized finalize per sorted
+    block (:func:`kgx.stages.canonicalize.finalize_nodes_block`)."""
     def mention_states(t: pa.Table) -> pa.Table:
         m = t.filter(pc.equal(t["kind"], "m"))
         return pa.table({
             "entity_id": pa.array([entity_id(k) for k in
                                    m["key"].to_pylist()], pa.string()),
-            "state": m["state"],
+            **{c: m[c] for c in _MENTION_COLS},
         })
 
-    return fold_sorted(
+    return map_sorted_blocks(
         states_ds.map_batches(mention_states, batch_format="pyarrow"),
-        "entity_id", lambda g: finalize_group(g, cap=cap), NODES_SCHEMA)
+        "entity_id", lambda b: finalize_nodes_block(b, cap), NODES_SCHEMA)
 
 
 class _ResolveTripleStates:
@@ -126,12 +127,7 @@ class _ResolveTripleStates:
     for the finalize."""
 
     def __init__(self, alias_ref):
-        alias = ray.get(alias_ref) if isinstance(
-            alias_ref, ray.ObjectRef) else alias_ref
-        keys = sorted(alias)
-        self._keys = pa.array(keys, pa.string())
-        self._ids = pa.array([alias[k][0] for k in keys], pa.string())
-        self._names = pa.array([alias[k][1] for k in keys], pa.string())
+        self._keys, self._ids, self._names = alias_arrays(alias_ref)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         t = batch.filter(pc.equal(batch["kind"], "t"))

@@ -123,7 +123,7 @@ def test_broadcast_resolvers_share_the_bounded_cache():
         assert t["subj_id"].to_pylist() == [f"e{i}"]
         c = extract.make_task_extractor(edges.ResolveClaims, alias_ref=ref,
                                         cap=4)(claims)
-        assert f'"ids": ["e{i}"]' in c["state"][0].as_py()
+        assert c["ids"].to_pylist() == [[f"e{i}"]]
         drop = ray.put(["f" * 32 + f"u{i % 2}"])
         kept = extract.make_task_extractor(kg._LoserFilter,
                                            drop_ref=drop)(pages)

@@ -1,7 +1,7 @@
 """Pins the contracts of the one fused-state KG finalize.
 
-Every KG output is built by kgx.functions.fold.fold_sorted: one
-``ds.sort(key)`` plus one pass over each whole sorted block.  That relies
+Every KG output is built by kgx.functions.fold: one ``ds.sort(key)``
+plus one pass over each whole sorted block.  That relies
 on the sort's range partitioning putting every row of a key into ONE
 block, however skewed the key is; the fold tests below pin that with a
 hot key holding over half the rows.  If a Ray upgrade ever breaks it,
@@ -363,3 +363,58 @@ def test_empty_triple_states_are_typed(rows, mentions):
     assert states.schema == STATES_SCHEMA
     assert states["kind"].to_pylist() == ["m"] * (mentions > 0)
     assert states["sum"].null_count == states.num_rows
+
+
+_CLAIM_ALIAS = {"acme": ("e-acme", "Acme"), "globex": ("e-globex", "Globex"),
+                "kéy corp": ("e-key", "Kéy Corp")}
+
+
+def _claim_rows(n: int) -> list:
+    """Tagged claim rows: case variants of one content key with different
+    entity sets, a claim no entity of which resolves, a claim without
+    entities, empty and null contents, and 12 distinct (url, chunk_id)
+    pairs repeated over the ``n`` rows."""
+    variants = [("Acme grew.", ["Acme"]), ("ACME grew.", ["ACME", "Globex"]),
+                ("acme GREW.", ["acme"]), ("Globex shrank.", ["GLOBEX"]),
+                ("Nobody knows.", ["Nobody"]),
+                ("Kéy Corp grew.", ["Kéy  Corp"]),
+                ("KÉY CORP GREW.", ["kéy corp", "Acme"]),
+                ("No entities.", None), ("", ["Acme"]), (None, ["Acme"])]
+    return [{"kind": "claim", "url": f"u{i % 4}", "chunk_id": f"c{i % 3}",
+             "content": variants[i % len(variants)][0],
+             "entities": variants[i % len(variants)][1]} for i in range(n)]
+
+
+@pytest.mark.parametrize("n_batches", [1, 3, 7])
+def test_claim_states_fold_like_the_oracle(ray_session, n_batches):
+    """Claims split into 1, 3 and 7 batches, resolved and combined per
+    batch, then folded per claim_id, equal the sequential oracle's claim
+    path: case variants share one claim (smallest raw content, union of
+    ids), an unresolvable claim is dropped, and the instances are the
+    capped distinct pairs while ``n_instances`` counts every row."""
+    import ray
+
+    from kgx.oracle import oracle_claims
+    from kgx.stages.edges import (CLAIMS_SCHEMA, ResolveClaims,
+                                  _finalize_claims_block,
+                                  resolve_and_dedup_claims)
+
+    rows = _claim_rows(70)
+    want = pa.Table.from_pylist(oracle_claims(rows, _CLAIM_ALIAS, 3),
+                                schema=CLAIMS_SCHEMA)
+    assert want.num_rows == 3
+    assert sorted(want["content"].to_pylist()) == [
+        "ACME grew.", "Globex shrank.", "KÉY CORP GREW."]
+    assert max(want["n_instances"].to_pylist()) > 3
+    per = -(-len(rows) // n_batches)
+    batches = [pa.Table.from_pylist(rows[i:i + per]).select(
+        ["url", "chunk_id", "content", "entities"])
+        for i in range(0, len(rows), per)]
+    resolve = ResolveClaims(_CLAIM_ALIAS, cap=3)
+    states = pa.concat_tables([resolve(b) for b in batches])
+    assert states.num_rows <= 3 * len(batches)
+    got = _finalize_claims_block(states.sort_by("claim_id"), 3)
+    assert got.equals(want)
+    ds = resolve_and_dedup_claims(rd.from_arrow(batches),
+                                  ray.put(_CLAIM_ALIAS), cap=3)
+    assert _concat(ds).equals(want)
