@@ -835,8 +835,8 @@ def _q_multimodal_dedup(sf_dir: str):
 
 
 def _q_rel_cube(sf_dir: str):
-    """GROUP BY CUBE(l_returnflag, l_linestatus): one wide shuffle for
-    the finest level, three re-aggregations of the tiny output."""
+    """GROUP BY CUBE(l_returnflag, l_linestatus): one keyed sum for the
+    finest level, every grouping set derived from its <= 6 rows."""
     from kgx.ops.relational import pricing_cube
     return pricing_cube(sf_dir)
 
@@ -2881,6 +2881,7 @@ def _q_rel_semijoin(sf_dir: str):
     URGENT orders, aggregated per (returnflag, linestatus) — non-matching
     lineitems die map-side at the Bloom bitmap before any shuffle."""
     import pyarrow as pa
+    from kgx.functions.fold import aggregate_by
     from kgx.sources.pages import read_table
     from kgx.ops.joins import bloom_semijoin
 
@@ -2898,30 +2899,18 @@ def _q_rel_semijoin(sf_dir: str):
     matched = bloom_semijoin(items, orders, probe_on="l_orderkey",
                              build_on="o_orderkey")
 
-    def partial(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        t = pa.table({
+    def project(b: pa.Table) -> pa.Table:
+        from kgx.ops.relational import _cents
+        return pa.table({
             "l_returnflag": b["l_returnflag"],
             "l_linestatus": b["l_linestatus"],
-            "qty_c": pc.cast(pc.floor(pc.add(pc.multiply(
-                b["l_quantity"], 100.0), 0.5)), pa.int64()),
-            "one": pa.array([1] * b.num_rows, pa.int64()),
-        })
-        return (t.group_by(["l_returnflag", "l_linestatus"])
-                 .aggregate([("qty_c", "sum"), ("one", "sum")]))
-
-    def final(g: pa.Table) -> pa.Table:
-        return pa.table({
-            "l_returnflag": g["l_returnflag"].slice(0, 1),
-            "l_linestatus": g["l_linestatus"].slice(0, 1),
-            "n_items": pa.array([sum(g["one_sum"].to_pylist())], pa.int64()),
-            "sum_qty_cents": pa.array([sum(g["qty_c_sum"].to_pylist())],
-                                      pa.int64()),
+            "n_items": pa.array([1] * b.num_rows, pa.int64()),
+            "sum_qty_cents": _cents(b["l_quantity"]),
         })
 
-    return (matched.map_batches(partial, batch_format="pyarrow")
-                   .groupby(["l_returnflag", "l_linestatus"])
-                   .map_groups(final, batch_format="pyarrow"))
+    return aggregate_by(matched.map_batches(project, batch_format="pyarrow"),
+                        ["l_returnflag", "l_linestatus"],
+                        {"n_items": "sum", "sum_qty_cents": "sum"})
 
 
 def _q_rel_shipping(sf_dir: str):
@@ -2986,24 +2975,19 @@ def _q_rel_outerjoin(sf_dir: str):
     other (kgx/ops/joins.py:hash_equijoin how='outer')."""
     import pyarrow as pa
     import pyarrow.compute as pc
+    from kgx.functions.fold import aggregate_by
     from kgx.sources.pages import read_table
-    from ray.data.aggregate import Sum
     from kgx.ops.joins import hash_equijoin
 
-    def big_partial(batch: pa.Table) -> pa.Table:
+    def big(batch: pa.Table) -> pa.Table:
         b = batch.filter(pc.greater(batch["o_totalprice"], 300000.0))
-        t = pa.table({"custkey": b["o_custkey"],
-                      "one": pa.array([1] * b.num_rows, pa.int64())})
-        return t.group_by(["custkey"]).aggregate([("one", "sum")])
+        return pa.table({"custkey": b["o_custkey"],
+                         "n_big": pa.array([1] * b.num_rows, pa.int64())})
 
-    left = (read_table(f"{sf_dir}/orders.parquet",
-                            columns=["o_custkey", "o_totalprice"])
-            .map_batches(big_partial, batch_format="pyarrow")
-            .groupby("custkey").aggregate(Sum("one_sum"))
-            .map_batches(lambda t: pa.table({
-                "custkey": t["custkey"].combine_chunks(),
-                "n_big": t["sum(one_sum)"].combine_chunks()
-                              .cast(pa.int64())}), batch_format="pyarrow"))
+    left = aggregate_by(read_table(f"{sf_dir}/orders.parquet",
+                                   columns=["o_custkey", "o_totalprice"])
+                        .map_batches(big, batch_format="pyarrow"),
+                        "custkey", {"n_big": "sum"})
 
     def low_bal(batch: pa.Table) -> pa.Table:
         b = batch.filter(pc.less(batch["c_acctbal"], 1000.0))
@@ -3019,8 +3003,8 @@ def _q_rel_outerjoin(sf_dir: str):
 
 
 def _q_rel_rollup(sf_dir: str):
-    """GROUP BY ROLLUP over lineitem: one wide shuffle for the finest
-    level, super-aggregates re-aggregate the tiny result."""
+    """GROUP BY ROLLUP over lineitem: one keyed sum for the finest
+    level, super-aggregates re-aggregate its <= 6 rows."""
     from kgx.ops.relational import pricing_rollup
     return pricing_rollup(sf_dir)
 

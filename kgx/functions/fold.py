@@ -18,10 +18,11 @@ never grow past the 64 MiB target.  No caller sizes its fold input.
 The materialize runs when the fold is BUILT; only the sort and the pass
 over its blocks stay lazy.
 
-:func:`fold_sorted` calls ``reduce`` once per run of equal keys, with the
-run's rows in block order (the order ``map_groups`` gives a group), and
-builds one table per block: no per-group UDF call or Arrow table, and a
-Parquet write of the result gets one row group per block, not per key.
+:func:`aggregate_by` is the keyed sum/min/max: one Arrow ``group_by``
+that is both the map-side partial of each batch and the fold of each
+whole sorted block.  Its result is returned MATERIALIZED: it is reduced
+rows, and a ``Union`` (or a join) over a lazy sort branch did not finish
+at one Ray CPU, so no caller may be handed one.
 
 :func:`merge_runs` is the vectorized per-run merge (one ``run_*`` kernel
 per merged column, every run at once) that the KG state merges use.
@@ -39,8 +40,7 @@ sort per ``connected_components`` round, and the distinct-set pass of
 ``neardup_components``), kgx.ops.multimodal.media_dedup_groups,
 kgx.ops.linededup (``duplicated_spans``, ``segment_dedup``,
 ``boilerplate_scrub``), kgx.pipelines.curate (exact-doc losers) and
-kgx.ops.relational (``waiting_suppliers``, ``min_cost_supplier``,
-``dominant_suppliers``).
+every keyed pass of kgx.ops.relational.
 """
 
 from __future__ import annotations
@@ -173,15 +173,26 @@ def map_sorted_blocks(ds, key, fn, schema: pa.Schema):
         batch_format="pyarrow", batch_size=None)
 
 
-def fold_sorted(ds, key, reduce, schema: pa.Schema):
-    """``reduce(rows of one key) -> one row dict`` per value of ``key`` (a
-    column or a list of columns); output sorted by ``key``."""
-    keys = [key] if isinstance(key, str) else list(key)
+def aggregate_by(ds, keys, aggs: dict):
+    """One row per distinct ``keys`` (a column or a list of columns) with
+    ``aggs[col]`` ("sum", "min" or "max") of each column, under the same
+    names; ``{}`` gives the distinct keys.  Returned materialized.
 
-    def fold(block: pa.Table) -> pa.Table:
-        b = key_runs(block, keys)
-        return pa.Table.from_pylist(
-            [reduce(block.slice(s, e - s)) for s, e in zip(b[:-1], b[1:])],
-            schema=schema)
+    Each of those aggregates applied to its own output gives the same
+    answer, so one Arrow ``group_by`` is the map-side partial of every
+    input block and the fold of every whole sorted block."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    names = keys + list(aggs)
+    spec = list(aggs.items())
+    out = keys + [f"{c}_{op}" for c, op in spec]
 
-    return map_sorted_blocks(ds, key, fold, schema)
+    def agg(t: pa.Table) -> pa.Table:
+        return t.group_by(keys, use_threads=False).aggregate(spec) \
+            .select(out).rename_columns(names)
+
+    part = ds.map_batches(agg, batch_format="pyarrow").materialize()
+    schema = part.schema()
+    if schema is None:                 # no row reached the partial
+        return part
+    return map_sorted_blocks(part, keys, agg,
+                             schema.base_schema).materialize()

@@ -1,8 +1,13 @@
 """Relational operator demonstrations over the TPC-H-ish testdata tables.
 
 These exercise the engine's general data-processing surface — pruning
-reads, vectorized filters, partial-aggregate groupbys, broadcast hash
-joins, global sort + limit — with exact DuckDB oracles.  Money sums use
+reads, vectorized filters, keyed aggregates, broadcast hash joins,
+global sort + limit — with exact DuckDB oracles.  Every pass that brings
+a key's rows together runs on kgx.functions.fold: a keyed sum, min or
+max is ``aggregate_by`` (one Arrow ``group_by`` as the map-side partial
+of each block and again as the fold of each whole sorted block, the
+result materialized), and any other per-key pass is one
+``map_sorted_blocks`` fold per sorted block.  Money sums use
 integer cents via ``floor(x*100 + 0.5)`` (identical IEEE double ops on
 both sides — numpy rounds half-to-even while DuckDB rounds half away from
 zero, so ``round`` would diverge on exact .5 products) so distributed
@@ -20,7 +25,7 @@ import ray.data as rd
 from kgx.sources.pages import read_table
 
 from kgx.functions.collect import collect_arrow
-from kgx.functions.fold import map_sorted_blocks
+from kgx.functions.fold import aggregate_by, key_runs, map_sorted_blocks
 
 
 def _cents(col) -> pa.Array:
@@ -92,25 +97,19 @@ def pricing_summary(sf_dir: str, *, cutoff: str = "1998-09-01"):
 
 def top_customers(sf_dir: str, *, n: int = 10):
     """Revenue per customer: broadcast hash join (small customer table
-    ``ray.put`` once) + partial-aggregated groupby + global sort + limit.
+    ``ray.put`` once) + keyed aggregate + global sort + limit.
 
     Returns the top-n (c_custkey, c_name, revenue_cents, n_orders) by
     (revenue desc, custkey asc).
 
-    Merge shape: per-batch Arrow partials -> coalesce to ~ncpu/2 blocks
-    (Ray's sort-based aggregate materializes B_in x B_out partition
-    slices, so 64 tiny partial blocks cost 4096 slices of pure
-    machinery; 16 blocks cost 256) -> Ray native ``Sum`` aggregates ->
-    one vectorized ``index_in``/``take`` name join + LOCAL top-n per
-    output block (each block holds complete keys post-aggregate, so
-    per-block top-n is lossless) -> single-block final sort over
-    <= n x blocks candidate rows.  No per-group Python anywhere; the
-    global Sort barrier over every customer is gone.
+    Merge shape: per-customer sums through ``aggregate_by`` (an Arrow
+    partial per block, one sorted-block fold, materialized) -> one
+    vectorized ``index_in``/``take`` name join + LOCAL top-n per output
+    block (each block holds complete keys post-aggregate, so per-block
+    top-n is lossless) -> single-block final sort over <= n x blocks
+    candidate rows.  No per-group Python anywhere; the global Sort
+    barrier over every customer is gone.
     """
-    from ray.data.aggregate import Sum
-
-    from kgx.functions.collect import shuffle_coalesce
-
     sort_keys = [("revenue_cents", "descending"), ("c_custkey", "ascending")]
 
     cust = read_table(f"{sf_dir}/customer.parquet",
@@ -118,29 +117,24 @@ def top_customers(sf_dir: str, *, n: int = 10):
     cust_tbl = collect_arrow(cust).combine_chunks()
     cref = ray.put(cust_tbl)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
-            "o_custkey": batch["o_custkey"],
-            "price_c": _cents(batch["o_totalprice"]),
-            "one": pa.array(np.ones(batch.num_rows, dtype=np.int64)),
+    def project(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "c_custkey": batch["o_custkey"].combine_chunks().cast(pa.int64()),
+            "revenue_cents": _cents(batch["o_totalprice"]),
+            "n_orders": pa.array(np.ones(batch.num_rows, dtype=np.int64)),
         })
-        return (t.group_by(["o_custkey"])
-                 .aggregate([("price_c", "sum"), ("one", "sum")]))
 
     def attach_topn(batch: pa.Table) -> pa.Table:
         # broadcast join: the customer table ships once per worker via
         # the object store; index_in/take are vectorized Arrow kernels
         ctab = ray.get(cref)
-        keys = batch["o_custkey"].combine_chunks().cast(pa.int64())
-        idx = pc.index_in(keys, value_set=ctab["c_custkey"]
+        idx = pc.index_in(batch["c_custkey"], value_set=ctab["c_custkey"]
                           .combine_chunks().cast(pa.int64()))
         out = pa.table({
-            "c_custkey": keys,
+            "c_custkey": batch["c_custkey"],
             "c_name": pc.take(ctab["c_name"].combine_chunks(), idx),
-            "revenue_cents": batch["sum(price_c_sum)"].combine_chunks()
-                                  .cast(pa.int64()),
-            "n_orders": batch["sum(one_sum)"].combine_chunks()
-                             .cast(pa.int64()),
+            "revenue_cents": batch["revenue_cents"],
+            "n_orders": batch["n_orders"],
         })
         out = out.filter(pc.is_valid(idx))    # inner-join: drop unknowns
         order = pc.sort_indices(out, sort_keys=sort_keys)
@@ -152,130 +146,80 @@ def top_customers(sf_dir: str, *, n: int = 10):
 
     orders = read_table(f"{sf_dir}/orders.parquet",
                              columns=["o_custkey", "o_totalprice"])
-    per_cust = shuffle_coalesce(
-        orders.map_batches(partial, batch_format="pyarrow"))
-    agg = per_cust.groupby("o_custkey").aggregate(
-        Sum("price_c_sum"), Sum("one_sum"))
-    top = agg.map_batches(attach_topn, batch_format="pyarrow") \
+    agg = aggregate_by(orders.map_batches(project, batch_format="pyarrow"),
+                       "c_custkey", {"revenue_cents": "sum",
+                                     "n_orders": "sum"})
+    return agg.map_batches(attach_topn, batch_format="pyarrow") \
         .repartition(1) \
         .map_batches(final_topn, batch_format="pyarrow", batch_size=None)
-    return top
 
 
 def distinct_pairs(sf_dir: str, table: str, cols: list[str]):
-    """Distinct combinations of ``cols`` via in-batch distinct + groupby
-    (never ships duplicate rows into the shuffle)."""
-    ds = read_table(f"{sf_dir}/{table}.parquet", columns=cols)
-    pre = ds.map_batches(
-        lambda b: b.group_by(cols).aggregate([]), batch_format="pyarrow")
-    return pre.groupby(cols).map_groups(
-        lambda g: g.slice(0, 1), batch_format="pyarrow")
+    """Distinct combinations of ``cols`` (an in-block distinct first, so
+    duplicate rows never reach the sort)."""
+    return aggregate_by(read_table(f"{sf_dir}/{table}.parquet", columns=cols),
+                        cols, {})
 
 
 def order_priority_counts(sf_dir: str):
-    """Orders per (o_orderstatus, o_orderpriority) — partial-agg groupby."""
+    """Orders per (o_orderstatus, o_orderpriority)."""
     ds = read_table(f"{sf_dir}/orders.parquet",
                          columns=["o_orderstatus", "o_orderpriority"])
+    ones = ds.map_batches(
+        lambda b: b.append_column(
+            "n_orders", pa.array(np.ones(b.num_rows, dtype=np.int64))),
+        batch_format="pyarrow")
+    return aggregate_by(ones, ["o_orderstatus", "o_orderpriority"],
+                        {"n_orders": "sum"})
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = batch.append_column("one", pa.array([1] * len(batch), pa.int64()))
-        return (t.group_by(["o_orderstatus", "o_orderpriority"])
-                 .aggregate([("one", "sum")]))
 
-    def final(group: pa.Table) -> pa.Table:
+_PRICING_KEYS = ["l_returnflag", "l_linestatus"]
+_PRICING_SUMS = ["sum_qty_cents", "sum_price_cents", "n_rows"]
+
+
+def _pricing_grouping_sets(sf_dir: str, sets: list[tuple]):
+    """GROUP BY GROUPING SETS over lineitem on (l_returnflag,
+    l_linestatus).
+
+    The finest level, one row per (flag, status) (at most 6 at any
+    corpus size), is one ``aggregate_by`` over the scan; every set then
+    re-aggregates those rows in the calling process, as
+    ``pricing_summary`` does.  SQL-convention NULLs mark the rolled-up
+    key positions.  Output: (l_returnflag, l_linestatus, sum_qty_cents,
+    sum_price_cents, n_rows) — money/quantity in integer cents
+    (order-independent sums)."""
+    def project(batch: pa.Table) -> pa.Table:
         return pa.table({
-            "o_orderstatus": group["o_orderstatus"].slice(0, 1),
-            "o_orderpriority": group["o_orderpriority"].slice(0, 1),
-            "n_orders": pa.array([sum(group["one_sum"].to_pylist())],
-                                 pa.int64()),
+            "l_returnflag": batch["l_returnflag"],
+            "l_linestatus": batch["l_linestatus"],
+            "sum_qty_cents": _cents(batch["l_quantity"]),
+            "sum_price_cents": _cents(batch["l_extendedprice"]),
+            "n_rows": pa.array(np.ones(batch.num_rows, dtype=np.int64)),
         })
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby(["o_orderstatus", "o_orderpriority"])
-              .map_groups(final, batch_format="pyarrow"))
+    fine = collect_arrow(aggregate_by(
+        read_table(f"{sf_dir}/lineitem.parquet",
+                   columns=_PRICING_KEYS + ["l_quantity", "l_extendedprice"])
+        .map_batches(project, batch_format="pyarrow"),
+        _PRICING_KEYS, dict.fromkeys(_PRICING_SUMS, "sum")))
+    out = []
+    for kept in sets:
+        t = fine.group_by(list(kept), use_threads=False).aggregate(
+            [(m, "sum") for m in _PRICING_SUMS])
+        out.append(pa.table(
+            [t[k] if k in kept
+             else pa.nulls(t.num_rows, fine.schema.field(k).type)
+             for k in _PRICING_KEYS]
+            + [t[f"{m}_sum"] for m in _PRICING_SUMS],
+            names=_PRICING_KEYS + _PRICING_SUMS))
+    return rd.from_arrow(pa.concat_tables(out))
 
 
 def pricing_rollup(sf_dir: str):
-    """GROUP BY ROLLUP(l_returnflag, l_linestatus) over lineitem.
-
-    Scale shape: the raw table is scanned and shuffled exactly ONCE — the
-    finest level runs the usual in-batch partial aggregate + groupby
-    merge; each super-aggregate level then re-aggregates the previous
-    level's (already tiny: one row per key combination) output, so the
-    rollup costs one wide shuffle plus per-level shuffles over
-    pre-aggregated rows.  NULL key values mark the rolled-up levels,
-    the same convention as SQL ROLLUP.
-
-    Output: (l_returnflag, l_linestatus, sum_qty_cents, sum_price_cents,
-    n_rows) — money/quantity in integer cents (order-independent sums).
-    """
-    ds = read_table(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_linestatus", "l_quantity",
-                 "l_extendedprice"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
-            "l_returnflag": batch["l_returnflag"],
-            "l_linestatus": batch["l_linestatus"],
-            "qty_c": _cents(batch["l_quantity"]),
-            "ext_c": _cents(batch["l_extendedprice"]),
-            "one": pa.array(np.ones(batch.num_rows, dtype=np.int64)),
-        })
-        return (t.group_by(["l_returnflag", "l_linestatus"])
-                 .aggregate([("qty_c", "sum"), ("ext_c", "sum"),
-                             ("one", "sum")]))
-
-    def merge(group: pa.Table, keys: list[str]) -> pa.Table:
-        cols = {k: group[k].slice(0, 1) for k in keys}
-        cols["qty_c_sum"] = pa.array(
-            [sum(group["qty_c_sum"].to_pylist())], pa.int64())
-        cols["ext_c_sum"] = pa.array(
-            [sum(group["ext_c_sum"].to_pylist())], pa.int64())
-        cols["one_sum"] = pa.array(
-            [sum(group["one_sum"].to_pylist())], pa.int64())
-        return pa.table(cols)
-
-    base = (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby(["l_returnflag", "l_linestatus"])
-              .map_groups(
-                  lambda g: merge(g, ["l_returnflag", "l_linestatus"]),
-                  batch_format="pyarrow"))
-
-    lvl1 = base.groupby("l_returnflag").map_groups(
-        lambda g: merge(g, ["l_returnflag"]), batch_format="pyarrow")
-
-    def grand_total(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "qty_c_sum": pa.array([sum(batch["qty_c_sum"].to_pylist())],
-                                  pa.int64()),
-            "ext_c_sum": pa.array([sum(batch["ext_c_sum"].to_pylist())],
-                                  pa.int64()),
-            "one_sum": pa.array([sum(batch["one_sum"].to_pylist())],
-                                pa.int64()),
-        })
-
-    lvl0 = lvl1.repartition(1).map_batches(
-        grand_total, batch_format="pyarrow", batch_size=None)
-
-    def shape(level: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            null_s = pa.nulls(n, pa.string())
-            return pa.table({
-                "l_returnflag": batch["l_returnflag"] if level >= 1
-                                else null_s,
-                "l_linestatus": batch["l_linestatus"] if level >= 2
-                                else null_s,
-                "sum_qty_cents": batch["qty_c_sum"],
-                "sum_price_cents": batch["ext_c_sum"],
-                "n_rows": batch["one_sum"],
-            })
-        return fn
-
-    return (base.map_batches(shape(2), batch_format="pyarrow")
-            .union(lvl1.map_batches(shape(1), batch_format="pyarrow"))
-            .union(lvl0.map_batches(shape(0), batch_format="pyarrow")))
+    """GROUP BY ROLLUP(l_returnflag, l_linestatus) over lineitem: the
+    sets (rf, ls), (rf) and () of :func:`_pricing_grouping_sets`."""
+    return _pricing_grouping_sets(
+        sf_dir, [("l_returnflag", "l_linestatus"), ("l_returnflag",), ()])
 
 
 ORDER_PRIORITIES = ("1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED",
@@ -287,35 +231,26 @@ def priority_pivot(sf_dir: str):
     priority (the known, fixed TPC-H domain — a pivot over an unknown
     domain needs a distinct-pass first).
 
-    Shape: the in-batch partial aggregate pivots map-side (one row per
-    status per batch, five int columns), so the groupby merges
-    already-wide partials — equivalent to sum(CASE WHEN ...) in SQL.
+    Shape: each row pivots map-side to five 0/1 columns, and one keyed
+    sum per status merges them — equivalent to sum(CASE WHEN ...) in
+    SQL.
     Output: (o_orderstatus, n_urgent, n_high, n_medium, n_not_specified,
     n_low).
     """
     col_names = ["n_" + p.split("-", 1)[1].lower().replace(" ", "_")
                  for p in ORDER_PRIORITIES]
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def pivot(batch: pa.Table) -> pa.Table:
         cols = {"o_orderstatus": batch["o_orderstatus"]}
         pr = batch["o_orderpriority"]
         for p, name in zip(ORDER_PRIORITIES, col_names):
             cols[name] = pc.cast(pc.equal(pr, p), pa.int64())
-        return (pa.table(cols).group_by(["o_orderstatus"])
-                .aggregate([(n, "sum") for n in col_names]))
-
-    def final(group: pa.Table) -> pa.Table:
-        cols = {"o_orderstatus": group["o_orderstatus"].slice(0, 1)}
-        for name in col_names:
-            cols[name] = pa.array(
-                [sum(group[f"{name}_sum"].to_pylist())], pa.int64())
         return pa.table(cols)
 
     ds = read_table(f"{sf_dir}/orders.parquet",
                          columns=["o_orderstatus", "o_orderpriority"])
-    return (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby("o_orderstatus")
-              .map_groups(final, batch_format="pyarrow"))
+    return aggregate_by(ds.map_batches(pivot, batch_format="pyarrow"),
+                        "o_orderstatus", dict.fromkeys(col_names, "sum"))
 
 
 def customers_without_orders(sf_dir: str, *, min_totalprice: float = 0.0):
@@ -323,29 +258,25 @@ def customers_without_orders(sf_dir: str, *, min_totalprice: float = 0.0):
     ``min_totalprice`` (0.0 = no order at all).
 
     Scale shape: the DISTINCT key set of the BIG side (orders) is
-    bounded by the customer count, so it is reduced map-side (per-batch
-    ``pc.unique`` partials, one narrow groupby), collected once,
+    bounded by the customer count, so it is reduced by one keyed
+    distinct (``aggregate_by``), collected once,
     broadcast via ``ray.put``, and the probe side filters map-side with
     a vectorized ``is_in`` — no wide shuffle ever carries order rows.
     The co-shuffle alternative for an unbounded key domain is
     ``kgx.ops.joins.hash_equijoin(how='left')`` + null filter.
     Output: (c_custkey, c_name).
     """
-    from kgx.functions.collect import collect_arrow
-
     orders = read_table(f"{sf_dir}/orders.parquet",
                              columns=["o_custkey", "o_totalprice"])
 
-    def distinct_partial(batch: pa.Table) -> pa.Table:
+    def buyers(batch: pa.Table) -> pa.Table:
         keep = batch.filter(pc.greater(batch["o_totalprice"],
                                        min_totalprice))
-        return pa.table({"k": pc.unique(keep["o_custkey"]
-                                        .combine_chunks())})
+        return pa.table({"k": keep["o_custkey"]})
 
-    keys_tbl = collect_arrow(
-        orders.map_batches(distinct_partial, batch_format="pyarrow")
-              .groupby("k").count())
-    have = pc.unique(keys_tbl["k"].combine_chunks()) \
+    keys_tbl = collect_arrow(aggregate_by(
+        orders.map_batches(buyers, batch_format="pyarrow"), "k", {}))
+    have = keys_tbl["k"].combine_chunks() \
         if keys_tbl.num_rows else pa.array([], pa.int64())
     kref = ray.put(have)
 
@@ -369,13 +300,11 @@ def shipping_priority(sf_dir: str, *, segment: str = "BUILDING",
       * customer (small side) filters to the segment and broadcasts its
         key set once via ``ray.put``; orders semi-join map-side with a
         vectorized ``is_in`` — no customer row ever shuffles.
-      * lineitem (big side) pre-aggregates revenue per order key INSIDE
-        each batch, so the wide shuffle carries one partial row per
-        (orderkey, block), never raw lineitems.
-      * orders and lineitem partials co-shuffle through ONE
-        ``groupby(o_orderkey)`` with Ray-native Sum/Max aggregates
-        (vectorized merge, no per-group Python), then filter + global
-        sort + limit on the already-tiny result.
+      * orders and lineitem rows meet in ONE keyed sum/max per order
+        key (``aggregate_by``: an Arrow partial per block, so the sort
+        carries one partial row per (orderkey, block), never raw
+        lineitems), then filter + global sort + limit on the
+        already-tiny result.
 
     Revenue is exact integer ten-thousandths:
     ``floor(l_extendedprice * (1.0 - l_discount) * 10000.0 + 0.5)`` —
@@ -384,8 +313,6 @@ def shipping_priority(sf_dir: str, *, segment: str = "BUILDING",
     Output: (o_orderkey, revenue_units, o_orderdate) by
     (revenue desc, orderkey asc), top n.
     """
-    from ray.data.aggregate import Max, Sum
-
     cutoff_ts = np.datetime64(cutoff).astype("datetime64[us]").astype("int64")
 
     cust = read_table(f"{sf_dir}/customer.parquet",
@@ -396,7 +323,6 @@ def shipping_priority(sf_dir: str, *, segment: str = "BUILDING",
         return pa.table({"k": pc.unique(keep["c_custkey"].combine_chunks()
                                         .cast(pa.int64()))})
 
-    from kgx.functions.collect import collect_arrow
     seg_tbl = collect_arrow(cust.map_batches(seg_keys,
                                              batch_format="pyarrow"))
     seg_set = (pc.unique(seg_tbl["k"].combine_chunks())
@@ -418,25 +344,18 @@ def shipping_priority(sf_dir: str, *, segment: str = "BUILDING",
             "is_order": pa.array(np.ones(nrow, dtype=np.int64)),
         })
 
-    def lineitem_partial(batch: pa.Table) -> pa.Table:
+    def lineitem_tag(batch: pa.Table) -> pa.Table:
         mask = pc.greater(pc.cast(batch["l_shipdate"], pa.int64()),
                           cutoff_ts)
         b = batch.filter(mask)
         ext = b["l_extendedprice"].to_numpy(zero_copy_only=False)
         disc = b["l_discount"].to_numpy(zero_copy_only=False)
         rev = np.floor(ext * (1.0 - disc) * 10000.0 + 0.5).astype(np.int64)
-        t = pa.table({
+        nrow = b.num_rows
+        return pa.table({
             "o_orderkey": b["l_orderkey"],
             "rev_units": pa.array(rev),
-            "one": pa.array(np.ones(b.num_rows, dtype=np.int64)),
-        })
-        g = (t.group_by(["o_orderkey"])
-              .aggregate([("rev_units", "sum"), ("one", "sum")]))
-        nrow = g.num_rows
-        return pa.table({
-            "o_orderkey": g["o_orderkey"],
-            "rev_units": g["rev_units_sum"],
-            "n_items": g["one_sum"],
+            "n_items": pa.array(np.ones(nrow, dtype=np.int64)),
             "date_us": pa.nulls(nrow, pa.int64()),
             "is_order": pa.array(np.zeros(nrow, dtype=np.int64)),
         })
@@ -449,24 +368,21 @@ def shipping_priority(sf_dir: str, *, segment: str = "BUILDING",
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_extendedprice", "l_discount",
                  "l_shipdate"]
-    ).map_batches(lineitem_partial, batch_format="pyarrow")
+    ).map_batches(lineitem_tag, batch_format="pyarrow")
 
-    agg = orders.union(items).groupby("o_orderkey").aggregate(
-        Sum("rev_units"), Sum("n_items"), Max("date_us"), Sum("is_order"))
+    agg = aggregate_by(orders.union(items), "o_orderkey", {
+        "rev_units": "sum", "n_items": "sum", "date_us": "max",
+        "is_order": "sum"})
 
     def finish(batch: pa.Table) -> pa.Table:
-        rev = batch["sum(rev_units)"].combine_chunks()
-        items_n = batch["sum(n_items)"].combine_chunks()
-        has_order = batch["sum(is_order)"].combine_chunks()
-        mask = pc.and_(pc.and_(pc.is_valid(rev), pc.is_valid(items_n)),
-                       pc.greater(pc.fill_null(has_order, 0), 0))
+        mask = pc.and_(pc.and_(pc.is_valid(batch["rev_units"]),
+                               pc.is_valid(batch["n_items"])),
+                       pc.greater(pc.fill_null(batch["is_order"], 0), 0))
         b = batch.filter(mask)
         return pa.table({
             "o_orderkey": b["o_orderkey"].combine_chunks().cast(pa.int64()),
-            "revenue_units": b["sum(rev_units)"].combine_chunks()
-                              .cast(pa.int64()),
-            "o_orderdate": pc.cast(b["max(date_us)"].combine_chunks()
-                                   .cast(pa.int64()), pa.timestamp("us")),
+            "revenue_units": b["rev_units"],
+            "o_orderdate": pc.cast(b["date_us"], pa.timestamp("us")),
         })
 
     return (agg.map_batches(finish, batch_format="pyarrow")
@@ -525,9 +441,9 @@ def big_orders(sf_dir: str, *, min_qty_c: int = 25000, n: int = 100):
     """TPC-H Q18-shaped large-volume-order report: orders whose total
     lineitem quantity exceeds a threshold, with customer names.
 
-    Scale shape: lineitem pre-aggregates map-side per order (the only
-    corpus-sized shuffle is the narrow (orderkey, qty_cents) partial
-    stream), the HAVING filter shrinks the result to the rare big
+    Scale shape: lineitem sums per order through ``aggregate_by`` (the
+    only corpus-sized sort carries the narrow (orderkey, qty_cents)
+    partials), the HAVING filter shrinks the result to the rare big
     orders, and the orders + customer sides attach via BROADCAST lookup
     maps (both o_orderkey-keyed rows needed are exactly the surviving
     keys, but orders is itself large, so the broadcast goes the other
@@ -535,30 +451,21 @@ def big_orders(sf_dir: str, *, min_qty_c: int = 25000, n: int = 100):
     semi-joined map-side, then customer names broadcast-join onto it).
     Output: top-n by (qty desc, orderkey asc).
     """
-    from ray.data.aggregate import Sum
-
     li = read_table(f"{sf_dir}/lineitem.parquet",
                          columns=["l_orderkey", "l_quantity"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
-            "l_orderkey": batch["l_orderkey"],
-            "qty_c": _cents(batch["l_quantity"]),
+    def project(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "o_orderkey": batch["l_orderkey"],
+            "qty_cents": _cents(batch["l_quantity"]),
         })
-        return t.group_by(["l_orderkey"]).aggregate([("qty_c", "sum")])
 
-    totals = (li.map_batches(partial, batch_format="pyarrow")
-                .groupby("l_orderkey").aggregate(Sum("qty_c_sum"))
-                .map_batches(lambda t: pa.table({
-                    "o_orderkey": t["l_orderkey"].combine_chunks(),
-                    "qty_cents": t["sum(qty_c_sum)"].combine_chunks()
-                                     .cast(pa.int64()),
-                }), batch_format="pyarrow")
-                .filter(expr=f"qty_cents > {min_qty_c}"))
+    totals = aggregate_by(li.map_batches(project, batch_format="pyarrow"),
+                          "o_orderkey", {"qty_cents": "sum"}) \
+        .filter(expr=f"qty_cents > {min_qty_c}")
 
     # surviving keys are rare -> collect + broadcast the small side as
     # parallel arrays (vectorized is_in/index_in/take, no dict probes)
-    from kgx.functions.collect import collect_arrow
     surv = collect_arrow(totals)
     kref = ray.put((surv["o_orderkey"].combine_chunks().cast(pa.int64()),
                     surv["qty_cents"].combine_chunks().cast(pa.int64())))
@@ -623,7 +530,6 @@ def regional_revenue(sf_dir: str, *, region: str = "ASIA",
     """
     import pyarrow.parquet as _pq
 
-    from kgx.functions.collect import collect_arrow
     from kgx.ops.joins import hash_equijoin
 
     lo = np.datetime64(date_lo).astype("datetime64[us]").astype("int64")
@@ -752,9 +658,9 @@ def returned_revenue(sf_dir: str, *, date_lo: str = "1996-01-01",
     Join plan, same 100 TB shape as :func:`regional_revenue`: the two
     FACT tables co-shuffle on the order key (orders date-filtered and
     projected to (o_orderkey, o_custkey); lineitem return-filtered and
-    reduced to (l_orderkey, rev_units)); per-customer revenue partials
-    fold map-side before one small ``groupby(custkey)``; the customer
-    name / nation dimensions broadcast once and resolve on the tiny
+    reduced to (l_orderkey, rev_units)); per-customer revenue sums
+    through one ``aggregate_by``; the customer name / nation
+    dimensions broadcast once and resolve on the tiny
     top-``n`` output, never against the facts.  Revenue in exact
     integer units (ext_cents * (100 - disc_cents)); ties break on
     custkey asc.  Output: (c_custkey, c_name, n_name, revenue_units).
@@ -762,7 +668,6 @@ def returned_revenue(sf_dir: str, *, date_lo: str = "1996-01-01",
     import pyarrow.parquet as _pq
 
     from kgx.ops.joins import hash_equijoin
-    from ray.data.aggregate import Sum
 
     lo = np.datetime64(date_lo).astype("datetime64[us]").astype("int64")
     hi = np.datetime64(date_hi).astype("datetime64[us]").astype("int64")
@@ -805,20 +710,11 @@ def returned_revenue(sf_dir: str, *, date_lo: str = "1996-01-01",
     joined = hash_equijoin(orders, line, left_on="o_orderkey",
                            right_on="l_orderkey")
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"c_custkey": batch["o_custkey"],
-                      "rev": batch["rev_units"]})
-        agg = t.group_by(["c_custkey"]).aggregate([("rev", "sum")])
-        return pa.table({"c_custkey": agg["c_custkey"],
-                         "rev": agg["rev_sum"]})
-
-    def finish(batch: pa.Table) -> pa.Table:
+    def project(batch: pa.Table) -> pa.Table:
         return pa.table({
-            "c_custkey": batch["c_custkey"].combine_chunks()
+            "c_custkey": batch["o_custkey"].combine_chunks()
                               .cast(pa.int64()),
-            "revenue_units": batch["sum(rev)"].combine_chunks()
-                                  .cast(pa.int64()),
-        })
+            "revenue_units": batch["rev_units"]})
 
     def attach(batch: pa.Table, _cref=cref) -> pa.Table:
         # runs AFTER sort+limit, so the dimension lookup touches only
@@ -836,9 +732,8 @@ def returned_revenue(sf_dir: str, *, date_lo: str = "1996-01-01",
             "revenue_units": batch["revenue_units"],
         })
 
-    return (joined.map_batches(partial, batch_format="pyarrow")
-            .groupby("c_custkey").aggregate(Sum("rev"))
-            .map_batches(finish, batch_format="pyarrow")
+    return (aggregate_by(joined.map_batches(project, batch_format="pyarrow"),
+                         "c_custkey", {"revenue_units": "sum"})
             .sort(["revenue_units", "c_custkey"],
                   descending=[True, False])
             .limit(n)
@@ -914,12 +809,10 @@ def priority_exists(sf_dir: str, *, min_qty: float = 49.0):
     set comes from a filtered lineitem projection (one narrow column),
     the orders side semi-joins against it through the Bloom-prefiltered
     exact semi-join (``kgx.ops.joins.bloom_semijoin`` — probe rows that
-    can't match die map-side; no wide shuffle carries payload), and a
-    partial-aggregated groupby counts per priority.
+    can't match die map-side; no wide shuffle carries payload), and one
+    keyed sum counts per priority.
     Output: (o_orderpriority, n_orders).
     """
-    from ray.data.aggregate import Sum
-
     from kgx.ops.joins import bloom_semijoin
 
     big = read_table(f"{sf_dir}/lineitem.parquet",
@@ -935,22 +828,13 @@ def priority_exists(sf_dir: str, *, min_qty: float = 49.0):
     hits = bloom_semijoin(orders, big, probe_on="o_orderkey",
                           build_on="l_orderkey")
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = batch.append_column(
-            "one", pa.array(np.ones(batch.num_rows, dtype=np.int64)))
-        return t.select(["o_orderpriority", "one"]) \
-                .group_by(["o_orderpriority"]).aggregate([("one", "sum")])
-
-    def finish(batch: pa.Table) -> pa.Table:
+    def ones(batch: pa.Table) -> pa.Table:
         return pa.table({
-            "o_orderpriority": batch["o_orderpriority"].combine_chunks(),
-            "n_orders": batch["sum(one_sum)"].combine_chunks()
-                             .cast(pa.int64()),
-        })
+            "o_orderpriority": batch["o_orderpriority"],
+            "n_orders": pa.array(np.ones(batch.num_rows, dtype=np.int64))})
 
-    return (hits.map_batches(partial, batch_format="pyarrow")
-            .groupby("o_orderpriority").aggregate(Sum("one_sum"))
-            .map_batches(finish, batch_format="pyarrow"))
+    return aggregate_by(hits.map_batches(ones, batch_format="pyarrow"),
+                        "o_orderpriority", {"n_orders": "sum"})
 
 
 def volume_shipping(sf_dir: str, *, nation_a: str = "NATION_11",
@@ -1108,13 +992,12 @@ def market_share(sf_dir: str, *, region: str = "ASIA",
     (l_orderkey, rev_units, nat_units); orders date-filters and keeps
     only customers in ``region`` (broadcast custkey->in-region),
     projecting (o_orderkey, o_year); ONE fact-fact co-shuffle on the
-    order key; per-year (nation_units, total_units) partials fold
-    map-side.  Output: (o_year, nation_units, total_units,
+    order key; one keyed sum per year of (nation_units, total_units).
+    Output: (o_year, nation_units, total_units,
     mkt_share_ppm = nation*10^6 // total)."""
     import pyarrow.parquet as _pq
 
     from kgx.ops.joins import hash_equijoin
-    from ray.data.aggregate import Sum
 
     lo = np.datetime64(date_lo).astype("datetime64[us]").astype("int64")
     hi = np.datetime64(date_hi).astype("datetime64[us]").astype("int64")
@@ -1191,29 +1074,21 @@ def market_share(sf_dir: str, *, region: str = "ASIA",
     joined = hash_equijoin(orders, line, left_on="o_orderkey",
                            right_on="l_orderkey")
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"o_year": batch["o_year"],
-                      "rev": batch["rev_units"],
-                      "nat": batch["nat_units"]})
-        agg = t.group_by(["o_year"]).aggregate([("rev", "sum"),
-                                                ("nat", "sum")])
-        return pa.table({"o_year": agg["o_year"], "rev": agg["rev_sum"],
-                         "nat": agg["nat_sum"]})
+    def project(batch: pa.Table) -> pa.Table:
+        return pa.table({"o_year": batch["o_year"],
+                         "nation_units": batch["nat_units"],
+                         "total_units": batch["rev_units"]})
 
-    def finish(batch: pa.Table) -> pa.Table:
-        tot = batch["sum(rev)"].to_numpy(zero_copy_only=False)
-        nat = batch["sum(nat)"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "o_year": batch["o_year"].combine_chunks().cast(pa.int64()),
-            "nation_units": pa.array(nat, pa.int64()),
-            "total_units": pa.array(tot, pa.int64()),
-            "mkt_share_ppm": pa.array(
-                nat * 1_000_000 // np.maximum(tot, 1), pa.int64()),
-        })
+    def share(batch: pa.Table) -> pa.Table:
+        tot = batch["total_units"].to_numpy(zero_copy_only=False)
+        nat = batch["nation_units"].to_numpy(zero_copy_only=False)
+        return batch.append_column("mkt_share_ppm", pa.array(
+            nat * 1_000_000 // np.maximum(tot, 1), pa.int64()))
 
-    return (joined.map_batches(partial, batch_format="pyarrow")
-            .groupby("o_year").aggregate(Sum("rev"), Sum("nat"))
-            .map_batches(finish, batch_format="pyarrow"))
+    return aggregate_by(joined.map_batches(project, batch_format="pyarrow"),
+                        "o_year", {"nation_units": "sum",
+                                   "total_units": "sum"}) \
+        .map_batches(share, batch_format="pyarrow")
 
 
 def running_revenue(sf_dir: str, *, date_lo: str = "1996-01-01",
@@ -1222,11 +1097,11 @@ def running_revenue(sf_dir: str, *, date_lo: str = "1996-01-01",
     cumulative-window shape (SQL ``sum() OVER (PARTITION BY custkey
     ORDER BY date, key)``) Ray Data has no native operator for.
 
-    Scale shape: one narrow groupby(custkey) shuffle of
-    (custkey, orderkey, date, cents) rows; each group lexsorts by
-    (date, orderkey) and emits the numpy cumsum — per-customer order
-    counts are bounded, so groups are tiny.  Output: (o_custkey,
-    o_orderkey, total_cents, running_cents)."""
+    Scale shape: one narrow sort on custkey of (custkey, orderkey,
+    date, cents) rows; each whole sorted block lexsorts by (custkey,
+    date, orderkey) and takes one cumsum, less each customer's total
+    before its first order.  Output: (o_custkey, o_orderkey,
+    total_cents, running_cents)."""
     lo = np.datetime64(date_lo).astype("datetime64[us]").astype("int64")
     hi = np.datetime64(date_hi).astype("datetime64[us]").astype("int64")
 
@@ -1241,84 +1116,70 @@ def running_revenue(sf_dir: str, *, date_lo: str = "1996-01-01",
             "total_cents": _cents(b["o_totalprice"]),
         })
 
-    def per_cust(group: pa.Table) -> pa.Table:
-        ok = group["o_orderkey"].to_numpy(zero_copy_only=False)
-        od = group["od"].to_numpy(zero_copy_only=False)
-        c = group["total_cents"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ok, od))
+    def running(block: pa.Table) -> pa.Table:
+        ck = block["o_custkey"].to_numpy(zero_copy_only=False)
+        ok = block["o_orderkey"].to_numpy(zero_copy_only=False)
+        od = block["od"].to_numpy(zero_copy_only=False)
+        order = np.lexsort((ok, od, ck))
+        ck, ok = ck[order], ok[order]
+        c = block["total_cents"].to_numpy(zero_copy_only=False)[order]
+        run = np.cumsum(c)
+        starts = np.flatnonzero(np.r_[True, ck[1:] != ck[:-1]])
+        run -= np.repeat(run[starts] - c[starts],
+                         np.diff(np.r_[starts, ck.size]))
         return pa.table({
-            "o_custkey": pa.array(
-                np.full(len(ok), group["o_custkey"][0].as_py()),
-                pa.int64()),
-            "o_orderkey": pa.array(ok[order], pa.int64()),
-            "total_cents": pa.array(c[order], pa.int64()),
-            "running_cents": pa.array(np.cumsum(c[order]), pa.int64()),
+            "o_custkey": pa.array(ck, pa.int64()),
+            "o_orderkey": pa.array(ok, pa.int64()),
+            "total_cents": pa.array(c, pa.int64()),
+            "running_cents": pa.array(run, pa.int64()),
         })
 
-    return read_table(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_custkey", "o_orderkey", "o_orderdate",
-                 "o_totalprice"]) \
-        .map_batches(project, batch_format="pyarrow") \
-        .groupby("o_custkey").map_groups(per_cust, batch_format="pyarrow")
+    return map_sorted_blocks(
+        read_table(f"{sf_dir}/orders.parquet",
+                   columns=["o_custkey", "o_orderkey", "o_orderdate",
+                            "o_totalprice"])
+        .map_batches(project, batch_format="pyarrow"),
+        "o_custkey", running,
+        pa.schema([(c, pa.int64()) for c in (
+            "o_custkey", "o_orderkey", "total_cents", "running_cents")]))
 
 
 def customer_distribution(sf_dir: str):
     """TPC-H Q13-shaped customer distribution: histogram of per-customer
     order counts INCLUDING zero-order customers.
 
-    Shape: orders pre-aggregate map-side to (custkey, partial count);
-    one narrow groupby(custkey) sums them; the customer table LEFT-joins
-    the counts through the general co-shuffle join (exercising its
-    null-emitting outer path at scale — no broadcast of the customer
-    side), nulls fill to 0, and a second tiny groupby builds the
-    histogram.  Output: (c_count, custdist)."""
+    Shape: one keyed sum counts orders per custkey; the customer table
+    LEFT-joins the counts through the general co-shuffle join
+    (exercising its null-emitting outer path at scale — no broadcast of
+    the customer side), nulls fill to 0, and a second keyed sum builds
+    the histogram.  Output: (c_count, custdist)."""
     from kgx.ops.joins import hash_equijoin
-    from ray.data.aggregate import Sum
 
-    def o_partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"k": batch["o_custkey"],
-                      "one": pa.array(
-                          np.ones(batch.num_rows, dtype=np.int64))})
-        agg = t.group_by(["k"]).aggregate([("one", "sum")])
-        return pa.table({"k": agg["k"], "n_part": agg["one_sum"]})
+    def ones(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "k": batch["o_custkey"].combine_chunks().cast(pa.int64()),
+            "n_orders": pa.array(np.ones(batch.num_rows, dtype=np.int64))})
 
-    counts = read_table(f"{sf_dir}/orders.parquet",
-                             columns=["o_custkey"]) \
-        .map_batches(o_partial, batch_format="pyarrow") \
-        .groupby("k").aggregate(Sum("n_part"))
-    counts = counts.map_batches(
-        lambda b: pa.table({
-            "k": b["k"].combine_chunks().cast(pa.int64()),
-            "n_orders": b["sum(n_part)"].combine_chunks()
-                         .cast(pa.int64())}),
-        batch_format="pyarrow")
+    counts = aggregate_by(
+        read_table(f"{sf_dir}/orders.parquet", columns=["o_custkey"])
+        .map_batches(ones, batch_format="pyarrow"),
+        "k", {"n_orders": "sum"})
 
     cust = read_table(f"{sf_dir}/customer.parquet",
                            columns=["c_custkey"])
     joined = hash_equijoin(cust, counts, left_on="c_custkey",
                            right_on="k", how="left")
 
-    def hist_partial(batch: pa.Table) -> pa.Table:
+    def hist_ones(batch: pa.Table) -> pa.Table:
         n = batch["n_orders"].to_numpy(zero_copy_only=False)
         n = np.where(np.isnan(n.astype(np.float64)), 0,
                      n.astype(np.float64)).astype(np.int64)
-        t = pa.table({"c_count": pa.array(n, pa.int64()),
-                      "one": pa.array(
-                          np.ones(len(n), dtype=np.int64))})
-        agg = t.group_by(["c_count"]).aggregate([("one", "sum")])
-        return pa.table({"c_count": agg["c_count"],
-                         "d": agg["one_sum"]})
+        return pa.table({"c_count": pa.array(n, pa.int64()),
+                         "custdist": pa.array(
+                             np.ones(len(n), dtype=np.int64))})
 
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "c_count": batch["c_count"].combine_chunks().cast(pa.int64()),
-            "custdist": batch["sum(d)"].combine_chunks().cast(pa.int64()),
-        })
-
-    return (joined.map_batches(hist_partial, batch_format="pyarrow")
-            .groupby("c_count").aggregate(Sum("d"))
-            .map_batches(finish, batch_format="pyarrow"))
+    return aggregate_by(joined.map_batches(hist_ones, batch_format="pyarrow"),
+                        "c_count", {"custdist": "sum"})
 
 
 def top_supplier(sf_dir: str, *, date_lo: str = "1996-01-01",
@@ -1327,57 +1188,45 @@ def top_supplier(sf_dir: str, *, date_lo: str = "1996-01-01",
     lineitem revenue in the ship window (ties all emitted, like the
     view+max formulation).
 
-    Shape: map-side per-supplier partials -> one narrow groupby ->
-    the scalar max reduces over the (tiny, one row per supplier)
-    aggregate, broadcasts back implicitly via a driver constant, and a
-    filter + broadcast name attach finishes.  Output: (s_suppkey,
-    s_name, total_revenue_units)."""
+    Shape: one keyed sum per supplier (``aggregate_by``) -> the
+    (tiny, one row per supplier) result is collected, and its scalar
+    max, the filter and the name attach run in the calling process.
+    Output: (s_suppkey, s_name, total_revenue_units)."""
     import pyarrow.parquet as _pq
-
-    from ray.data.aggregate import Sum
 
     lo = np.datetime64(date_lo).astype("datetime64[us]").astype("int64")
     hi = np.datetime64(date_hi).astype("datetime64[us]").astype("int64")
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def project(batch: pa.Table) -> pa.Table:
         sd = pc.cast(batch["l_shipdate"], pa.int64())
         b = batch.filter(pc.and_(pc.greater_equal(sd, lo),
                                  pc.less(sd, hi)))
         ext_c = _cents(b["l_extendedprice"]).to_numpy(zero_copy_only=False)
         disc_c = _cents(b["l_discount"]).to_numpy(zero_copy_only=False)
-        t = pa.table({"s": b["l_suppkey"],
-                      "rev": pa.array(ext_c * (100 - disc_c), pa.int64())})
-        agg = t.group_by(["s"]).aggregate([("rev", "sum")])
-        return pa.table({"s": agg["s"], "rev": agg["rev_sum"]})
+        return pa.table({
+            "s_suppkey": b["l_suppkey"].combine_chunks().cast(pa.int64()),
+            "total_revenue_units": pa.array(ext_c * (100 - disc_c),
+                                            pa.int64())})
 
-    per_supp = read_table(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_suppkey", "l_shipdate", "l_extendedprice",
-                 "l_discount"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("s").aggregate(Sum("rev")).materialize()
-
-    best = per_supp.max("sum(rev)")
-
+    per_supp = collect_arrow(aggregate_by(
+        read_table(f"{sf_dir}/lineitem.parquet",
+                   columns=["l_suppkey", "l_shipdate", "l_extendedprice",
+                            "l_discount"])
+        .map_batches(project, batch_format="pyarrow"),
+        "s_suppkey", {"total_revenue_units": "sum"}))
+    if not per_supp.num_rows:              # no lineitem in the window
+        return rd.from_arrow(per_supp)
+    b = per_supp.filter(pc.equal(per_supp["total_revenue_units"],
+                                 pc.max(per_supp["total_revenue_units"])))
     supp = _pq.read_table(f"{sf_dir}/supplier.parquet",
                           columns=["s_suppkey", "s_name"])
-    sref = ray.put(supp.combine_chunks())
-
-    def winners(batch: pa.Table, _s=sref) -> pa.Table:
-        b = batch.filter(pc.equal(batch["sum(rev)"].combine_chunks()
-                                  .cast(pa.int64()), best))
-        st = ray.get(_s)
-        keys = b["s"].combine_chunks().cast(pa.int64())
-        idx = pc.index_in(keys, value_set=st["s_suppkey"]
-                          .combine_chunks().cast(pa.int64()))
-        return pa.table({
-            "s_suppkey": keys,
-            "s_name": pc.take(st["s_name"].combine_chunks(), idx),
-            "total_revenue_units": b["sum(rev)"].combine_chunks()
-                                       .cast(pa.int64()),
-        })
-
-    return per_supp.map_batches(winners, batch_format="pyarrow")
+    idx = pc.index_in(b["s_suppkey"], value_set=supp["s_suppkey"]
+                      .combine_chunks().cast(pa.int64()))
+    return rd.from_arrow(pa.table({
+        "s_suppkey": b["s_suppkey"],
+        "s_name": pc.take(supp["s_name"].combine_chunks(), idx),
+        "total_revenue_units": b["total_revenue_units"],
+    }))
 
 
 def small_order_revenue(sf_dir: str, *, p_type: str = "SMALL"):
@@ -1385,11 +1234,12 @@ def small_order_revenue(sf_dir: str, *, p_type: str = "SMALL"):
     parts whose quantity is below 20% of that PART's average quantity —
     a filter against a per-group aggregate.
 
-    Shape: the part-type key set broadcasts; ONE groupby(partkey)
-    co-locates each part's lineitems, and the group pass computes the
-    per-part stats AND applies the threshold in the same vectorized
-    visit (detail and aggregate co-located — no second scan, no
-    aggregate re-broadcast).  The 20% test is exact integer arithmetic:
+    Shape: the part-type key set broadcasts; ONE sort on partkey
+    co-locates each part's lineitems, and one pass per sorted block
+    computes every part's stats (``np.add.reduceat`` over its runs) AND
+    applies the threshold in the same vectorized visit (detail and
+    aggregate co-located — no second scan, no aggregate re-broadcast).
+    The 20% test is exact integer arithmetic:
     qty < 0.2 * (sum_qty / n)  <=>  5 * qty_c * n < sum_qty_c.
     Output: one row (n_small_lineitems, revenue_cents)."""
     import pyarrow.parquet as _pq
@@ -1412,10 +1262,13 @@ def small_order_revenue(sf_dir: str, *, p_type: str = "SMALL"):
             "ext_c": _cents(b["l_extendedprice"]),
         })
 
-    def per_part(group: pa.Table) -> pa.Table:
-        q = group["qty_c"].to_numpy(zero_copy_only=False)
-        e = group["ext_c"].to_numpy(zero_copy_only=False)
-        small = 5 * q * len(q) < q.sum()
+    def per_block(block: pa.Table) -> pa.Table:
+        runs = key_runs(block, ["l_partkey"])
+        n = np.diff(runs)
+        q = block["qty_c"].to_numpy(zero_copy_only=False)
+        e = block["ext_c"].to_numpy(zero_copy_only=False)
+        small = 5 * q * np.repeat(n, n) \
+            < np.repeat(np.add.reduceat(q, runs[:-1]), n)
         return pa.table({
             "n": pa.array([int(small.sum())], pa.int64()),
             "rev": pa.array([int(e[small].sum())], pa.int64()),
@@ -1429,11 +1282,12 @@ def small_order_revenue(sf_dir: str, *, p_type: str = "SMALL"):
                 [sum(batch["rev"].to_pylist())], pa.int64()),
         })
 
-    return read_table(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_quantity", "l_extendedprice"]) \
-        .map_batches(project, batch_format="pyarrow") \
-        .groupby("l_partkey").map_groups(per_part, batch_format="pyarrow") \
+    return map_sorted_blocks(
+        read_table(f"{sf_dir}/lineitem.parquet",
+                   columns=["l_partkey", "l_quantity", "l_extendedprice"])
+        .map_batches(project, batch_format="pyarrow"),
+        "l_partkey", per_block,
+        pa.schema([("n", pa.int64()), ("rev", pa.int64())])) \
         .repartition(1) \
         .map_batches(finish, batch_format="pyarrow", batch_size=None)
 
@@ -1448,13 +1302,10 @@ def late_priority_lines(sf_dir: str, *, min_delay_days: int = 60):
     co-shuffle through the general bucketed hash equi-join on the order
     key (kgx/ops/joins.py:hash_equijoin) — orders projected to
     (o_orderkey, o_orderdate, is_high int8), lineitem to (l_orderkey,
-    l_shipdate) — then the delay filter and the per-year high/low
-    conditional counts fold map-side; the final groupby moves one row
-    per (year, block).  Output: (ship_year, high_line_count,
+    l_shipdate) — then the delay filter and one keyed sum per ship year
+    of the high/low conditional counts.  Output: (ship_year, high_line_count,
     low_line_count).
     """
-    from ray.data.aggregate import Sum
-
     from kgx.ops.joins import hash_equijoin
 
     delay_us = int(min_delay_days) * 86_400_000_000
@@ -1479,7 +1330,7 @@ def late_priority_lines(sf_dir: str, *, min_delay_days: int = 60):
     joined = hash_equijoin(orders, line, left_on="o_orderkey",
                            right_on="l_orderkey")
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def late_counts(batch: pa.Table) -> pa.Table:
         ship_us = pc.cast(batch["l_shipdate"], pa.int64())
         late = pc.greater_equal(pc.subtract(ship_us, batch["o_date_us"]
                                             .combine_chunks()
@@ -1488,26 +1339,15 @@ def late_priority_lines(sf_dir: str, *, min_delay_days: int = 60):
         b = batch.filter(late)
         year = pc.cast(pc.year(b["l_shipdate"]), pa.int64())
         hi = b["is_high"].combine_chunks().cast(pa.int64())
-        t = pa.table({
-            "ship_year": year,
-            "hi": hi,
-            "lo": pc.subtract(pa.scalar(1, pa.int64()), hi),
-        })
-        return t.group_by(["ship_year"]).aggregate(
-            [("hi", "sum"), ("lo", "sum")])
-
-    def finish(batch: pa.Table) -> pa.Table:
         return pa.table({
-            "ship_year": batch["ship_year"].combine_chunks(),
-            "high_line_count": batch["sum(hi_sum)"].combine_chunks()
-                                    .cast(pa.int64()),
-            "low_line_count": batch["sum(lo_sum)"].combine_chunks()
-                                   .cast(pa.int64()),
+            "ship_year": year,
+            "high_line_count": hi,
+            "low_line_count": pc.subtract(pa.scalar(1, pa.int64()), hi),
         })
 
-    return (joined.map_batches(partial, batch_format="pyarrow")
-            .groupby("ship_year").aggregate(Sum("hi_sum"), Sum("lo_sum"))
-            .map_batches(finish, batch_format="pyarrow"))
+    return aggregate_by(
+        joined.map_batches(late_counts, batch_format="pyarrow"),
+        "ship_year", {"high_line_count": "sum", "low_line_count": "sum"})
 
 
 _Q19_CLAUSES = (("Brand#1", 1, 15, 1.0, 20.0),
@@ -1600,18 +1440,15 @@ def global_sales_opportunity(sf_dir: str, *, since: str = "1999-01-01"):
         cross-multiplication ``bal_c * n_pos > sum_c`` — no float
         average ever exists on either side;
       * orders' DISTINCT custkey set is bounded by the customer count,
-        reduces map-side (per-batch ``pc.unique``), and broadcasts once
+        reduces through one keyed distinct, and broadcasts once
         via ``ray.put`` for a vectorized ``is_in`` anti probe (the
         unbounded-domain fallback is hash_equijoin(how='left') + null
         filter, see customers_without_orders);
-      * nation (25 rows) broadcasts as parallel arrays; the final
-        groupby moves one partial row per (nation, block).
+      * nation (25 rows) broadcasts as parallel arrays; one keyed sum
+        per nation finishes.
     Output: (cntry, numcust, totacctbal_cents).
     """
     import pyarrow.parquet as _pq
-    from ray.data.aggregate import Sum
-
-    from kgx.functions.collect import collect_arrow
 
     cust_cols = ["c_custkey", "c_nationkey", "c_acctbal"]
 
@@ -1635,18 +1472,16 @@ def global_sales_opportunity(sf_dir: str, *, since: str = "1999-01-01"):
     since_us = np.datetime64(since).astype("datetime64[us]") \
         .astype("int64")
 
-    def okeys_partial(batch: pa.Table) -> pa.Table:
+    def recent(batch: pa.Table) -> pa.Table:
         keep = batch.filter(pc.greater_equal(
             pc.cast(batch["o_orderdate"], pa.int64()), since_us))
-        return pa.table({"k": pc.unique(keep["o_custkey"]
-                                        .combine_chunks())})
+        return pa.table({"k": keep["o_custkey"]})
 
-    keys_tbl = collect_arrow(
+    keys_tbl = collect_arrow(aggregate_by(
         read_table(f"{sf_dir}/orders.parquet",
                         columns=["o_custkey", "o_orderdate"])
-          .map_batches(okeys_partial, batch_format="pyarrow")
-          .groupby("k").count())
-    have = pc.unique(keys_tbl["k"].combine_chunks()) \
+          .map_batches(recent, batch_format="pyarrow"), "k", {}))
+    have = keys_tbl["k"].combine_chunks() \
         if keys_tbl.num_rows else pa.array([], pa.int64())
     kref = ray.put(have)
 
@@ -1655,7 +1490,7 @@ def global_sales_opportunity(sf_dir: str, *, since: str = "1999-01-01"):
     nref = ray.put((nat["n_nationkey"].combine_chunks().cast(pa.int64()),
                     nat["n_name"].combine_chunks()))
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def selected(batch: pa.Table) -> pa.Table:
         bal_c = _cents(batch["c_acctbal"])
         sel = pc.and_(
             pc.greater(pc.multiply(pc.cast(bal_c, pa.int64()),
@@ -1667,106 +1502,24 @@ def global_sales_opportunity(sf_dir: str, *, since: str = "1999-01-01"):
         nk, nn = ray.get(nref)
         idx = pc.index_in(b["c_nationkey"].combine_chunks()
                           .cast(pa.int64()), value_set=nk)
-        t = pa.table({
-            "cntry": nn.take(idx),
-            "bal": _cents(b["c_acctbal"]),
-            "one": pa.array(np.ones(b.num_rows, np.int64)),
-        })
-        return t.group_by(["cntry"]).aggregate(
-            [("one", "sum"), ("bal", "sum")])
-
-    def finish(batch: pa.Table) -> pa.Table:
         return pa.table({
-            "cntry": batch["cntry"].combine_chunks(),
-            "numcust": batch["sum(one_sum)"].combine_chunks()
-                            .cast(pa.int64()),
-            "totacctbal_cents": batch["sum(bal_sum)"].combine_chunks()
-                                     .cast(pa.int64()),
+            "cntry": nn.take(idx),
+            "numcust": pa.array(np.ones(b.num_rows, np.int64)),
+            "totacctbal_cents": _cents(b["c_acctbal"]),
         })
 
-    return (read_table(cust_path, columns=cust_cols)
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby("cntry").aggregate(Sum("one_sum"), Sum("bal_sum"))
-            .map_batches(finish, batch_format="pyarrow"))
+    return aggregate_by(
+        read_table(cust_path, columns=cust_cols)
+        .map_batches(selected, batch_format="pyarrow"),
+        "cntry", {"numcust": "sum", "totacctbal_cents": "sum"})
 
 
 def pricing_cube(sf_dir: str):
-    """GROUP BY CUBE(l_returnflag, l_linestatus) over lineitem — the
-    full grouping-set lattice {(rf,ls), (rf), (ls), ()}.
-
-    Scale shape, same as pricing_rollup plus one extra set: the raw
-    table is scanned and shuffled exactly ONCE for the finest level;
-    every other grouping set re-aggregates that already-tiny (one row
-    per key combination) output, so CUBE costs one wide shuffle plus
-    three shuffles over pre-aggregated rows.  SQL-convention NULLs mark
-    the rolled-up key positions.
-    Output: (l_returnflag, l_linestatus, sum_qty_cents,
-    sum_price_cents, n_rows).
-    """
-    ds = read_table(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_linestatus", "l_quantity",
-                 "l_extendedprice"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
-            "l_returnflag": batch["l_returnflag"],
-            "l_linestatus": batch["l_linestatus"],
-            "qty_c": _cents(batch["l_quantity"]),
-            "ext_c": _cents(batch["l_extendedprice"]),
-            "one": pa.array(np.ones(batch.num_rows, dtype=np.int64)),
-        })
-        return (t.group_by(["l_returnflag", "l_linestatus"])
-                 .aggregate([("qty_c", "sum"), ("ext_c", "sum"),
-                             ("one", "sum")]))
-
-    def merge(group: pa.Table, keys: list[str]) -> pa.Table:
-        cols = {k: group[k].slice(0, 1) for k in keys}
-        for m in ("qty_c_sum", "ext_c_sum", "one_sum"):
-            cols[m] = pa.array([sum(group[m].to_pylist())], pa.int64())
-        return pa.table(cols)
-
-    base = (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby(["l_returnflag", "l_linestatus"])
-              .map_groups(
-                  lambda g: merge(g, ["l_returnflag", "l_linestatus"]),
-                  batch_format="pyarrow"))
-
-    by_rf = base.groupby("l_returnflag").map_groups(
-        lambda g: merge(g, ["l_returnflag"]), batch_format="pyarrow")
-    by_ls = base.groupby("l_linestatus").map_groups(
-        lambda g: merge(g, ["l_linestatus"]), batch_format="pyarrow")
-
-    def grand_total(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            m: pa.array([sum(batch[m].to_pylist())], pa.int64())
-            for m in ("qty_c_sum", "ext_c_sum", "one_sum")})
-
-    total = by_rf.repartition(1).map_batches(
-        grand_total, batch_format="pyarrow", batch_size=None)
-
-    def shape(with_rf: bool, with_ls: bool):
-        def fn(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            null_s = pa.nulls(n, pa.string())
-            return pa.table({
-                "l_returnflag": batch["l_returnflag"] if with_rf
-                                else null_s,
-                "l_linestatus": batch["l_linestatus"] if with_ls
-                                else null_s,
-                "sum_qty_cents": batch["qty_c_sum"],
-                "sum_price_cents": batch["ext_c_sum"],
-                "n_rows": batch["one_sum"],
-            })
-        return fn
-
-    return (base.map_batches(shape(True, True), batch_format="pyarrow")
-            .union(by_rf.map_batches(shape(True, False),
-                                     batch_format="pyarrow"))
-            .union(by_ls.map_batches(shape(False, True),
-                                     batch_format="pyarrow"))
-            .union(total.map_batches(shape(False, False),
-                                     batch_format="pyarrow")))
+    """GROUP BY CUBE(l_returnflag, l_linestatus) over lineitem: the full
+    lattice (rf, ls), (rf), (ls), () of :func:`_pricing_grouping_sets`."""
+    return _pricing_grouping_sets(
+        sf_dir, [("l_returnflag", "l_linestatus"), ("l_returnflag",),
+                 ("l_linestatus",), ()])
 
 
 def waiting_suppliers(sf_dir: str, *, delay_days: int = 90,
@@ -1792,15 +1545,13 @@ def waiting_suppliers(sf_dir: str, *, delay_days: int = 90,
     supplier) late counts via ``np.add.reduceat``, per-order
     distinct/late-supplier counts via a second reduceat over the
     segment array — one vectorized pass per block, no per-order
-    Python.  Each block emits pre-aggregated (suppkey, numwait)
-    partials; the final groupby moves one row per (supplier, block).
+    Python.  Each block emits (suppkey, late count) rows, and one keyed
+    sum per supplier finishes.
     Supplier name + nation resolve from a broadcast dim map on the tiny
     aggregated output before the global sort + limit.
     Output: (n_name, s_name, numwait).
     """
     import pyarrow.parquet as _pq
-
-    from ray.data.aggregate import Sum
 
     from kgx.ops.joins import hash_equijoin
 
@@ -1858,14 +1609,8 @@ def waiting_suppliers(sf_dir: str, *, delay_days: int = 90,
         oidx = np.cumsum(np.r_[0, (seg_o[1:] != seg_o[:-1])
                                .astype(np.int64)])
         mask = (late_cnt > 0) & qualifies[oidx]
-        if not mask.any():
-            return pa.table({"skey": pa.array([], pa.int64()),
-                             "numwait_part": pa.array([], pa.int64())})
-        t = pa.table({"skey": pa.array(seg_s[mask], pa.int64()),
-                      "numwait_part": pa.array(late_cnt[mask],
-                                               pa.int64())})
-        return t.group_by(["skey"]).aggregate([("numwait_part", "sum")]) \
-                .rename_columns(["skey", "numwait_part"])
+        return pa.table({"skey": pa.array(seg_s[mask], pa.int64()),
+                         "numwait": pa.array(late_cnt[mask], pa.int64())})
 
     supp = _pq.read_table(f"{sf_dir}/supplier.parquet",
                           columns=["s_suppkey", "s_name", "s_nationkey"])
@@ -1884,16 +1629,14 @@ def waiting_suppliers(sf_dir: str, *, delay_days: int = 90,
         return pa.table({
             "n_name": nn.take(ni),
             "s_name": sname.take(si),
-            "numwait": batch["sum(numwait_part)"].combine_chunks()
-                            .cast(pa.int64()),
+            "numwait": batch["numwait"],
         })
 
-    return (map_sorted_blocks(
+    return (aggregate_by(map_sorted_blocks(
                 joined.map_batches(late_rows, batch_format="pyarrow"),
                 "okey", fold,
-                pa.schema([("skey", pa.int64()),
-                           ("numwait_part", pa.int64())]))
-            .groupby("skey").aggregate(Sum("numwait_part"))
+                pa.schema([("skey", pa.int64()), ("numwait", pa.int64())])),
+                "skey", {"numwait": "sum"})
             .map_batches(attach, batch_format="pyarrow")
             .sort(["numwait", "s_name"], descending=[True, False])
             .limit(n))
@@ -1914,13 +1657,11 @@ def nation_profit(sf_dir: str, *, name_frag: str = "red"):
     rel_promo); supplier->nation resolves map-side from broadcast
     parallel arrays (KB-scale); orders contributes only
     (o_orderkey, year) through ONE fact-fact co-shuffle on the order
-    key; per-(nation, year) partials fold map-side so the final groupby
-    moves one row per (nation, year, block).
+    key; one keyed sum per (nation, year) finishes.
     Output: (nation, o_year, profit_units)."""
     import pyarrow.parquet as _pq
 
     from kgx.ops.joins import hash_equijoin
-    from ray.data.aggregate import Sum
 
     part = _pq.read_table(f"{sf_dir}/part.parquet",
                           columns=["p_partkey", "p_name"])
@@ -1978,26 +1719,17 @@ def nation_profit(sf_dir: str, *, name_frag: str = "red"):
     joined = hash_equijoin(orders, line, left_on="o_orderkey",
                            right_on="l_orderkey")
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"nidx": batch["nidx"], "o_year": batch["o_year"],
-                      "p": batch["profit_part"]})
-        agg = t.group_by(["nidx", "o_year"]).aggregate([("p", "sum")])
-        return pa.table({"nidx": agg["nidx"], "o_year": agg["o_year"],
-                         "p": agg["p_sum"]})
-
-    def finish(batch: pa.Table, _s=sref) -> pa.Table:
+    def named(batch: pa.Table, _s=sref) -> pa.Table:
         _, _, _, nn = ray.get(_s)
         return pa.table({
             "nation": nn.take(batch["nidx"].combine_chunks()
                               .cast(pa.int64())),
             "o_year": batch["o_year"].combine_chunks().cast(pa.int64()),
-            "profit_units": batch["sum(p)"].combine_chunks()
-                                 .cast(pa.int64()),
+            "profit_units": batch["profit_part"],
         })
 
-    return (joined.map_batches(partial, batch_format="pyarrow")
-            .groupby(["nidx", "o_year"]).aggregate(Sum("p"))
-            .map_batches(finish, batch_format="pyarrow"))
+    return aggregate_by(joined.map_batches(named, batch_format="pyarrow"),
+                        ["nation", "o_year"], {"profit_units": "sum"})
 
 
 def important_parts(sf_dir: str, *, nation: str = "NATION_3",
@@ -2008,8 +1740,8 @@ def important_parts(sf_dir: str, *, nation: str = "NATION_3",
     HAVING-against-a-scalar-subquery shape; supplycost*availqty has no
     source columns here so value is exact integer revenue units).
 
-    100 TB plan: the nation's suppkey set broadcasts (KB); per-partkey
-    partials fold map-side so ONE narrow (partkey) groupby runs; the
+    100 TB plan: the nation's suppkey set broadcasts (KB); ONE keyed
+    sum per partkey (``aggregate_by``) runs; the
     global threshold is computed by a second map-side reduction OVER
     THE AGGREGATED per-part output (rows = distinct parts, already
     ~lineitem/30 and shrinking with scale) — the fact table is read
@@ -2017,9 +1749,6 @@ def important_parts(sf_dir: str, *, nation: str = "NATION_3",
     ``value * 1_000_000 > total * fraction_ppm`` — no float ratio
     exists on either side.  Output: (l_partkey, value_units)."""
     import pyarrow.parquet as _pq
-
-    from kgx.functions.collect import collect_arrow
-    from ray.data.aggregate import Sum
 
     supp = _pq.read_table(f"{sf_dir}/supplier.parquet",
                           columns=["s_suppkey", "s_nationkey"])
@@ -2030,45 +1759,36 @@ def important_parts(sf_dir: str, *, nation: str = "NATION_3",
         pc.equal(supp["s_nationkey"], nk))["s_suppkey"]
         .combine_chunks().cast(pa.int64()))
 
-    def partial(batch: pa.Table, _s=sset) -> pa.Table:
+    def project(batch: pa.Table, _s=sset) -> pa.Table:
         b = batch.filter(pc.is_in(batch["l_suppkey"].combine_chunks()
                                   .cast(pa.int64()),
                                   value_set=ray.get(_s)))
         ext_c = _cents(b["l_extendedprice"]).to_numpy(zero_copy_only=False)
         disc_c = _cents(b["l_discount"]).to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "l_partkey": pc.cast(b["l_partkey"].combine_chunks(),
                                  pa.int64()),
-            "v": pa.array(ext_c * (100 - disc_c), pa.int64()),
+            "value_units": pa.array(ext_c * (100 - disc_c), pa.int64()),
         })
-        agg = t.group_by(["l_partkey"]).aggregate([("v", "sum")])
-        return pa.table({"l_partkey": agg["l_partkey"],
-                         "v": agg["v_sum"]})
 
-    per_part = read_table(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_suppkey", "l_extendedprice",
-                 "l_discount"]) \
-        .map_batches(partial, batch_format="pyarrow") \
-        .groupby("l_partkey").aggregate(Sum("v")) \
-        .materialize()
+    per_part = aggregate_by(
+        read_table(f"{sf_dir}/lineitem.parquet",
+                   columns=["l_partkey", "l_suppkey", "l_extendedprice",
+                            "l_discount"])
+        .map_batches(project, batch_format="pyarrow"),
+        "l_partkey", {"value_units": "sum"})
 
     total_tbl = collect_arrow(per_part.map_batches(
         lambda b: pa.table({"t": pa.array(
-            [pc.sum(b["sum(v)"]).as_py() or 0], pa.int64())}),
+            [pc.sum(b["value_units"]).as_py() or 0], pa.int64())}),
         batch_format="pyarrow"))
     total = sum(total_tbl["t"].to_pylist())
 
     def having(batch: pa.Table) -> pa.Table:
-        v = batch["sum(v)"].combine_chunks().cast(pa.int64())
-        keep = pc.greater(
-            pc.multiply(v, pa.scalar(1_000_000, pa.int64())),
-            pa.scalar(total * fraction_ppm, pa.int64()))
-        b = batch.filter(keep)
-        return pa.table({
-            "l_partkey": b["l_partkey"].combine_chunks().cast(pa.int64()),
-            "value_units": b["sum(v)"].combine_chunks().cast(pa.int64()),
-        })
+        return batch.filter(pc.greater(
+            pc.multiply(batch["value_units"],
+                        pa.scalar(1_000_000, pa.int64())),
+            pa.scalar(total * fraction_ppm, pa.int64())))
 
     return per_part.map_batches(having, batch_format="pyarrow")
 
@@ -2181,9 +1901,9 @@ def supplier_part_counts(sf_dir: str, *, brand_excl: str = "Brand#1",
     the fact scan projects to DISTINCT (brand, type, size, suppkey)
     per batch map-side (per-batch Arrow group_by — the pair domain is
     bounded by #groups x #suppliers, NOT by lineitem rows), then one
-    narrow groupby on the attr triple counts uniques per group in a
-    single np.unique pass.  Output: (p_brand, p_type, p_size,
-    supplier_cnt)."""
+    narrow sort on the attr triple, and one Arrow ``count_distinct``
+    per sorted block counts every group's suppliers.  Output: (p_brand,
+    p_type, p_size, supplier_cnt)."""
     import pyarrow.parquet as _pq
 
     part = _pq.read_table(f"{sf_dir}/part.parquet",
@@ -2220,21 +1940,20 @@ def supplier_part_counts(sf_dir: str, *, brand_excl: str = "Brand#1",
         return (t.group_by(["p_brand", "p_type", "p_size", "skey"])
                  .aggregate([]))
 
-    def count_unique(group: pa.Table) -> pa.Table:
-        sk = group["skey"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "p_brand": group["p_brand"].slice(0, 1),
-            "p_type": group["p_type"].slice(0, 1),
-            "p_size": group["p_size"].slice(0, 1),
-            "supplier_cnt": pa.array([np.unique(sk).size], pa.int64()),
-        })
+    keys = ["p_brand", "p_type", "p_size"]
 
-    return (read_table(
-                f"{sf_dir}/lineitem.parquet",
-                columns=["l_partkey", "l_suppkey"])
-            .map_batches(pairs, batch_format="pyarrow")
-            .groupby(["p_brand", "p_type", "p_size"])
-            .map_groups(count_unique, batch_format="pyarrow"))
+    def count_unique(block: pa.Table) -> pa.Table:
+        return block.group_by(keys, use_threads=False) \
+            .aggregate([("skey", "count_distinct")]) \
+            .rename_columns(keys + ["supplier_cnt"])
+
+    return map_sorted_blocks(
+        read_table(f"{sf_dir}/lineitem.parquet",
+                   columns=["l_partkey", "l_suppkey"])
+        .map_batches(pairs, batch_format="pyarrow"),
+        keys, count_unique,
+        pa.schema([("p_brand", pa.string()), ("p_type", pa.string()),
+                   ("p_size", pa.int64()), ("supplier_cnt", pa.int64())]))
 
 
 def dominant_suppliers(sf_dir: str, *, name_frag: str = "bolt",
@@ -2253,8 +1972,9 @@ def dominant_suppliers(sf_dir: str, *, name_frag: str = "bolt",
     every part's total and its per-supplier sums in one
     vectorized pass, emitting suppkeys passing the exact integer test
     ``supp_qty * 100 > total_qty * share_pct``; the tiny survivor
-    keyset dedups and attaches supplier name/balance from broadcast
-    arrays.  Output: (s_name, s_acctbal_cents) sorted by name."""
+    keyset dedups through one keyed distinct and attaches supplier
+    name/balance from broadcast arrays.  Output: (s_name,
+    s_acctbal_cents) sorted by name."""
     import pyarrow.parquet as _pq
 
     lo = np.datetime64(date_lo).astype("datetime64[us]").astype("int64")
@@ -2310,20 +2030,20 @@ def dominant_suppliers(sf_dir: str, *, name_frag: str = "bolt",
                     supp["s_name"].combine_chunks(),
                     _cents(supp["s_acctbal"].combine_chunks())))
 
-    def attach(group: pa.Table, _d=sref) -> pa.Table:
+    def attach(batch: pa.Table, _d=sref) -> pa.Table:
         sk, sname, sbal = ray.get(_d)
-        si = pc.index_in(group["skey"].slice(0, 1), value_set=sk)
+        si = pc.index_in(batch["skey"], value_set=sk)
         return pa.table({"s_name": sname.take(si),
                          "s_acctbal_cents": sbal.take(si)})
 
-    return (map_sorted_blocks(
+    return (aggregate_by(map_sorted_blocks(
                 read_table(
                     f"{sf_dir}/lineitem.parquet",
                     columns=["l_partkey", "l_suppkey", "l_quantity",
                              "l_shipdate"])
                 .map_batches(line_side, batch_format="pyarrow"),
-                "pkey", fold, pa.schema([("skey", pa.int64())]))
-            .groupby("skey").map_groups(attach, batch_format="pyarrow")
+                "pkey", fold, pa.schema([("skey", pa.int64())])), "skey", {})
+            .map_batches(attach, batch_format="pyarrow")
             .sort("s_name"))
 
 
@@ -2332,45 +2052,42 @@ def active_both_years(sf_dir: str, *, year_a: int = 1996,
     """SQL INTERSECT shape: customers who placed orders in BOTH given
     calendar years (SURVEY §2.7 set ops, the explicit relational form).
 
-    100 TB plan: orders project map-side to per-batch DISTINCT
-    (custkey, year-flag) pairs for the two years only — the pair domain
-    is bounded by 2 x customers, not order rows; ONE narrow
-    groupby(custkey) folds each key's flags with a bitwise OR and keeps
-    keys seeing both; names attach from a broadcast array on the
+    100 TB plan: orders project map-side to (custkey, year-flag) rows
+    for the two years only (flag 1 or 2); ONE keyed min/max per custkey
+    (``aggregate_by``, whose map-side partial bounds the rows by
+    customers, not orders) keeps keys whose min and max flags differ,
+    i.e. that saw both years; names attach from a broadcast array on the
     survivor set.  Output: (c_custkey, c_name)."""
     import pyarrow.parquet as _pq
 
-    def pairs(batch: pa.Table) -> pa.Table:
+    def flags(batch: pa.Table) -> pa.Table:
         yr = pc.year(batch["o_orderdate"].combine_chunks()) \
                .to_numpy(zero_copy_only=False)
         ck = batch["o_custkey"].combine_chunks().cast(pa.int64()) \
             .to_numpy(zero_copy_only=False)
         flag = np.where(yr == year_a, 1, np.where(yr == year_b, 2, 0))
         keep = flag > 0
-        t = pa.table({"k": pa.array(ck[keep], pa.int64()),
-                      "f": pa.array(flag[keep], pa.int64())})
-        agg = t.group_by(["k", "f"]).aggregate([])
-        return agg
+        f = pa.array(flag[keep], pa.int64())
+        return pa.table({"k": pa.array(ck[keep], pa.int64()),
+                         "lo": f, "hi": f})
 
     cust = _pq.read_table(f"{sf_dir}/customer.parquet",
                           columns=["c_custkey", "c_name"])
     cref = ray.put((cust["c_custkey"].combine_chunks().cast(pa.int64()),
                     cust["c_name"].combine_chunks()))
 
-    def fold(group: pa.Table, _c=cref) -> pa.Table:
-        f = group["f"].to_numpy(zero_copy_only=False)
-        if int(np.bitwise_or.reduce(f)) != 3:
-            return pa.table({"c_custkey": pa.array([], pa.int64()),
-                             "c_name": pa.array([], pa.string())})
+    def both(batch: pa.Table, _c=cref) -> pa.Table:
+        b = batch.filter(pc.less(batch["lo"], batch["hi"]))
         ck, cn = ray.get(_c)
-        ci = pc.index_in(group["k"].slice(0, 1), value_set=ck)
-        return pa.table({"c_custkey": group["k"].slice(0, 1),
-                         "c_name": cn.take(ci)})
+        ci = pc.index_in(b["k"], value_set=ck)
+        return pa.table({"c_custkey": b["k"], "c_name": cn.take(ci)})
 
-    return (read_table(f"{sf_dir}/orders.parquet",
-                            columns=["o_custkey", "o_orderdate"])
-            .map_batches(pairs, batch_format="pyarrow")
-            .groupby("k").map_groups(fold, batch_format="pyarrow"))
+    return aggregate_by(
+        read_table(f"{sf_dir}/orders.parquet",
+                   columns=["o_custkey", "o_orderdate"])
+        .map_batches(flags, batch_format="pyarrow"),
+        "k", {"lo": "min", "hi": "max"}) \
+        .map_batches(both, batch_format="pyarrow")
 
 
 def unpivot_pricing(sf_dir: str, *, cutoff: str = "1998-09-01"):

@@ -18,7 +18,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from kgx.functions.fold import fold_sorted
+from kgx.functions.fold import key_runs, map_sorted_blocks
 
 
 def _concat(ds) -> pa.Table:
@@ -27,20 +27,23 @@ def _concat(ds) -> pa.Table:
 
 
 def _check_hot_key_fold(tbl: pa.Table, key: list, hot: tuple):
-    """Fold ``tbl`` (spread over 17 input blocks) on ``key``: the hot key
-    reaches exactly one reduce call with all its rows, no key shows up
-    in two output blocks, and the output is key-sorted."""
+    """Fold ``tbl`` (spread over 17 input blocks) on ``key``, one row per
+    run of equal keys in each sorted block: the hot key is one run that
+    holds all its rows, no key shows up in two output blocks, and the
+    output is key-sorted."""
     assert tbl.num_rows == 40000
     ds = rd.from_arrow(tbl).repartition(17)
     schema = pa.schema([tbl.schema.field(k) for k in key]
                        + [("n", pa.int64()), ("s", pa.int64())])
 
-    def reduce(g: pa.Table) -> dict:
-        row = {k: g[k][0].as_py() for k in key}
-        row.update(n=g.num_rows, s=int(pc.sum(g["v"]).as_py()))
-        return row
+    def fold(block: pa.Table) -> pa.Table:
+        runs = key_runs(block, key)
+        return block.select(key).take(runs[:-1]).append_column(
+            "n", pa.array(np.diff(runs))).append_column(
+            "s", pa.array(np.add.reduceat(block["v"].to_numpy(),
+                                          runs[:-1])))
 
-    blocks = list(fold_sorted(ds, key, reduce, schema).iter_batches(
+    blocks = list(map_sorted_blocks(ds, key, fold, schema).iter_batches(
         batch_size=None, batch_format="pyarrow"))
     seen: set = set()
     for b in blocks:
@@ -57,13 +60,13 @@ def _check_hot_key_fold(tbl: pa.Table, key: list, hot: tuple):
     assert n_hot >= tbl.num_rows // 2
     hot_rows = [r for r in out.to_pylist()
                 if tuple(r[k] for k in key) == hot]
-    assert len(hot_rows) == 1           # one reduce call ...
-    assert hot_rows[0]["n"] == n_hot     # ... that saw every hot row
+    assert len(hot_rows) == 1           # one run ...
+    assert hot_rows[0]["n"] == n_hot     # ... that holds every hot row
     assert sum(out["n"].to_pylist()) == tbl.num_rows
     assert sum(out["s"].to_pylist()) == int(pc.sum(tbl["v"]).as_py())
 
 
-def test_fold_sorted_hot_key_one_call(ray_session):
+def test_map_sorted_blocks_hot_key_one_run(ray_session):
     rng = np.random.default_rng(11)
     ks = rng.integers(0, 4000, 40000)
     ks[rng.random(40000) < 0.55] = 1234
@@ -72,7 +75,7 @@ def test_fold_sorted_hot_key_one_call(ray_session):
     _check_hot_key_fold(tbl, ["k"], ("k01234",))
 
 
-def test_fold_sorted_multikey_hot_key_one_call(ray_session):
+def test_map_sorted_blocks_multikey_hot_key_one_run(ray_session):
     """Multi-column key: the hot (a, b) pair shares its ``a`` with many
     other pairs, so only the full sort key keeps it together."""
     rng = np.random.default_rng(12)
@@ -87,9 +90,11 @@ def test_fold_sorted_multikey_hot_key_one_call(ray_session):
 
 
 def _fold_blocks(ds, key: str) -> int:
-    schema = ds.schema().base_schema
-    return fold_sorted(ds, key, lambda g: g.slice(0, 1).to_pylist()[0],
-                       schema).materialize().num_blocks()
+    def firsts(b: pa.Table) -> pa.Table:
+        return b.take(key_runs(b, [key])[:-1])
+
+    return map_sorted_blocks(ds, key, firsts, ds.schema().base_schema) \
+        .materialize().num_blocks()
 
 
 def _ncpu() -> int:
