@@ -1745,9 +1745,10 @@ def important_parts(sf_dir: str, *, nation: str = "NATION_3",
     global threshold is computed by a second map-side reduction OVER
     THE AGGREGATED per-part output (rows = distinct parts, already
     ~lineitem/30 and shrinking with scale) — the fact table is read
-    once.  The HAVING test is the exact integer cross-multiplication
-    ``value * 1_000_000 > total * fraction_ppm`` — no float ratio
-    exists on either side.  Output: (l_partkey, value_units)."""
+    once.  The HAVING test is the exact integer comparison
+    ``value * 1_000_000 > total * fraction_ppm``, run as ``value >
+    total * fraction_ppm // 1_000_000`` — no float ratio and no int64
+    product exists on either side.  Output: (l_partkey, value_units)."""
     import pyarrow.parquet as _pq
 
     supp = _pq.read_table(f"{sf_dir}/supplier.parquet",
@@ -1784,11 +1785,14 @@ def important_parts(sf_dir: str, *, nation: str = "NATION_3",
         batch_format="pyarrow"))
     total = sum(total_tbl["t"].to_pylist())
 
+    # value * 10**6 > total * ppm  <=>  value > (total * ppm) // 10**6 for
+    # integer values; the floor is taken in Python ints and capped at
+    # int64 max (which no int64 value exceeds), so nothing overflows.
+    threshold = pa.scalar(min(total * fraction_ppm // 1_000_000, 2**63 - 1),
+                          pa.int64())
+
     def having(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.greater(
-            pc.multiply(batch["value_units"],
-                        pa.scalar(1_000_000, pa.int64())),
-            pa.scalar(total * fraction_ppm, pa.int64())))
+        return batch.filter(pc.greater(batch["value_units"], threshold))
 
     return per_part.map_batches(having, batch_format="pyarrow")
 

@@ -3,10 +3,13 @@
 Reference-faithful sequential implementation (the execution shape of
 /root/reference/indexing/simple_graph_builder.py:50-152 — everything in
 driver memory, one pass) using the SAME pure functions and merge semantics
-as the Ray pipeline.  The e2e test asserts the distributed pipeline's
-nodes/edges/claims tables are exactly equal to this oracle's — i.e. the
-shuffles, sorted-block folds, in-batch combining and broadcast join change
-nothing — and both score P/R >= 0.95 against the planted truth sidecar.
+as the Ray pipeline, except where a batch kernel has a sequential twin
+here (``gazetteer_reference``: the per-chunk sentence loop that
+``GazetteerExtractor`` runs in Arrow).  The e2e test asserts the
+distributed pipeline's nodes/edges/claims tables are exactly equal to
+this oracle's — i.e. the shuffles, sorted-block folds, in-batch
+combining and broadcast join change nothing — and both score P/R >= 0.95
+against the planted truth sidecar.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from kgx.functions.normalize import claim_id, edge_id, entity_id, normalize
 from kgx.stages.canonicalize import (NODES_SCHEMA, _argmax_count,
                                      _cap_instances, _new_state, merge_states)
 from kgx.stages.edges import CLAIMS_SCHEMA, EDGES_SCHEMA
-from kgx.stages.extract import GazetteerExtractor, TermExtractor
+from kgx.stages.extract import (_SENT_SPLIT, _WORD_RE, GazetteerExtractor,
+                                TermExtractor, _Rows)
 
 
 def run_oracle(pages: pa.Table, *, chunk_size=200, chunk_overlap=50,
@@ -27,8 +31,6 @@ def run_oracle(pages: pa.Table, *, chunk_size=200, chunk_overlap=50,
                lang_filter: str | None = None,
                instance_cap: int = 200) -> dict[str, pa.Table]:
     """pages Arrow table -> {"nodes","edges","claims"} Arrow tables."""
-    ex = GazetteerExtractor() if extractor == "gazetteer" else TermExtractor()
-
     # texts + chunks, sequentially
     chunks = []
     for row in pages.to_pylist():
@@ -42,7 +44,10 @@ def run_oracle(pages: pa.Table, *, chunk_size=200, chunk_overlap=50,
         "chunk_id": pa.array([c["chunk_id"] for c in chunks], pa.string()),
         "text": pa.array([c["text"] for c in chunks], pa.string()),
     })
-    ext = ex(chunk_tbl) if chunk_tbl.num_rows else None
+    ext = None
+    if chunk_tbl.num_rows:
+        ext = (gazetteer_reference(GazetteerExtractor(), chunk_tbl)
+               if extractor == "gazetteer" else TermExtractor()(chunk_tbl))
 
     # canonicalize mentions (single global merge — no shuffle, no batching)
     ent_states: dict[str, dict] = {}
@@ -113,6 +118,47 @@ def run_oracle(pages: pa.Table, *, chunk_size=200, chunk_overlap=50,
     return {"nodes": tbl(node_rows, NODES_SCHEMA),
             "edges": tbl(edge_rows, EDGES_SCHEMA),
             "claims": tbl(claim_rows, CLAIMS_SCHEMA)}
+
+
+def gazetteer_reference(ex: GazetteerExtractor, batch: pa.Table) -> pa.Table:
+    """Sequential reference of ``GazetteerExtractor.__call__``: one Python
+    loop over every chunk and every ``_SENT_SPLIT`` sentence, with ``ex``'s
+    compiled patterns and trigger-word screen (the screen memo is local to
+    the call).  Same tagged table, same row order."""
+    out = _Rows()
+    screen_memo: dict[str, bool] = {}
+    for url, chunk_id, text in zip(batch["url"].to_pylist(),
+                                   batch["chunk_id"].to_pylist(),
+                                   batch["text"].to_pylist()):
+        if not text:
+            continue
+        for sent in _SENT_SPLIT.split(text):
+            passed = screen_memo.get(sent)
+            if passed is None:
+                passed = screen_memo[sent] = not ex._trigger.isdisjoint(
+                    _WORD_RE.findall(sent.lower()))
+            if not passed:
+                continue
+            ments = []
+            for m in ex.mention_re.finditer(sent):
+                hit = ex._mention_of(m.group(0))
+                if hit is None:
+                    continue
+                ments.append(hit[0])
+                out.mention(url, chunk_id, *hit)
+            if len(ments) >= 2:
+                # collapsed-whitespace lowering so the literal substring
+                # prefilter can never miss what the \s+ regex would match
+                low = " ".join(sent.lower().split())
+                for rx, pred, strength, mid_low in ex.rel_res:
+                    if mid_low not in low:
+                        continue
+                    for m in rx.finditer(sent):
+                        out.triple(url, chunk_id, m.group("a"), pred,
+                                   m.group("b"), strength)
+            if ments and ex.claim_re.search(sent):
+                out.claim(url, chunk_id, sent.strip(), ments)
+    return out.table()
 
 
 def oracle_claims(rows: list, alias: dict, instance_cap: int = 200) -> list:

@@ -69,9 +69,12 @@ def extract_documents(sf_dir: str, *, chunk_size: int = 200,
         return chunks.map_batches(make_task_extractor(extractor, **kwargs),
                                   batch_format="pyarrow",
                                   batch_size=batch_size)
+    # Actors hold no CPU: they wait on I/O (the LLM transport), and
+    # ``concurrency`` already bounds the pool.  An actor holding one would
+    # starve the tasks that feed it on a one-CPU cluster.
     return chunks.map_batches(extractor, batch_format="pyarrow",
                               batch_size=batch_size, concurrency=concurrency,
-                              fn_constructor_kwargs=kwargs)
+                              num_cpus=0, fn_constructor_kwargs=kwargs)
 
 
 # Per-Ray-session memo: six graph-analytics driver queries all start from

@@ -964,3 +964,13 @@ def test_important_parts_threshold(ray_session, tmp_path):
     # total = 100.00 + 0.01 -> only part 1 exceeds 50%
     assert out["l_partkey"].tolist() == [1]
     assert out["value_units"].tolist() == [10000 * 100]
+
+
+def test_important_parts_fraction_past_int64(ray_session):
+    """total * fraction_ppm passes 2**63 at fraction_ppm=10**9 on the
+    testdata sf0.001; the HAVING compare must stay exact (the threshold
+    is 1000x the total, so no part passes) instead of overflowing."""
+    from kgx.ops.relational import important_parts
+    from test_oracle_parity import SF_DIR
+
+    assert important_parts(SF_DIR, fraction_ppm=10**9).count() == 0

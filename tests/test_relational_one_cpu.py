@@ -59,10 +59,12 @@ ray.shutdown()
 """
 
 
-def test_relational_finishes_at_one_cpu():
+def run_at_one_cpu(queries: dict[str, str]) -> list[str]:
+    """Run ``{query: shuffle strategy}`` in one fresh one-CPU process;
+    its output lines, ``"<query> ok"`` for a match with the oracle."""
     proc = subprocess.Popen(
         [sys.executable, "-c", SCRIPT, SF_DIR,
-         *(f"{q}={s}" for q, s in QUERIES.items())], cwd=ROOT,
+         *(f"{q}={s}" for q, s in queries.items())], cwd=ROOT,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         start_new_session=True)
     try:
@@ -72,4 +74,8 @@ def test_relational_finishes_at_one_cpu():
         out, _ = proc.communicate()
         pytest.fail(f"not finished in {TIMEOUT_S} s; done: {out!r}")
     assert proc.returncode == 0, err[-3000:]
-    assert out.splitlines() == [f"{q} ok" for q in QUERIES]
+    return out.splitlines()
+
+
+def test_relational_finishes_at_one_cpu():
+    assert run_at_one_cpu(QUERIES) == [f"{q} ok" for q in QUERIES]
