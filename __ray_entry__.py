@@ -2606,14 +2606,14 @@ def _q_kg_synth_nodes(sf_dir: str):
     Rows-only check — the corpus is not a driver view."""
     from kgx.sources.pages import read_table
     from kgx.pipelines.kg import make_chunk_batch_fn, extract_text_batch
-    from kgx.stages.extract import GazetteerExtractor
+    from kgx.stages.extract import GazetteerExtractor, make_task_extractor
     from kgx.synth import write_pages
     pages_dir = write_pages("/tmp/kgx_entry_synth", 300, seed=11)
     ds = read_table(pages_dir, columns=["url", "html", "text", "lang"])
     ds = ds.map_batches(extract_text_batch, batch_format="pyarrow")
     ds = ds.map_batches(make_chunk_batch_fn(200, 50), batch_format="pyarrow")
-    ds = ds.map_batches(GazetteerExtractor, batch_format="pyarrow",
-                        concurrency=(1, 4))
+    ds = ds.map_batches(make_task_extractor(GazetteerExtractor),
+                        batch_format="pyarrow")
     return _nodes_from_extracted(
         ds, ["entity_id", "name", "type", "n_instances"])
 

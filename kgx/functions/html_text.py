@@ -3,10 +3,12 @@ boilerplate removal on stdlib ``html.parser`` only).
 
 The reference has no HTML path at all (it reads raw ``.txt``,
 /root/reference/graphrag_lite_x.py:130-148); the web-page input shape comes
-from BASELINE.json ``input_hint``.  This module is therefore BOTH the
-sequential oracle and the function applied inside the Ray pipeline — the
-"byte-identical extracted text per url" invariant is tested as identity of
-this function applied in the two harnesses, plus run-to-run stability.
+from BASELINE.json ``input_hint``.  The Ray pipeline runs
+:func:`extract_text`: a regex fast path that falls back to
+``html.parser`` wherever it has not proven it mirrors it.  The
+sequential oracle (``kgx.oracle.run_oracle``) runs ``html.parser`` alone
+behind the same decoding, so the "byte-identical extracted text per url"
+invariant checks the fast path against the stdlib parser.
 
 Rules (fixed, versioned by EXTRACTOR_VERSION — bump on any behavior change,
 it participates in checkpoint config hashes):
@@ -78,33 +80,40 @@ class _TextExtractor(HTMLParser):
             self._parts.append(data)
 
     def text(self) -> str:
-        lines = []
-        for seg in "".join(self._parts).split(self._BREAK):
-            seg = " ".join(seg.split())
-            if seg:
-                lines.append(seg)
-        return "\n".join(lines)
+        return _finish(self._parts)
 
 
 # ---------------------------------------------------------------------------
-# Fast path.  html.parser's pure-Python state machine costs ~0.5 ms/page on
-# Common-Crawl-sized pages — half the whole extraction chain.  The tokenizer
-# below reproduces its OBSERVABLE behavior (the emitted parts sequence) on a
-# strictly verified input subset and returns None — falling back to the
-# stdlib parser — the moment it sees anything whose stdlib handling it has
-# not proven it mirrors: declarations / comments / PIs (``<!``, ``<?``), a
-# stray ``<`` in text, a ``>`` inside a quoted attribute (detected as an
-# unbalanced quote in the regex-matched tag body, which always truncates
-# INSIDE the open quote), a tag name extending past ``[-.a-zA-Z0-9:_]``, an
-# ambiguous trailing ``/`` (html.parser folds it into an unquoted attribute
-# VALUE but self-closes after a name/quote/whitespace), a non-trivial end
-# tag, or an unterminated trailing tag.  Byte-identity fast-vs-stdlib is
-# pinned by a hypothesis property test over adversarial markup plus a
-# whole-corpus hash compare (tests/test_functions.py).
+# Fast path.  html.parser's pure-Python state machine is the slowest step
+# of HTML -> text: about 1.25 s against 0.34 s for ``extract_text`` over
+# the 3,500 ~7 KB synthetic pages of perfbench ``web_pages`` (one core of
+# a shared VM).  The tokenizer below reproduces its
+# OBSERVABLE behavior (the emitted parts sequence) on a strictly verified
+# input subset and returns None — falling back to the stdlib parser — the
+# moment it sees anything whose stdlib handling it has not proven it
+# mirrors: declarations / comments / PIs (``<!``, ``<?``), a stray ``<``
+# in text, a ``>`` inside a quoted attribute (detected as an unbalanced
+# quote in the regex-matched tag body, which always truncates INSIDE the
+# open quote), a tag name extending past ``[-.a-zA-Z0-9:_]``, an
+# ambiguous trailing ``/`` (html.parser folds it into an unquoted
+# attribute VALUE but self-closes after a name/quote/whitespace), a
+# non-trivial end tag, or an unterminated trailing tag.  Byte-identity
+# fast-vs-stdlib is pinned by a hypothesis property test over adversarial
+# markup plus a whole-corpus compare (tests/test_functions.py).
+#
+# One regex split cuts a page into alternating data and tag pieces.  What
+# a tag does depends on its text alone, and pages repeat a few dozen tag
+# strings hundreds of thousands of times, so each distinct tag text is
+# classified once (``_tag_action``) and its action memoized per process;
+# an occurrence costs one dict lookup.  The CDATA close scan after
+# <script>/<style> depends on position and runs per occurrence.
 # ---------------------------------------------------------------------------
 
 _SUSPECT_RE = re.compile(r"<[!?]")
 _TAG_RE = re.compile(r"<(/?)([a-zA-Z][^<>]*?)(/?)>")
+# The spans of _TAG_RE (a tag runs from ``<`` to the first ``>``), as the
+# separators of one split: data, tag, data, ..., tag, data.
+_TAG_SPLIT_RE = re.compile(r"(</?[a-zA-Z][^<>]*>)")
 _NAME_RE = re.compile(r"[a-zA-Z][-.a-zA-Z0-9:_]*")
 _END_BODY_RE = re.compile(r"[a-zA-Z][-.a-zA-Z0-9:_]*\s*\Z")
 _WS_OR_SLASH = " \t\n\r\f/"
@@ -115,73 +124,122 @@ _CDATA_CLOSE = {
 }
 _CDATA_TAIL_RE = re.compile(r"([-.a-zA-Z0-9:_]*)\s*(>?)")
 
+# Tag actions: nothing, a line break, open / close a skipped subtree,
+# open a script / style subtree (skipped, CDATA content), fall back.
+_NONE, _BREAK, _SKIP_OPEN, _SKIP_CLOSE, _SCRIPT, _STYLE, _REJECT = range(7)
+_CDATA_OF = {_SCRIPT: _CDATA_CLOSE["script"], _STYLE: _CDATA_CLOSE["style"]}
+# Per-process memo: tag text -> action.  Bounded: inserts stop at the cap
+# (the frequent tags recur early), so a page of unique tags costs one
+# classification per occurrence.
+_TAG_MEMO: dict[str, int] = {}
+_TAG_MEMO_MAX = 65536
+
+
+def _tag_action(tag: str) -> int:
+    """The action of one matched tag text ``<...>``."""
+    closing, body, selfclose = _TAG_RE.match(tag).groups()
+    if closing:
+        if selfclose or not _END_BODY_RE.match(body):
+            return _REJECT
+        name = _NAME_RE.match(body).group(0).lower()
+        if name in _SKIP_TAGS:
+            return _SKIP_CLOSE
+        return _BREAK if name in _BLOCK_TAGS else _NONE
+    nm = _NAME_RE.match(body)
+    name_end = nm.end()
+    if name_end < len(body) and body[name_end] not in _WS_OR_SLASH:
+        return _REJECT                    # name uses chars we don't model
+    name = nm.group(0).lower()
+    attrs = body[name_end:]
+    if attrs.count('"') % 2 or attrs.count("'") % 2:
+        return _REJECT                    # '>' inside a quoted attribute
+    if selfclose:
+        if attrs and attrs[-1] not in _SELFCLOSE_OK:
+            return _REJECT                # '/' may belong to a bare value
+        # genuine <tag/>: block tags break, skip tags have no subtree
+        return _BREAK if name in _BLOCK_TAGS else _NONE
+    if name == "script":
+        return _SCRIPT
+    if name == "style":
+        return _STYLE
+    if name in _SKIP_TAGS:
+        return _SKIP_OPEN
+    return _BREAK if name in _BLOCK_TAGS else _NONE
+
+
+def _cdata_end(s: str, pos: int, close_re: re.Pattern) -> int | None:
+    """Where the script/style content opened at ``pos`` and its end tag
+    end, or None -> stdlib.  ``len(s) + 1`` when it is unterminated: the
+    rest of the document is dropped."""
+    while True:
+        cm = close_re.search(s, pos)
+        if cm is None:
+            return len(s) + 1
+        tm = _CDATA_TAIL_RE.match(s, cm.end())
+        if tm.group(1):                   # </scriptx... : still CDATA
+            pos = cm.end()
+            continue
+        if not tm.group(2):               # </script junk> : stdlib-only
+            return None
+        return tm.end()
+
 
 def _fast_parts(s: str) -> list[str] | None:
     """html.parser-equivalent (parts, breaks) stream, or None -> stdlib."""
     if _SUSPECT_RE.search(s):
         return None
+    pieces = _TAG_SPLIT_RE.split(s)
+    memo = _TAG_MEMO
     parts: list[str] = []
     append = parts.append
+    brk = _TextExtractor._BREAK
     skip = 0
-    pos = 0
-    for m in _TAG_RE.finditer(s):
-        st = m.start()
-        if st < pos:                      # inside a consumed CDATA region
+    resume = 0      # first tag piece after a consumed CDATA region
+    at = pos = 0    # a piece index and the offset it starts at
+    for i in range(1, len(pieces), 2):
+        if i < resume:                    # inside a consumed CDATA region
             continue
-        data = s[pos:st]
-        if "<" in data:
-            return None
-        if data and skip == 0:
-            append(unescape(data))
-        closing, body, selfclose = m.group(1), m.group(2), m.group(3)
-        pos = m.end()
-        if closing:
-            if selfclose or not _END_BODY_RE.match(body):
+        data = pieces[i - 1]
+        if data:
+            if "<" in data:
                 return None
-            tag = _NAME_RE.match(body).group(0).lower()
-            if tag in _SKIP_TAGS:
-                if skip > 0:
-                    skip -= 1
-            elif tag in _BLOCK_TAGS:
-                append(_TextExtractor._BREAK)
-            continue
-        nm = _NAME_RE.match(body)
-        name_end = nm.end()
-        if name_end < len(body) and body[name_end] not in _WS_OR_SLASH:
-            return None                   # name uses chars we don't model
-        tag = nm.group(0).lower()
-        attrs = body[name_end:]
-        if attrs.count('"') % 2 or attrs.count("'") % 2:
-            return None                   # '>' inside a quoted attribute
-        if selfclose:
-            if attrs and attrs[-1] not in _SELFCLOSE_OK:
-                return None               # '/' may belong to a bare value
-            # genuine <tag/>: block tags break, skip tags have no subtree
-            if tag in _BLOCK_TAGS:
-                append(_TextExtractor._BREAK)
-            continue
-        if tag in _SKIP_TAGS:
+            if not skip:
+                append(unescape(data) if "&" in data else data)
+        tag = pieces[i]
+        act = memo.get(tag)
+        if act is None:
+            act = _tag_action(tag)
+            if len(memo) < _TAG_MEMO_MAX:
+                memo[tag] = act
+        if act == _BREAK:
+            append(brk)
+        elif act == _NONE:
+            pass
+        elif act == _SKIP_OPEN:
             skip += 1
-        elif tag in _BLOCK_TAGS:
-            append(_TextExtractor._BREAK)
-        if tag in ("script", "style"):    # CDATA content mode
-            close_re = _CDATA_CLOSE[tag]
-            while True:
-                cm = close_re.search(s, pos)
-                if cm is None:
-                    pos = len(s)          # unterminated: rest is dropped
-                    break
-                tm = _CDATA_TAIL_RE.match(s, cm.end())
-                if tm.group(1):           # </scriptx... : still CDATA
-                    pos = cm.end()
-                    continue
-                if not tm.group(2):       # </script junk> : stdlib-only
-                    return None
-                if skip > 0:              # the real end tag
-                    skip -= 1
-                pos = tm.end()
-                break
-    data = s[pos:]
+        elif act == _SKIP_CLOSE:
+            if skip > 0:
+                skip -= 1
+        elif act == _REJECT:
+            return None
+        else:                             # CDATA content mode
+            skip += 1
+            pos += sum(map(len, pieces[at:i + 1]))
+            at = i + 1
+            end = _cdata_end(s, pos, _CDATA_OF[act])
+            if end is None:
+                return None
+            if end > len(s):              # unterminated
+                return parts
+            while pos < end:
+                pos += len(pieces[at])
+                at += 1
+            if pos != end:                # not at a piece boundary
+                return None
+            if skip > 0:                  # the real end tag
+                skip -= 1
+            resume = at + 1
+    data = pieces[-1]
     if "<" in data:
         return None                       # unterminated trailing tag
     if data and skip == 0:
@@ -190,9 +248,15 @@ def _fast_parts(s: str) -> list[str] | None:
 
 
 def _finish(parts: list[str]) -> str:
+    """Parts -> lines: each segment between breaks with its whitespace
+    runs collapsed to one space and stripped; empty segments dropped."""
     lines = []
     for seg in "".join(parts).split(_TextExtractor._BREAK):
-        seg = " ".join(seg.split())
+        # Already normalized when its only whitespace is single inner
+        # spaces: every whitespace character but " " is non-printable.
+        if not (seg.isprintable() and "  " not in seg and seg[:1] != " "
+                and seg[-1:] != " "):
+            seg = " ".join(seg.split())
         if seg:
             lines.append(seg)
     return "\n".join(lines)
@@ -210,16 +274,23 @@ def _extract_stdlib(s: str) -> str:
     return parser.text()
 
 
-def extract_text(html: bytes | bytearray | memoryview | None) -> str:
-    """Extract visible text from raw page bytes. Pure and deterministic."""
+def _decode(html: bytes | bytearray | memoryview | None) -> str:
+    """Raw page bytes -> str: UTF-8 with replacement, leading BOM
+    stripped; ``""`` for None or empty html."""
     if html is None:
         return ""
     raw = bytes(html)
     if not raw:
         return ""
     s = raw.decode("utf-8", errors="replace")
-    if s.startswith("﻿"):
+    if s.startswith("\ufeff"):
         s = s[1:]
+    return s
+
+
+def extract_text(html: bytes | bytearray | memoryview | None) -> str:
+    """Extract visible text from raw page bytes. Pure and deterministic."""
+    s = _decode(html)
     parts = _fast_parts(s)
     if parts is not None:
         return _finish(parts)

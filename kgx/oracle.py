@@ -4,8 +4,9 @@ Reference-faithful sequential implementation (the execution shape of
 /root/reference/indexing/simple_graph_builder.py:50-152 — everything in
 driver memory, one pass) using the SAME pure functions and merge semantics
 as the Ray pipeline, except where a batch kernel has a sequential twin
-here (``gazetteer_reference``: the per-chunk sentence loop that
-``GazetteerExtractor`` runs in Arrow).  The e2e test asserts the
+here (``text_reference``: stdlib ``html.parser`` without the regex fast
+path of ``extract_text``; ``gazetteer_reference``: the per-chunk
+sentence loop that ``GazetteerExtractor`` runs in Arrow).  The e2e test asserts the
 distributed pipeline's nodes/edges/claims tables are exactly equal to
 this oracle's — i.e. the shuffles, sorted-block folds, in-batch
 combining and broadcast join change nothing — and both score P/R >= 0.95
@@ -17,7 +18,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from kgx.functions.chunker import chunk_text
-from kgx.functions.html_text import extract_text
+from kgx.functions.html_text import _decode, _extract_stdlib
 from kgx.functions.normalize import claim_id, edge_id, entity_id, normalize
 from kgx.stages.canonicalize import (NODES_SCHEMA, _argmax_count,
                                      _cap_instances, _new_state, merge_states)
@@ -36,7 +37,8 @@ def run_oracle(pages: pa.Table, *, chunk_size=200, chunk_overlap=50,
     for row in pages.to_pylist():
         if lang_filter and row["lang"] != lang_filter:
             continue
-        text = row["text"] if row["text"] is not None else extract_text(row["html"])
+        text = (row["text"] if row["text"] is not None
+                else text_reference(row["html"]))
         chunks.extend(chunk_text(text, row["url"], chunk_size, chunk_overlap))
 
     chunk_tbl = pa.table({
@@ -118,6 +120,12 @@ def run_oracle(pages: pa.Table, *, chunk_size=200, chunk_overlap=50,
     return {"nodes": tbl(node_rows, NODES_SCHEMA),
             "edges": tbl(edge_rows, EDGES_SCHEMA),
             "claims": tbl(claim_rows, CLAIMS_SCHEMA)}
+
+
+def text_reference(html: bytes | None) -> str:
+    """Sequential reference of ``extract_text``: the same decoding, then
+    stdlib ``html.parser`` alone, with no regex fast path."""
+    return _extract_stdlib(_decode(html))
 
 
 def gazetteer_reference(ex: GazetteerExtractor, batch: pa.Table) -> pa.Table:

@@ -198,8 +198,9 @@ class TestFastHtmlPathEquivalence:
             assert extract_text(s.encode("utf-8")) == _extract_stdlib(s), \
                 repr(s)
 
-    def test_property_random_markup(self):
-        from hypothesis import given, settings, strategies as st
+    @staticmethod
+    def _markup():
+        from hypothesis import strategies as st
 
         tags = st.sampled_from(
             ["p", "div", "P", "script", "style", "nav", "br", "em",
@@ -216,14 +217,102 @@ class TestFastHtmlPathEquivalence:
             tags.map(lambda t: f"<{t} a='v'>"),
             tags.map(lambda t: f"<{t} a=\"v\" b>"),
         )
+        return st.lists(frag, max_size=24).map("".join)
+
+    def test_property_random_markup(self):
+        from hypothesis import given, settings
         check = self._check
 
-        @given(st.lists(frag, max_size=24).map("".join))
+        @given(self._markup())
         @settings(max_examples=400, deadline=None)
         def run(s):
             check(s)
 
         run()
+
+    def test_property_random_markup_tiny_tag_memo(self, monkeypatch):
+        # A memo that fills after two tags: most tags are classified on
+        # every occurrence, the first two (possibly a reject) from the
+        # memo.  A second pass over the same page must agree with the
+        # first, and both with html.parser.
+        from hypothesis import given, settings
+        from kgx.functions import html_text as ht
+        monkeypatch.setattr(ht, "_TAG_MEMO", {})
+        monkeypatch.setattr(ht, "_TAG_MEMO_MAX", 2)
+        check = self._check
+
+        @given(self._markup())
+        @settings(max_examples=400, deadline=None)
+        def run(s):
+            first = ht._fast_parts(s)
+            assert ht._fast_parts(s) == first, repr(s)
+            check(s)
+            assert ht.extract_text(s.encode("utf-8")) == \
+                ht._extract_stdlib(s), repr(s)
+
+        run()
+        assert len(ht._TAG_MEMO) == 2
+
+    @pytest.mark.parametrize("first", [
+        "<nav><p>hidden</p><b>h</b></nav>",              # skip subtree
+        "<script>var s = '<p>x</p><b>y</b>';</script>",   # CDATA region
+        "<style>a::after { content: '<p><b>' }</style>",
+    ])
+    def test_tag_seen_first_in_skipped_content(self, monkeypatch, first):
+        # <p> / <b> first occur where their content is dropped (a skip
+        # subtree, or CDATA where they are not tags at all), then at top
+        # level: their memoized actions must still hold there.
+        from kgx.functions import html_text as ht
+        monkeypatch.setattr(ht, "_TAG_MEMO", {})
+        s = first + "<p>shown <b>bold</b> text</p><p>more</p>"
+        parts = ht._fast_parts(s)
+        assert parts is not None
+        assert ht._finish(parts) == ht._extract_stdlib(s) \
+            == "shown bold text\nmore"
+        assert ht._TAG_MEMO["<p>"] == ht._BREAK
+        assert ht._TAG_MEMO["<b>"] == ht._NONE
+        # a tag the fast path rejects, first seen inside CDATA (not a
+        # tag there), is memoized as a reject at top level
+        bad = "<a title='x\"y'>"
+        s = f"<script>'{bad}'</script><p>a</p>{bad}z</a>"
+        assert ht._fast_parts(s) is None
+        assert ht._TAG_MEMO[bad] == ht._REJECT
+        assert ht.extract_text(s.encode()) == ht._extract_stdlib(s)
+
+    def test_tag_memo_stays_at_cap(self, monkeypatch):
+        # more distinct tags (unique hrefs) than the memo holds: inserts
+        # stop at the cap, and the rest are classified per occurrence
+        from kgx.functions import html_text as ht
+        monkeypatch.setattr(ht, "_TAG_MEMO", {})
+        n = ht._TAG_MEMO_MAX + 100
+        s = "<p>" + "".join(f"<a href='/p{i}'>x{i}</a>"
+                            for i in range(n)) + "</p><p>end</p>"
+        want = ht._extract_stdlib(s)
+        parts = ht._fast_parts(s)
+        assert parts is not None and ht._finish(parts) == want
+        assert len(ht._TAG_MEMO) == ht._TAG_MEMO_MAX
+        assert ht._finish(ht._fast_parts(s)) == want
+        assert len(ht._TAG_MEMO) == ht._TAG_MEMO_MAX
+
+    def test_benchmark_page_shape(self):
+        # the perfbench web_pages shape (filler_scale=8, ~7 KB pages):
+        # equal to html.parser, and carried by the fast path, so a
+        # silent fallback regression shows here
+        from kgx.functions.html_text import (_decode, _extract_stdlib,
+                                             _fast_parts, _finish)
+        from kgx.synth import generate_rows
+        t, _ = generate_rows(0, 300, seed=1, filler_scale=8)
+        n = n_fast = 0
+        for v in t["html"].to_pylist():
+            s = _decode(v)
+            if not s:
+                continue
+            n += 1
+            parts = _fast_parts(s)
+            if parts is not None:
+                n_fast += 1
+                assert _finish(parts) == _extract_stdlib(s)
+        assert n > 250 and n_fast >= 0.95 * n, (n_fast, n)
 
     def test_corpus_sample_equivalence(self):
         # every synthetic page shape (null / empty / truncated / entity /

@@ -8,8 +8,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
-from kgx.functions.html_text import extract_text
-from kgx.oracle import run_oracle, triple_pr
+from kgx.oracle import run_oracle, text_reference, triple_pr
 from kgx.pipelines.kg import KGConfig, run_pipeline
 
 
@@ -36,14 +35,14 @@ class TestE2E:
         assert p >= 0.95 and r >= 0.95, (p, r)
 
     def test_text_byte_identical_per_url(self, run):
-        """input_hint invariant: per-url extracted text == the pinned
-        sequential extractor's output; pre-filled rows pass through."""
+        """input_hint invariant: per-url extracted text == the sequential
+        html.parser extraction; pre-filled rows pass through."""
         pages = pq.read_table(run["pages"])
         texts = pq.read_table(run["paths"]["texts"])
         got = dict(zip(texts["url"].to_pylist(), texts["text"].to_pylist()))
         for row in pages.to_pylist():
             want = row["text"] if row["text"] is not None \
-                else extract_text(row["html"])
+                else text_reference(row["html"])
             assert got[row["url"]] == want, row["url"]
 
     def test_strength_filter_applied(self, run):

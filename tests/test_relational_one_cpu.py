@@ -59,11 +59,14 @@ ray.shutdown()
 """
 
 
-def run_at_one_cpu(queries: dict[str, str]) -> list[str]:
+def run_at_one_cpu(queries: dict[str, str], script: str = SCRIPT
+                   ) -> list[str]:
     """Run ``{query: shuffle strategy}`` in one fresh one-CPU process;
-    its output lines, ``"<query> ok"`` for a match with the oracle."""
+    its output lines, ``"<query> ok"`` for a match with the oracle.
+    ``script`` takes the testdata directory and ``query=strategy``
+    arguments, as ``SCRIPT`` does."""
     proc = subprocess.Popen(
-        [sys.executable, "-c", SCRIPT, SF_DIR,
+        [sys.executable, "-c", script, SF_DIR,
          *(f"{q}={s}" for q, s in queries.items())], cwd=ROOT,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         start_new_session=True)
