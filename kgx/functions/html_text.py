@@ -133,6 +133,10 @@ _CDATA_OF = {_SCRIPT: _CDATA_CLOSE["script"], _STYLE: _CDATA_CLOSE["style"]}
 # classification per occurrence.
 _TAG_MEMO: dict[str, int] = {}
 _TAG_MEMO_MAX = 65536
+# Longer tags (inline data: URIs, JSON attributes) are rarely repeated
+# and are classified per occurrence, so the memo holds at most 65,536 x
+# 256 characters of keys (about 20 MB of ASCII tag text).
+_TAG_MEMO_KEY_MAX = 256
 
 
 def _tag_action(tag: str) -> int:
@@ -194,8 +198,8 @@ def _fast_parts(s: str) -> list[str] | None:
     append = parts.append
     brk = _TextExtractor._BREAK
     skip = 0
-    resume = 0      # first tag piece after a consumed CDATA region
-    at = pos = 0    # a piece index and the offset it starts at
+    base = at = 0   # piece ``at`` starts at offset ``base``
+    resume = 0      # the first tag piece after a consumed CDATA region
     for i in range(1, len(pieces), 2):
         if i < resume:                    # inside a consumed CDATA region
             continue
@@ -209,7 +213,7 @@ def _fast_parts(s: str) -> list[str] | None:
         act = memo.get(tag)
         if act is None:
             act = _tag_action(tag)
-            if len(memo) < _TAG_MEMO_MAX:
+            if len(memo) < _TAG_MEMO_MAX and len(tag) <= _TAG_MEMO_KEY_MAX:
                 memo[tag] = act
         if act == _BREAK:
             append(brk)
@@ -224,21 +228,27 @@ def _fast_parts(s: str) -> list[str] | None:
             return None
         else:                             # CDATA content mode
             skip += 1
-            pos += sum(map(len, pieces[at:i + 1]))
-            at = i + 1
+            # Offsets count from the last region's end (``base``, piece
+            # ``at``), so the walks over a page add up to one pass.
+            pos = base + sum(map(len, pieces[at:i + 1]))
             end = _cdata_end(s, pos, _CDATA_OF[act])
             if end is None:
                 return None
             if end > len(s):              # unterminated
                 return parts
-            while pos < end:
-                pos += len(pieces[at])
-                at += 1
-            if pos != end:                # not at a piece boundary
-                return None
             if skip > 0:                  # the real end tag
                 skip -= 1
-            resume = at + 1
+            at = i
+            while pos < end:              # to the piece holding the '>'
+                at += 1
+                pos += len(pieces[at])
+            # That piece is the end tag (a tag piece ends at its only
+            # '>'), or a data piece holding it (``</ script>`` is not a
+            # tag piece), whose rest is the next data.  Either way the
+            # walk resumes with piece ``at`` cut to start at ``end``.
+            pieces[at] = s[end:pos]
+            base = end
+            resume = (at + 1) | 1         # the next tag piece
     data = pieces[-1]
     if "<" in data:
         return None                       # unterminated trailing tag

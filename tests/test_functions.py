@@ -184,6 +184,24 @@ class TestFastHtmlPathEquivalence:
         ]:
             self._check(s)
 
+    @pytest.mark.parametrize("s, want", [
+        ("a<script>x</ script><p>y", "a\ny"),
+        ("<script>x</ script><nav>secret</nav>visible", "visible"),
+        ("<script>x</ script>tail<p>y", "tail\ny"),
+        ("<p>a<script>x</script></p>b<style>q</ style>c<p>d", "a\nbc\nd"),
+        ("<style>x</\nstyle >q<b>r</b>", "qr"),
+        ("<script>x</ script>", ""),
+    ])
+    def test_cdata_end_tag_inside_data_piece(self, s, want):
+        # ``</ script>`` ends the CDATA region in html.parser but is not a
+        # tag piece of the split: the walk resumes mid data piece, and the
+        # tag right after it still acts
+        from kgx.functions.html_text import (_extract_stdlib, _fast_parts,
+                                             _finish)
+        parts = _fast_parts(s)
+        assert parts is not None
+        assert _finish(parts) == _extract_stdlib(s) == want
+
     def test_fallback_constructs_still_correct(self):
         # these must produce stdlib output (fast path declines or not —
         # either way extract_text equals the stdlib extraction)
@@ -213,6 +231,9 @@ class TestFastHtmlPathEquivalence:
                              "<!--c-->", "]]>", "<? ?>", "a<b"]),
             tags.map(lambda t: f"<{t}>"),
             tags.map(lambda t: f"</{t}>"),
+            tags.map(lambda t: f"</ {t}>"),
+            tags.map(lambda t: f"</\n{t} >"),
+            tags.map(lambda t: f"<{t} d='{'x' * 300}'>"),
             tags.map(lambda t: f"<{t}/>"),
             tags.map(lambda t: f"<{t} a='v'>"),
             tags.map(lambda t: f"<{t} a=\"v\" b>"),
@@ -293,6 +314,19 @@ class TestFastHtmlPathEquivalence:
         assert len(ht._TAG_MEMO) == ht._TAG_MEMO_MAX
         assert ht._finish(ht._fast_parts(s)) == want
         assert len(ht._TAG_MEMO) == ht._TAG_MEMO_MAX
+
+    def test_long_tags_not_memoized(self, monkeypatch):
+        # unique long tags (inline data: URIs) are classified per
+        # occurrence and never held by the memo
+        from kgx.functions import html_text as ht
+        monkeypatch.setattr(ht, "_TAG_MEMO", {})
+        pad = "A" * ht._TAG_MEMO_KEY_MAX
+        s = "".join(f"<p><img src='data:{pad}{i}'>t{i}</p>"
+                    for i in range(50)) + "<nav x='" + pad + "'>n</nav>z"
+        parts = ht._fast_parts(s)
+        assert parts is not None
+        assert ht._finish(parts) == ht._extract_stdlib(s)
+        assert sorted(ht._TAG_MEMO) == ["</nav>", "</p>", "<p>"]
 
     def test_benchmark_page_shape(self):
         # the perfbench web_pages shape (filler_scale=8, ~7 KB pages):
